@@ -10,6 +10,7 @@ radii cannot hit ⊥, and the checks below report the escape otherwise.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -158,6 +159,33 @@ def tensored_check(X: VCategory, extended: bool = True,
             "ambiguous": tuple(ambiguous)}
 
 
+def _algebra_laws(X: VCategory, alpha: VFunctor, idx: dict):
+    """x ⊕ k = x, (x ⊕ r) ⊕ s = x ⊕ (r ⊗ s) and r ≤ X(x, x ⊕ r) for
+    α: BX → X.  Returns the first failing object's index (each caller
+    names it its own way), the associativity and expansion witnesses,
+    and the count of radius pairs whose tensor is not a radius."""
+    q = X.quantale
+    BX = alpha.dom
+    n = len(X.objects)
+    unit_i = next((i for i in range(n) if alpha(idx[(i, q.unit)]) != i), None)
+
+    assoc_w = None
+    skipped = 0
+    radii = tuple(dict.fromkeys(r for _, r in BX.pairs))
+    for i, r, s in itertools.product(range(n), radii, radii):
+        t = q.tensor(r, s)
+        if (i, t) not in idx:
+            skipped += 1
+        elif alpha(idx[(i, t)]) != alpha(idx[(alpha(idx[(i, r)]), s)]):
+            assoc_w = f"({X.objects[i]},{show_value(r.value)},{show_value(s.value)})"
+            break
+
+    expand_w = next(
+        (BX.objects[j] for j, (i, r) in enumerate(BX.pairs)
+         if not q.leq(r, X.hom[i][alpha(j)])), None)
+    return unit_i, assoc_w, skipped, expand_w
+
+
 def tensor_consequences(X: VCategory, alpha: VFunctor) -> dict:
     """For a tensor structure: x ⊕ k = x, associativity over radii,
     X(x, x ⊕ r) ≥ r, and (x ⊕ −) ⊣ X(x, −) as functors against the
@@ -165,33 +193,9 @@ def tensor_consequences(X: VCategory, alpha: VFunctor) -> dict:
     q = X.quantale
     BX = alpha.dom
     idx = _pair_index(BX)
-    radii = tuple(dict.fromkeys(r for _, r in BX.pairs))
     n = len(X.objects)
-
-    unit_w = next((BX.objects[idx[(i, q.unit)]] for i in range(n)
-                   if alpha(idx[(i, q.unit)]) != i), None)
-
-    assoc_w = None
-    skipped = 0
-    for i in range(n):
-        for r in radii:
-            for s in radii:
-                t = q.tensor(r, s)
-                stepwise = alpha(idx[(alpha(idx[(i, r)]), s)])
-                if (i, t) not in idx:
-                    skipped += 1
-                    continue
-                if alpha(idx[(i, t)]) != stepwise:
-                    assoc_w = f"({X.objects[i]},{show_value(r.value)},{show_value(s.value)})"
-                    break
-            if assoc_w:
-                break
-        if assoc_w:
-            break
-
-    expand_w = next(
-        (BX.objects[j] for j, (i, r) in enumerate(BX.pairs)
-         if not q.leq(r, X.hom[i][alpha(j)])), None)
+    unit_i, assoc_w, skipped, expand_w = _algebra_laws(X, alpha, idx)
+    unit_w = None if unit_i is None else BX.objects[idx[(unit_i, q.unit)]]
 
     if BX.extended:
         V = hom_self_category(q)
@@ -230,34 +234,9 @@ def ball_algebra_check(alpha: VFunctor) -> dict:
     """
     BX = alpha.dom
     X = alpha.cod
-    q = X.quantale
     idx = _pair_index(BX)
-    n = len(X.objects)
-
-    unit_w = next((X.objects[i] for i in range(n)
-                   if alpha(idx[(i, q.unit)]) != i), None)
-
-    assoc_w = None
-    skipped = 0
-    radii = tuple(dict.fromkeys(r for _, r in BX.pairs))
-    for i in range(n):
-        for r in radii:
-            for s in radii:
-                t = q.tensor(r, s)
-                if (i, t) not in idx:
-                    skipped += 1
-                    continue
-                if alpha(idx[(i, t)]) != alpha(idx[(alpha(idx[(i, r)]), s)]):
-                    assoc_w = f"({X.objects[i]},{show_value(r.value)},{show_value(s.value)})"
-                    break
-            if assoc_w:
-                break
-        if assoc_w:
-            break
-
-    expand_w = next(
-        (BX.objects[j] for j, (i, r) in enumerate(BX.pairs)
-         if not q.leq(r, X.hom[i][alpha(j)])), None)
+    unit_i, assoc_w, skipped, expand_w = _algebra_laws(X, alpha, idx)
+    unit_w = None if unit_i is None else X.objects[unit_i]
 
     try:
         BBX = ball_category(BX, BX.extended)

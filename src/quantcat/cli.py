@@ -151,6 +151,8 @@ class Workspace:
     def _get(self, section, name, what):
         if name is None:
             raise UsageError(f"this command needs --{what}")
+        if not isinstance(name, str):
+            raise ParseError(f"{what} reference {name!r} is not a name")
         if (section, name) in self.failures:
             raise ValidationError(
                 f"{what} {name!r} failed validation: "
@@ -197,6 +199,14 @@ def _take(rec, where, required, optional=()):
     return [rec[k] for k in required]
 
 
+def _grid(raw, where, key):
+    """A list-of-lists field (hom, matrix, leq, tensor) of JSON scalars."""
+    if not isinstance(raw, list) or not all(isinstance(row, list) and not any(
+            isinstance(v, (list, dict)) for v in row) for row in raw):
+        raise ParseError(f"{where}: {key} is a list of lists of values")
+    return raw
+
+
 def _build_quantale(rec, where):
     if "hom" in rec:
         raise ValidationError(
@@ -205,12 +215,17 @@ def _build_quantale(rec, where):
     if "carrier" in rec:
         carrier, leq, tensor, unit = _take(
             rec, where, ("carrier", "leq", "tensor", "unit"))
-        pairs = [tuple(p) for p in leq]
+        _grid([carrier, [unit]], where, "[carrier, [unit]]")
+        pairs = [tuple(p) for p in _grid(leq, where, "leq")]
         if any(len(p) != 2 for p in pairs):
             raise ParseError(f"{where}: leq entries are [smaller, larger]")
-        return make_finite_quantale(rec["name"], carrier, pairs, tensor, unit)
+        return make_finite_quantale(rec["name"], carrier, pairs,
+                                    _grid(tensor, where, "tensor"), unit)
     (kind,) = _take(rec, where, ("kind",), optional=("n",))
-    return builtin(kind, rec.get("n"))
+    n = rec.get("n")
+    if n is not None and (isinstance(n, bool) or not isinstance(n, int)):
+        raise ParseError(f"{where}: n is an integer")
+    return builtin(kind, n)
 
 
 def _build_spec(rec, ws, where):
@@ -223,6 +238,8 @@ def _build_spec(rec, ws, where):
         members = rec.get("members")
         if not isinstance(members, dict):
             raise ValidationError(f"{where}: table specs need members")
+        if not all(isinstance(v, list) for v in members.values()):
+            raise ParseError(f"{where}: members maps categories to lists of labels")
         return submonad_user_table(
             rec["name"], {k: tuple(v) for k, v in members.items()})
     raise ValidationError(f"{where}: unknown spec kind {kind!r}")
@@ -287,7 +304,8 @@ def parse_workspace(path) -> Workspace:
             if not isinstance(objects, list) or \
                     any(not isinstance(o, str) for o in objects):
                 raise ParseError(f"{where}: objects are strings")
-            rows = [[_record_value(v, q, where) for v in row] for row in hom]
+            rows = [[_record_value(v, q, where) for v in row]
+                    for row in _grid(hom, where, "hom")]
             return validate_category(name, q, objects, rows)
 
         keep("categories", name, build)
@@ -316,7 +334,7 @@ def parse_workspace(path) -> Workspace:
         def build():
             X, Y = ws.category(dom), ws.category(cod)
             rows = [[_record_value(v, X.quantale, where) for v in row]
-                    for row in matrix]
+                    for row in _grid(matrix, where, "matrix")]
             return relation(X, Y, rows)
 
         keep("relations", name, build)

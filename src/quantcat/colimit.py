@@ -21,7 +21,7 @@ from .errors import (
 )
 from .monadkit import SubmonadSpec, submonad_category, submonad_monad
 from .presheaf import DEFAULT_BUDGET, presheaf_label
-from .vcat import VCategory, VFunctor, check_adjunction, is_functor
+from .vcat import VCategory, VFunctor, check_adjunction, identity_functor, is_functor
 
 DEFAULT_EXTENSION_BUDGET = 10 ** 5
 
@@ -72,16 +72,11 @@ def weighted_colimit(d: WeightedDiagram) -> VFunctor:
     return g
 
 
-def identity_functor(X: VCategory) -> VFunctor:
-    return VFunctor("1", X, X, tuple(range(len(X.objects))))
-
-
 def extension_row(X: VCategory, vals) -> tuple:
     """[φ, (1_X)_*](∗,−) for a presheaf φ on X given by its value tuple."""
     q = X.quantale
-    n = len(X.objects)
-    return tuple(q.meet(q.hom(vals[i], X.hom[i][j]) for i in range(n))
-                 for j in range(n))
+    return tuple(q.meet_hom(vals, [row[j] for row in X.hom])
+                 for j in range(len(X.objects)))
 
 
 def cocompleteness_check(Z: VCategory, spec: SubmonadSpec, diagrams=(),
@@ -213,10 +208,9 @@ def min_characterization(X: VCategory, spec: SubmonadSpec,
                 break
         cond2p = {"ok": True, "witness": None}
         for j in range(m):
-            shifted = tuple(
-                q.join(q.tensor(X.hom[x][points[i]], TX.hom[i][j])
-                       for i in range(m))
-                for x in range(len(X.objects)))
+            col = [row[j] for row in TX.hom]
+            shifted = tuple(q.join_tensor([row[p] for p in points], col)
+                            for row in X.hom)
             try:
                 if min_point(X, shifted) != points[j]:
                     cond2p = {"ok": False, "witness": TX.objects[j]}

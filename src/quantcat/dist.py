@@ -4,7 +4,9 @@ A relation r: X ⇸ Y is a matrix r[x][y] over the shared quantale;
 composition is sup-of-tensor, (s·r)(x,z) = ⋁_y r(x,y) ⊗ s(y,z).
 A distributor additionally absorbs the hom structures on both sides.
 Companions f_* and f^* of a functor, adjoint pairs, and the right
-extension [φ,ψ] live here too.
+extension [φ,ψ](y,z) = ⋀_x hom(φ(x,y), ψ(x,z)) live here too.  Each
+entry of a composite is one `Quantale.join_tensor` call, each entry of
+a right extension one `Quantale.meet_hom` call.
 """
 
 from __future__ import annotations
@@ -76,19 +78,21 @@ def compose(s: VRelation, r: VRelation) -> VRelation:
         raise ShapeMismatch(
             f"cannot compose: {r.dom.name} ⇸ {r.cod.name} then {s.dom.name} ⇸ {s.cod.name}")
     q = r.dom.quantale
-    mid = range(len(r.cod.objects))
-    matrix = tuple(
-        tuple(q.join(q.tensor(r.matrix[i][y], s.matrix[y][j]) for y in mid)
-              for j in range(len(s.cod.objects)))
-        for i in range(len(r.dom.objects)))
+    s_cols = _columns(s)
+    matrix = tuple(tuple(q.join_tensor(row, col) for col in s_cols)
+                   for row in r.matrix)
     # distributors are closed under composition
     return VRelation(r.dom, s.cod, matrix, r.validated and s.validated)
 
 
+def _columns(r: VRelation) -> tuple:
+    """The transposed matrix: one tuple per object of the codomain."""
+    return tuple(tuple(row[j] for row in r.matrix)
+                 for j in range(len(r.cod.objects)))
+
+
 def involution(r: VRelation) -> VRelation:
-    matrix = tuple(tuple(r.matrix[i][j] for i in range(len(r.dom.objects)))
-                   for j in range(len(r.cod.objects)))
-    return VRelation(r.cod, r.dom, matrix)
+    return VRelation(r.cod, r.dom, _columns(r))
 
 
 def graph(f: VFunctor) -> VRelation:
@@ -188,11 +192,9 @@ def right_extension(phi: VRelation, psi: VRelation) -> VRelation:
     if not phi.dom.same_shape(psi.dom):
         raise ShapeMismatch("right extension needs a common domain")
     q = phi.dom.quantale
-    nx = len(phi.dom.objects)
-    matrix = tuple(
-        tuple(q.meet(q.hom(phi.matrix[x][y], psi.matrix[x][z]) for x in range(nx))
-              for z in range(len(psi.cod.objects)))
-        for y in range(len(phi.cod.objects)))
+    psi_cols = _columns(psi)
+    matrix = tuple(tuple(q.meet_hom(phi_col, psi_col) for psi_col in psi_cols)
+                   for phi_col in _columns(phi))
     return VRelation(phi.cod, psi.cod, matrix, phi.validated and psi.validated)
 
 

@@ -36,7 +36,7 @@ def _certifies(X, phi, psi):
     if not all(q.leq(q.tensor(phi[x], psi[y]), X.hom[x][y])
                for x in range(n) for y in range(n)):
         return None
-    u = q.join(q.tensor(psi[x], phi[x]) for x in range(n))
+    u = q.join_tensor(psi, phi)
     return u if q.leq(q.unit, u) else None
 
 

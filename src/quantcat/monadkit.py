@@ -38,6 +38,7 @@ from .presheaf import (
     DEFAULT_BUDGET,
     PresheafCategory,
     is_presheaf,
+    map_values,
     mult_values,
     multiplication,
     presheaf_category,
@@ -250,14 +251,10 @@ def submonad_monad(spec: SubmonadSpec, budget: int = DEFAULT_BUDGET) -> MonadIns
 
     def map_(f):
         TX, TY = apply(f.dom), apply(f.cod)
-        q = f.dom.quantale
-        Y = f.cod
         idx = {v: i for i, v in enumerate(TY.presheaves)}
         mapping = []
         for vals in TX.presheaves:
-            img = tuple(q.join(q.tensor(Y.hom[j][f(i)], vals[i])
-                               for i in range(len(f.dom.objects)))
-                        for j in range(len(Y.objects)))
+            img = map_values(f, vals)
             if img not in idx:
                 raise SpecMismatch(
                     f"image of {presheaf_label(vals)} under the mapped functor "
@@ -425,8 +422,7 @@ def monad_morphism_check(T: MonadInstance, X: VCategory, f: VFunctor = None,
         # σ_TX(Γ)(t) = TTX(η_TX t, Γ), then P σ_X, then m
         psi = tuple(TTX.hom[eta_t(t)][gi] for t in range(nt))
         through = tuple(
-            q.join(q.tensor(presheaf_hom(q, vals, sigma_vals[t]), psi[t])
-                   for t in range(nt))
+            q.join_tensor((presheaf_hom(q, vals, s) for s in sigma_vals), psi)
             for vals in PX.presheaves)
         if mult_values(PX, through) != left:
             w = TTX.objects[gi]

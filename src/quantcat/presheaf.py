@@ -6,7 +6,9 @@ carries the hom ã(φ,ψ) = ⋀_x hom(φ x, ψ x) and is built by exhaustive
 enumeration, so every constructor here is budget-gated.  The unit is the
 Yoneda embedding x ↦ a(−,x) and the multiplication is sup-of-tensor
 evaluation; law checking degrades from exhaustive to sampled to
-unchecked as the towers grow.
+unchecked as the towers grow.  Every inf-hom entry (ã, `presheaf_hom`)
+is one `Quantale.meet_hom` call and every sup-tensor entry (`map_values`,
+`mult_values`, the sampled θ) one `Quantale.join_tensor` call.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ def is_presheaf(X: VCategory, values) -> bool:
 
 def presheaf_hom(q, phi, psi):
     """ã(φ,ψ) = ⋀_x hom(φ x, ψ x); the empty meet is ⊤."""
-    return q.meet(q.hom(u, w) for u, w in zip(phi, psi))
+    return q.meet_hom(phi, psi)
 
 
 @lru_cache(maxsize=None)
@@ -95,13 +97,8 @@ def presheaf_map(f: VFunctor, PX=None, PY=None) -> VFunctor:
     X, Y = f.dom, f.cod
     PX = PX or presheaf_category(X)
     PY = PY or presheaf_category(Y)
-    q = X.quantale
     idx = _member_index(PY)
-    ny = len(Y.objects)
-    mapping = tuple(
-        idx[tuple(q.join(q.tensor(Y.hom[j][f(i)], vals[i])
-                         for i in range(len(X.objects))) for j in range(ny))]
-        for vals in PX.presheaves)
+    mapping = tuple(idx[map_values(f, vals)] for vals in PX.presheaves)
     return VFunctor(f"P({f.name})", PX, PY, mapping, validated=True)
 
 
@@ -114,20 +111,23 @@ def q_map(f: VFunctor, PX=None, PY=None) -> VFunctor:
     PY = PY or presheaf_category(Y)
     q = X.quantale
     idx = _member_index(PX)
-    ny = len(Y.objects)
-    mapping = tuple(
-        idx[tuple(q.join(q.tensor(Y.hom[f(i)][j], vals[j]) for j in range(ny))
-                  for i in range(len(X.objects)))]
-        for vals in PY.presheaves)
+    mapping = tuple(idx[tuple(q.join_tensor(Y.hom[fx], vals) for fx in f.mapping)]
+                    for vals in PY.presheaves)
     return VFunctor(f"Q({f.name})", PY, PX, mapping, validated=True)
+
+
+def map_values(f: VFunctor, vals):
+    """(Pf φ)(y) = ⋁_x Y(y, f x) ⊗ φ(x), for φ given as values over f.dom."""
+    q = f.cod.quantale
+    return tuple(q.join_tensor([row[fx] for fx in f.mapping], vals)
+                 for row in f.cod.hom)
 
 
 def mult_values(PX: PresheafCategory, gamma):
     """m(Γ)(x) = ⋁_φ Γ(φ) ⊗ φ(x), for Γ given as values over PX."""
     q = PX.quantale
-    return tuple(
-        q.join(q.tensor(g, vals[i]) for g, vals in zip(gamma, PX.presheaves))
-        for i in range(len(PX.base.objects)))
+    return tuple(q.join_tensor(gamma, [vals[i] for vals in PX.presheaves])
+                 for i in range(len(PX.base.objects)))
 
 
 def multiplication(X: VCategory, PX=None, PPX=None,
@@ -154,11 +154,9 @@ def _sample_theta(PPX: PresheafCategory, rng: random.Random, kind: int):
         idx = _member_index(PPX)
         yi = [idx[tuple(PX.hom[j][p] for j in range(np_))] for p in range(np_)]
         gv = PPX.presheaves[rng.randrange(npp)]
-        return tuple(q.join(q.tensor(PPX.hom[i][yi[p]], gv[p]) for p in range(np_))
-                     for i in range(npp))
+        return tuple(q.join_tensor([row[p] for p in yi], gv) for row in PPX.hom)
     g = [rng.choice(q.carrier) for _ in range(npp)]
-    return tuple(q.join(q.tensor(PPX.hom[i][j], g[j]) for j in range(npp))
-                 for i in range(npp))
+    return tuple(q.join_tensor(row, g) for row in PPX.hom)
 
 
 def verify_monad_laws(X: VCategory, budget: int = DEFAULT_BUDGET,
@@ -172,15 +170,13 @@ def verify_monad_laws(X: VCategory, budget: int = DEFAULT_BUDGET,
     q = X.quantale
     PX = presheaf_category(X, budget)
     y = yoneda(X, PX)
-    n, np_ = len(X.objects), len(PX.objects)
+    np_ = len(PX.objects)
     report = {"category": X.name, "presheaf_count": np_}
 
     # m ∘ P(y) = 1:  P(y)(φ)(ψ) = ⋁_x ã(ψ, x^*) ⊗ φ(x)
     witness = None
     for vals in PX.presheaves:
-        through = tuple(q.join(q.tensor(PX.hom[j][y(i)], vals[i]) for i in range(n))
-                        for j in range(np_))
-        if mult_values(PX, through) != vals:
+        if mult_values(PX, map_values(y, vals)) != vals:
             witness = presheaf_label(vals)
             break
     report["unit_mapped"] = {"ok": witness is None, "witness": witness}
@@ -204,8 +200,7 @@ def verify_monad_laws(X: VCategory, budget: int = DEFAULT_BUDGET,
         def routes_agree(theta):
             # m_X ∘ m_PX vs m_X ∘ P(m_X)
             left = mult_values(PX, mult_values(PPX, theta))
-            pm = tuple(q.join(q.tensor(amg[p][g], theta[g]) for g in range(npp))
-                       for p in range(np_))
+            pm = tuple(q.join_tensor(row, theta) for row in amg)
             return left == mult_values(PX, pm)
 
         if len(q.carrier) ** npp <= budget:

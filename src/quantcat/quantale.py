@@ -339,6 +339,16 @@ class Quantale:
             out = self.meet2(out, e)
         return out
 
+    def join_tensor(self, us, vs) -> QElem:
+        """⋁ᵢ uᵢ ⊗ vᵢ over two paired families: the sup-tensor kernel of
+        distributor composition.  The empty join is the bottom element."""
+        return self.join(map(self.tensor, us, vs))
+
+    def meet_hom(self, us, vs) -> QElem:
+        """⋀ᵢ hom(uᵢ, vᵢ) over two paired families: the inf-hom kernel of
+        the right extension.  The empty meet is the top element."""
+        return self.meet(map(self.hom, us, vs))
+
     # ----- predicates -----
 
     def flags(self) -> QuantaleFlags:

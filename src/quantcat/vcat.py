@@ -218,8 +218,8 @@ def is_fully_dense(f: VFunctor):
     b = f.cod.hom
     for y in range(len(f.cod.objects)):
         for y2 in range(len(f.cod.objects)):
-            via = q.join(q.tensor(b[y][f(i)], b[f(i)][y2])
-                         for i in range(len(f.dom.objects)))
+            via = q.join_tensor((b[y][fx] for fx in f.mapping),
+                                (b[fx][y2] for fx in f.mapping))
             if b[y][y2] != via:
                 return False, (f.cod.objects[y], f.cod.objects[y2])
     return True, None

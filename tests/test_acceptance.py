@@ -1,19 +1,26 @@
 """The thirteen acceptance criteria, one test and one printed line each.
 
 C1-C12 are the exact verification battery from quantcat.selftest, run
-here at full budget with the default seed; C13 drives the installed CLI
-end to end: deterministic reports and a presheaf fragment that parses
-back to the category it came from.  Every comparison is exact equality.
+here at full budget with the default seed.  Each result must also equal
+its entry in golden/selftest.json (witnesses, modes, detail counts), so
+a change that keeps the verdicts but moves a witness is caught.  C13
+drives the installed CLI end to end: deterministic reports and a
+presheaf fragment that parses back to the category it came from.  Every
+comparison is exact equality.
 """
 
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from quantcat import selftest
-from quantcat.cli import parse_workspace
+from quantcat.cli import _jsonable, parse_workspace
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "selftest.json").read_text())
 
 
 def _settle(result):
@@ -24,10 +31,12 @@ def _settle(result):
     assert result["verdict"] == "pass", result
 
 
-@pytest.mark.parametrize("criterion", selftest.CRITERIA,
+@pytest.mark.parametrize("criterion, golden", zip(selftest.CRITERIA, GOLDEN),
                          ids=[f"C{i}" for i in range(1, 13)])
-def test_criterion(criterion):
-    _settle(criterion())
+def test_criterion(criterion, golden):
+    result = criterion()
+    _settle(result)
+    assert _jsonable(result) == golden
 
 
 def _cli(*argv, cwd=None):

@@ -164,6 +164,42 @@ def test_invalid_category_is_contained(tmp_path, capsys):
     assert code == 0
 
 
+_B = {"name": "B", "kind": "boolean2"}
+_CAT = {"name": "C", "quantale": "B", "objects": ["p", "q"],
+        "hom": [[1, 1], [0, 1]]}
+_REL = {"name": "r", "dom": "C", "cod": "C", "matrix": [[1, 1], [0, 1]]}
+_FIN = {"name": "D", "carrier": ["o", "i"], "leq": [["o", "i"]],
+        "tensor": [["o", "o"], ["o", "i"]], "unit": "i"}
+_TBL = {"name": "t", "kind": "table", "members": {"C": ["[1,0]"]}}
+
+# one document per wrong JSON type; each must be a ParseError (exit 2)
+WRONG_TYPES = {
+    "hom-not-list": {"quantales": [_B], "categories": [dict(_CAT, hom=7)]},
+    "hom-row-not-list": {"quantales": [_B],
+                         "categories": [dict(_CAT, hom=[[1, 1], 7])]},
+    "matrix-not-list": {"quantales": [_B], "categories": [_CAT],
+                        "relations": [dict(_REL, matrix=7)]},
+    "tensor-row-not-list": {"quantales": [dict(_FIN, tensor=[["o", "o"], 7])]},
+    "leq-not-list": {"quantales": [dict(_FIN, leq=7)]},
+    "leq-entry-not-list": {"quantales": [dict(_FIN, leq=[7])]},
+    "carrier-not-list": {"quantales": [dict(_FIN, carrier=7)]},
+    "carrier-label-unhashable": {"quantales": [dict(_FIN, carrier=["o", ["i"]])]},
+    "members-not-list": {"quantales": [_B], "categories": [_CAT],
+                         "submonad_specs": [dict(_TBL, members={"C": 7})]},
+    "n-string": {"quantales": [{"name": "G", "kind": "goedel_chain", "n": "2"}]},
+    "n-bool": {"quantales": [{"name": "G", "kind": "goedel_chain", "n": True}]},
+    "reference-not-a-name": {"quantales": [_B],
+                             "categories": [dict(_CAT, quantale=["B"])]},
+}
+
+
+@pytest.mark.parametrize("doc", WRONG_TYPES.values(), ids=list(WRONG_TYPES))
+def test_wrong_json_types_are_parse_errors(tmp_path, capsys, doc):
+    code, _, err = run(["validate", "--workspace", write(tmp_path, doc)], capsys)
+    assert code == 2
+    assert "ParseError" in err and "Traceback" not in err
+
+
 def test_parse_workspace_direct(ws_path):
     ws = cli.parse_workspace(ws_path)
     assert not ws.failures

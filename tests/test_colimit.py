@@ -8,7 +8,6 @@ from quantcat.colimit import (
     cocompleteness_check,
     extension_row,
     find_representatives,
-    identity_functor,
     injectivity_check,
     min_characterization,
     min_point,
@@ -41,7 +40,7 @@ from quantcat.monadkit import (
     submonad_user_table,
 )
 from quantcat.quantale import builtin, show_value
-from quantcat.vcat import hom_self_category, raw_functor
+from quantcat.vcat import hom_self_category, identity_functor, raw_functor
 
 from .helpers import BOOL, bool_chain2, bool_chain3, bool_discrete, cat
 

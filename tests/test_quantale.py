@@ -266,3 +266,54 @@ def test_chain_builtins_validate(n, m):
     # construction already runs the exhaustive axiom check
     assert builtin("goedel_chain", n).enumerable
     assert len(builtin("lukasiewicz_chain", m).carrier) == m + 1
+
+
+# ---- the sup-tensor / inf-hom kernels ----
+
+KERNEL_QUANTALES = FINITE_BUILTINS + [
+    builtin(kind) for kind in ("ext_real_plus", "unit_interval_product",
+                               "lukasiewicz_rational")]
+FOREIGN = builtin("goedel_chain", 5).unit  # owned by none of the above
+
+
+def _elements(q):
+    if q.enumerable:
+        return st.sampled_from(q.carrier)
+    return (ext_values if q.kind == "ext_real_plus" else rational01).map(q.elem)
+
+
+@st.composite
+def paired_families(draw):
+    q = draw(st.sampled_from(KERNEL_QUANTALES))
+    pairs = draw(st.lists(st.tuples(_elements(q), _elements(q)), max_size=6))
+    return q, [u for u, _ in pairs], [v for _, v in pairs]
+
+
+@given(paired_families())
+def test_kernels_are_the_plain_folds(family):
+    q, us, vs = family
+    joined, met = q.bottom, q.top
+    for u, v in zip(us, vs):
+        joined = q.join2(joined, q.tensor(u, v))
+        met = q.meet2(met, q.hom(u, v))
+    assert q.join_tensor(us, vs) == joined
+    assert q.meet_hom(us, vs) == met
+
+
+@pytest.mark.parametrize("q", KERNEL_QUANTALES, ids=lambda q: q.name)
+def test_kernels_of_empty_families(q):
+    assert q.join_tensor([], []) == q.bottom
+    assert q.meet_hom([], []) == q.top
+
+
+@given(paired_families(), st.data())
+def test_kernels_reject_foreign_elements(family, data):
+    q, us, vs = family
+    i = data.draw(st.integers(min_value=0, max_value=len(us)))
+    with_foreign = us[:i] + [FOREIGN] + us[i:]
+    padded = vs[:i] + [q.unit] + vs[i:]
+    for kernel in (q.join_tensor, q.meet_hom):
+        with pytest.raises(ForeignElement):
+            kernel(with_foreign, padded)
+        with pytest.raises(ForeignElement):
+            kernel(padded, with_foreign)
