@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .dist import VRelation, identity_distributor, right_extension
+from .dist import column, identity_distributor, right_extension
 from .errors import (
     MultiplicationEscapesT,
     NotEnumerable,
@@ -30,7 +30,6 @@ from .vcat import (
     hom_self_category,
     is_fully_faithful,
     is_separated,
-    unit_category,
 )
 
 
@@ -142,9 +141,7 @@ def tensored_check(X: VCategory, extended: bool = True,
         if via == "search":
             want = tuple(q.hom(r, X.hom[i][j]) for j in range(n))
         else:
-            phi = VRelation(X, unit_category(q),
-                            tuple((v,) for v in sigma_values(X, i, r)),
-                            validated=True)
+            phi = column(X, sigma_values(X, i, r))
             want = tuple(right_extension(phi, a).matrix[0])
         reps = [z for z in range(n) if tuple(X.hom[z]) == want]
         if not reps:

@@ -48,14 +48,6 @@ def relation(dom, cod, matrix, validated=False) -> VRelation:
     return VRelation(dom, cod, matrix, validated)
 
 
-def leq(r: VRelation, s: VRelation) -> bool:
-    """Pointwise 2-cell order on parallel relations."""
-    _same_shape(r, s)
-    q = r.dom.quantale
-    return all(q.leq(a, b) for ra, rb in zip(r.matrix, s.matrix)
-               for a, b in zip(ra, rb))
-
-
 def first_violation(r: VRelation, s: VRelation):
     """First (x,y) where r(x,y) ≰ s(x,y), or None."""
     _same_shape(r, s)
@@ -89,26 +81,6 @@ def _columns(r: VRelation) -> tuple:
     """The transposed matrix: one tuple per object of the codomain."""
     return tuple(tuple(row[j] for row in r.matrix)
                  for j in range(len(r.cod.objects)))
-
-
-def involution(r: VRelation) -> VRelation:
-    return VRelation(r.cod, r.dom, _columns(r))
-
-
-def graph(f: VFunctor) -> VRelation:
-    """f_∘: k where f(x) = y, ⊥ elsewhere."""
-    q = f.dom.quantale
-    matrix = tuple(
-        tuple(q.unit if f(i) == j else q.bottom for j in range(len(f.cod.objects)))
-        for i in range(len(f.dom.objects)))
-    return VRelation(f.dom, f.cod, matrix)
-
-
-def identity_relation(X: VCategory) -> VRelation:
-    q = X.quantale
-    n = len(X.objects)
-    return VRelation(X, X, tuple(
-        tuple(q.unit if i == j else q.bottom for j in range(n)) for i in range(n)))
 
 
 def identity_distributor(X: VCategory) -> VRelation:
@@ -171,18 +143,17 @@ def star_upper(f: VFunctor) -> VRelation:
     return VRelation(Y, f.dom, matrix, validated=True)
 
 
-def check_adjoint_pair(psi: VRelation, phi: VRelation, identities: str = "hom"):
+def check_adjoint_pair(psi: VRelation, phi: VRelation):
     """psi ⊣ phi for psi: Y ⇸ X, phi: X ⇸ Y.
 
-    Unit: 1_Y <= phi·psi; counit: psi·phi <= 1_X.  The identities are the
-    hom structures ("hom", distributor composition) or the k-diagonals
-    ("diagonal", plain relations).  Returns (bool, unit w, counit w).
+    Unit: 1_Y <= phi·psi; counit: psi·phi <= 1_X, where the identities
+    are the hom structures of distributor composition.  Returns
+    (bool, unit w, counit w).
     """
     if not (psi.dom.same_shape(phi.cod) and psi.cod.same_shape(phi.dom)):
         raise ShapeMismatch("adjoint candidates must have opposite shapes")
-    ident = identity_distributor if identities == "hom" else identity_relation
-    unit_w = first_violation(ident(phi.cod), compose(phi, psi))
-    counit_w = first_violation(compose(psi, phi), ident(phi.dom))
+    unit_w = first_violation(identity_distributor(phi.cod), compose(phi, psi))
+    counit_w = first_violation(compose(psi, phi), identity_distributor(phi.dom))
     return unit_w is None and counit_w is None, unit_w, counit_w
 
 
@@ -204,11 +175,17 @@ def point_row(X: VCategory, label: str) -> VRelation:
     return VRelation(unit_category(X.quantale), X, (tuple(X.hom[i]),), validated=True)
 
 
+def column(X: VCategory, values) -> VRelation:
+    """The X ⇸ E column of a value tuple over X, marked validated: callers
+    pass presheaves."""
+    return VRelation(X, unit_category(X.quantale),
+                     tuple((v,) for v in values), validated=True)
+
+
 def point_column(X: VCategory, label: str) -> VRelation:
     """x^*: X ⇸ E, the column a(−,x)."""
     i = X.index(label)
-    matrix = tuple((row[i],) for row in X.hom)
-    return VRelation(X, unit_category(X.quantale), matrix, validated=True)
+    return column(X, (row[i] for row in X.hom))
 
 
 def enumerate_distributors(X: VCategory, Y: VCategory,

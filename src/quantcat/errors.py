@@ -99,10 +99,6 @@ class NotCommuting(QuantcatError):
     pass
 
 
-class NotNatural(QuantcatError):
-    pass
-
-
 # --- ball module preconditions ---
 
 class NotIntegral(QuantcatError):

@@ -10,15 +10,9 @@ import itertools
 from dataclasses import dataclass
 
 from .colimit import extension_row, find_representatives
-from .dist import VRelation, point_column, point_row
+from .dist import VRelation, column, point_column, point_row
 from .errors import NotEventuallyConstant, NotIntegral, PreconditionFail
-from .presheaf import (
-    DEFAULT_BUDGET,
-    PresheafCategory,
-    presheaf_category,
-    presheaf_hom,
-    presheaf_label,
-)
+from .presheaf import DEFAULT_BUDGET, full_subcategory, presheaf_category
 from .vcat import VCategory, VFunctor, is_fully_faithful, unit_category
 
 
@@ -60,18 +54,11 @@ def enumerate_L(X: VCategory, budget: int = DEFAULT_BUDGET):
                 continue
             u = _certifies(X, vals, cand)
             if u is not None:
-                phi = VRelation(X, E, tuple((v,) for v in vals),
-                                validated=True)
                 psi = VRelation(E, X, (cand,), validated=True)
                 members.append(vals)
-                pairs.append(AdjointPair(phi, psi, u))
+                pairs.append(AdjointPair(column(X, vals), psi, u))
                 break
-    LX = PresheafCategory(
-        f"L({X.name})", q, tuple(presheaf_label(v) for v in members),
-        tuple(tuple(presheaf_hom(q, u, w) for w in members)
-              for u in members),
-        X, tuple(members))
-    return LX, tuple(pairs)
+    return full_subcategory(f"L({X.name})", X, members), tuple(pairs)
 
 
 def is_L_complete(X: VCategory, budget: int = DEFAULT_BUDGET):

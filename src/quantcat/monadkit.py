@@ -16,6 +16,7 @@ from typing import Callable, Optional
 from .dist import (
     VRelation,
     check_adjoint_pair,
+    column,
     compose,
     enumerate_distributors,
     first_violation,
@@ -37,6 +38,7 @@ from .errors import (
 from .presheaf import (
     DEFAULT_BUDGET,
     PresheafCategory,
+    full_subcategory,
     is_presheaf,
     map_values,
     mult_values,
@@ -53,8 +55,6 @@ from .vcat import (
     VFunctor,
     check_adjunction,
     is_fully_faithful,
-    opposite,
-    unit_category,
 )
 
 
@@ -88,17 +88,6 @@ def bc_star_square_check(sq: CommutingSquare):
     assert first_violation(through_corner, through_base) is None
     w = first_violation(through_base, through_corner)
     return w is None, w
-
-
-def dual_square(sq: CommutingSquare) -> CommutingSquare:
-    """The square on the opposite categories with the roles of the
-    horizontal and vertical arrows exchanged; passes the check iff the
-    original does."""
-    def op(f):
-        return VFunctor(f.name, opposite(f.dom), opposite(f.cod),
-                        f.mapping, f.validated)
-    return CommutingSquare(top=op(sq.left), left=op(sq.top),
-                           bottom=op(sq.right), right=op(sq.bottom))
 
 
 def naturality_square(component_dom, mapped_dom, component_cod, mapped_cod):
@@ -173,11 +162,6 @@ class SubmonadSpec:
     dist_member: Optional[Callable] = None
 
 
-def _column_relation(X: VCategory, values) -> VRelation:
-    return VRelation(X, unit_category(X.quantale),
-                     tuple((v,) for v in values), validated=True)
-
-
 def is_right_adjoint_distributor(phi: VRelation) -> bool:
     """Largest candidate ψ = [φ, 1] satisfies the counit by construction;
     φ is a right adjoint iff ψ also passes the unit."""
@@ -193,7 +177,7 @@ def submonad_all() -> SubmonadSpec:
 
 def submonad_right_adjoints() -> SubmonadSpec:
     def member(X, values):
-        return is_right_adjoint_distributor(_column_relation(X, values))
+        return is_right_adjoint_distributor(column(X, values))
     return SubmonadSpec("right_adjoints", "right_adjoints",
                         member=member, dist_member=is_right_adjoint_distributor)
 
@@ -226,11 +210,8 @@ def submonad_category(spec: SubmonadSpec, X: VCategory,
                       budget: int = DEFAULT_BUDGET) -> PresheafCategory:
     """The full subcategory of PX on the members of the class."""
     PX = presheaf_category(X, budget)
-    q = X.quantale
-    members = tuple(v for v in PX.presheaves if spec.member(X, v))
-    objects = tuple(presheaf_label(v) for v in members)
-    hom = tuple(tuple(presheaf_hom(q, u, w) for w in members) for u in members)
-    return PresheafCategory(f"{spec.name}({X.name})", q, objects, hom, X, members)
+    return full_subcategory(f"{spec.name}({X.name})", X,
+                            (v for v in PX.presheaves if spec.member(X, v)))
 
 
 def submonad_monad(spec: SubmonadSpec, budget: int = DEFAULT_BUDGET) -> MonadInstance:

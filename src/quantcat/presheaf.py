@@ -66,19 +66,22 @@ def presheaf_category(X: VCategory, budget: int = DEFAULT_BUDGET) -> PresheafCat
                 f"{count} candidate maps on {X.name} exceed the budget {budget}")
         members = tuple(vals for vals in itertools.product(q.carrier, repeat=n)
                         if is_presheaf(X, vals))
+    return full_subcategory(f"P({X.name})", X, members)
+
+
+def full_subcategory(name: str, X: VCategory, members) -> PresheafCategory:
+    """The full subcategory of PX on `members` (value tuples), in their
+    order, labelled by `presheaf_label` and with hom ã."""
+    q = X.quantale
+    members = tuple(members)
     objects = tuple(presheaf_label(v) for v in members)
     hom = tuple(tuple(presheaf_hom(q, u, w) for w in members) for u in members)
-    return PresheafCategory(f"P({X.name})", q, objects, hom, X, members)
+    return PresheafCategory(name, q, objects, hom, X, members)
 
 
 @lru_cache(maxsize=None)
 def _member_index(PX: PresheafCategory):
     return {v: i for i, v in enumerate(PX.presheaves)}
-
-
-def member_index(PX: PresheafCategory, values) -> int:
-    """Index of a value tuple in PX; KeyError if it is not a presheaf."""
-    return _member_index(PX)[tuple(values)]
 
 
 def yoneda(X: VCategory, PX: PresheafCategory = None) -> VFunctor:
@@ -100,20 +103,6 @@ def presheaf_map(f: VFunctor, PX=None, PY=None) -> VFunctor:
     idx = _member_index(PY)
     mapping = tuple(idx[map_values(f, vals)] for vals in PX.presheaves)
     return VFunctor(f"P({f.name})", PX, PY, mapping, validated=True)
-
-
-def q_map(f: VFunctor, PX=None, PY=None) -> VFunctor:
-    """Qf: PY → PX, ψ ↦ ψ·f_*, i.e. x ↦ ⋁_y Y(f x, y) ⊗ ψ(y).
-
-    Right adjoint to Pf."""
-    X, Y = f.dom, f.cod
-    PX = PX or presheaf_category(X)
-    PY = PY or presheaf_category(Y)
-    q = X.quantale
-    idx = _member_index(PX)
-    mapping = tuple(idx[tuple(q.join_tensor(Y.hom[fx], vals) for fx in f.mapping)]
-                    for vals in PY.presheaves)
-    return VFunctor(f"Q({f.name})", PY, PX, mapping, validated=True)
 
 
 def map_values(f: VFunctor, vals):

@@ -24,7 +24,6 @@ from .errors import (
     ForeignElement,
     JoinsNotPreserved,
     NotALattice,
-    NotEnumerable,
     NotUnital,
     TensorNotAssociative,
     TensorNotCommutative,
@@ -454,6 +453,8 @@ def builtin(kind: str, param: int | None = None) -> Quantale:
     unit_interval_product, lukasiewicz_rational.
     """
     if kind == "boolean2":
+        if param is not None:
+            raise BadParameter("boolean2 takes no parameter")
         return _finite_from_ops("boolean2", "boolean2", None,
                                 [Fraction(0), Fraction(1)], min, Fraction(1))
     if kind in ("goedel_chain", "lukasiewicz_chain"):
@@ -475,27 +476,3 @@ def builtin(kind: str, param: int | None = None) -> Quantale:
                         carrier_values=None, leq_set=None, tensor_table=None,
                         unit_value=unit)
     raise BadParameter(f"unknown builtin quantale kind {kind!r}")
-
-
-def evaluate(q: Quantale, op: str, args):
-    """Dispatch one named quantale operation on already-owned elements."""
-    args = list(args)
-    for e in args:
-        q.check(e)
-    if op == "tensor":
-        if len(args) != 2:
-            raise BadParameter("tensor takes exactly two arguments")
-        return q.tensor(*args)
-    if op == "hom":
-        if len(args) != 2:
-            raise BadParameter("hom takes exactly two arguments")
-        return q.hom(*args)
-    if op == "leq":
-        if len(args) != 2:
-            raise BadParameter("leq takes exactly two arguments")
-        return q.leq(*args)
-    if op in ("join", "meet"):
-        if not args:
-            raise BadParameter(f"{op} requires a nonempty argument list")
-        return q.join(args) if op == "join" else q.meet(args)
-    raise BadParameter(f"unknown operation {op!r}")

@@ -26,7 +26,6 @@ from .ball import (
 from .colimit import (
     algebra_extract,
     cocompleteness_check,
-    extension_row,
     injectivity_check,
     min_characterization,
     t_homomorphism_check,
@@ -44,15 +43,13 @@ from .monadkit import (
     square,
     submonad_all,
     submonad_category,
-    submonad_monad,
     submonad_right_adjoints,
     t_embedding_check,
 )
-from .presheaf import DEFAULT_BUDGET, presheaf_label, verify_monad_laws
-from .quantale import builtin, make_finite_quantale, show_value
+from .presheaf import DEFAULT_BUDGET, verify_monad_laws
+from .quantale import builtin, make_finite_quantale
 from .vcat import (
     VFunctor,
-    check_adjunction,
     hom_self_category,
     identity_functor,
     is_fully_faithful,

@@ -33,9 +33,6 @@ class VCategory:
         except ValueError:
             raise KeyError(f"{label!r} is not an object of {self.name}") from None
 
-    def a(self, i: int, j: int) -> QElem:
-        return self.hom[i][j]
-
     def same_shape(self, other: "VCategory") -> bool:
         """Structural identity: same quantale, objects, and hom matrix."""
         return (self.quantale == other.quantale and self.objects == other.objects
@@ -91,26 +88,6 @@ def validate_category(name, quantale, objects, hom) -> VCategory:
 def unit_category(quantale: Quantale) -> VCategory:
     """E = ({*}, k), the tensor unit."""
     return VCategory("E", quantale, ("*",), ((quantale.unit,),))
-
-
-def opposite(X: VCategory) -> VCategory:
-    n = len(X.objects)
-    hom = tuple(tuple(X.hom[j][i] for j in range(n)) for i in range(n))
-    name = X.name[:-3] if X.name.endswith("^op") else X.name + "^op"
-    return VCategory(name, X.quantale, X.objects, hom)
-
-
-def tensor_product(X: VCategory, Y: VCategory) -> VCategory:
-    if X.quantale != Y.quantale:
-        raise QuantaleMismatch(f"{X.name} and {Y.name} live over different quantales")
-    q = X.quantale
-    objects = tuple(f"({x},{y})" for x in X.objects for y in Y.objects)
-    nY = len(Y.objects)
-    pairs = [(i, j) for i in range(len(X.objects)) for j in range(nY)]
-    hom = tuple(tuple(q.tensor(X.hom[i1][i2], Y.hom[j1][j2])
-                      for (i2, j2) in pairs)
-                for (i1, j1) in pairs)
-    return VCategory(f"{X.name}⊗{Y.name}", q, objects, hom)
 
 
 def is_separated(X: VCategory):
@@ -171,36 +148,6 @@ def is_functor(dom, cod, mapping) -> bool:
 
 def identity_functor(X: VCategory) -> VFunctor:
     return VFunctor(f"1_{X.name}", X, X, tuple(range(len(X.objects))))
-
-
-def compose_functors(g: VFunctor, f: VFunctor) -> VFunctor:
-    """g ∘ f, defined when cod(f) and dom(g) coincide structurally."""
-    if not f.cod.same_shape(g.dom):
-        raise NotAFunctor(f"cannot compose {g.name} ∘ {f.name}: middle categories differ")
-    return VFunctor(f"{g.name}∘{f.name}", f.dom, g.cod,
-                    tuple(g.mapping[i] for i in f.mapping),
-                    validated=f.validated and g.validated)
-
-
-def point_functor(X: VCategory, label: str) -> VFunctor:
-    """The point x: E -> X."""
-    return VFunctor(f"pt_{label}", unit_category(X.quantale), X, (X.index(label),))
-
-
-def functor_leq(f: VFunctor, g: VFunctor) -> bool:
-    """f <= g iff k <= b(f x, g x) for every x (parallel functors)."""
-    _require_parallel(f, g)
-    q = f.cod.quantale
-    return all(q.leq(q.unit, f.cod.hom[f(i)][g(i)]) for i in range(len(f.dom.objects)))
-
-
-def functor_simeq(f: VFunctor, g: VFunctor) -> bool:
-    return functor_leq(f, g) and functor_leq(g, f)
-
-
-def _require_parallel(f, g):
-    if not (f.dom.same_shape(g.dom) and f.cod.same_shape(g.cod)):
-        raise NotAFunctor(f"{f.name} and {g.name} are not parallel")
 
 
 def is_fully_faithful(f: VFunctor):

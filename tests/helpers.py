@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 from quantcat.quantale import builtin
-from quantcat.vcat import validate_category
+from quantcat.vcat import VFunctor, unit_category, validate_category
 
 BOOL = builtin("boolean2")
 LUK2 = builtin("lukasiewicz_chain", 2)
@@ -47,3 +47,8 @@ def luk2_asym():
 def luk2_sym():
     return cat("luk_sym", LUK2, ["p", "q"],
                [[1, F(1, 2)], [F(1, 2), 1]])
+
+
+def point(X, label):
+    """The point E → X picking out `label`."""
+    return VFunctor(f"pt_{label}", unit_category(X.quantale), X, (X.index(label),))

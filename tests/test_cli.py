@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -386,6 +387,67 @@ def test_cauchy_pair_outputs(ws_path, capsys):
     assert outputs["unit"] == "0"
     assert outputs["phi"] == ["1", "0", "2"]
     assert outputs["psi"] == ["1", "0", "2"]
+
+
+# ------------------------------------------------- handler golden reports
+
+GOLDEN_REPORTS = Path(__file__).parent / "golden" / "cli_reports.json"
+
+# BASIC plus one table spec, so that `compute submonad` reads a table
+HANDLER_WS = dict(BASIC, submonad_specs=BASIC["submonad_specs"] + [
+    {"name": "tbl", "kind": "table", "members": {"C2": ["[1,0]", "[1,1]"]}}])
+
+# one pass case per handler, and a fail case wherever BASIC has one
+HANDLER_CASES = {
+    "fully-dense-pass": ["check", "fully-dense", "--functor", "idc"],
+    "fully-dense-fail": ["check", "fully-dense", "--functor", "crush"],
+    "adjunction-pass": ["check", "adjunction", "--functor", "idc",
+                        "--adjoint", "idc"],
+    "adjunction-fail": ["check", "adjunction", "--functor", "crush",
+                        "--adjoint", "idc"],
+    "bc-square-pass": ["check", "bc-square", "--square", "sq"],
+    "t-embedding-pass": ["check", "t-embedding", "--spec", "everything",
+                         "--functor", "idc"],
+    "t-embedding-fail": ["check", "t-embedding", "--spec", "everything",
+                         "--functor", "crush"],
+    "b-embedding-pass": ["check", "b-embedding", "--functor", "idc"],
+    "b-embedding-fail": ["check", "b-embedding", "--functor", "crush"],
+    "tensored-pass": ["check", "tensored", "--category", "C2"],
+    "tensored-fail": ["check", "tensored", "--category", "S"],
+    "l-complete-pass": ["check", "l-complete", "--category", "S"],
+    "submonad-table": ["compute", "submonad", "--category", "C2",
+                       "--spec", "tbl"],
+    "submonad-adjoints": ["compute", "submonad", "--category", "S",
+                          "--spec", "adjoints"],
+    "algebra-pass": ["compute", "algebra", "--category", "C2",
+                     "--spec", "everything"],
+    "algebra-fail": ["compute", "algebra", "--category", "S",
+                     "--spec", "everything"],
+}
+
+
+def handler_report(argv, path, capsys):
+    """(exit code, JSON report) with the workspace path blanked out."""
+    code, out, _ = run(argv + ["--format", "json", "--workspace", path], capsys)
+    report = json.loads(out)
+    report["command"] = report["command"].replace(path, "WS")
+    return code, report
+
+
+@pytest.mark.parametrize("case", list(HANDLER_CASES))
+def test_handler_report_matches_golden(tmp_path, capsys, case):
+    path = write(tmp_path, HANDLER_WS)
+    code, report = handler_report(HANDLER_CASES[case], path, capsys)
+    golden = json.loads(GOLDEN_REPORTS.read_text())[case]
+    assert code == golden["exit"]
+    assert report == golden["report"]
+
+
+def test_boolean2_rejects_a_parameter(tmp_path, capsys):
+    doc = {"quantales": [{"name": "B", "kind": "boolean2", "n": 5}]}
+    code, out, _ = run(["validate", "--workspace", write(tmp_path, doc)], capsys)
+    assert code == 1
+    assert out.splitlines()[1].startswith("FAIL      quantale:B")
 
 
 # ---------------------------------------------------------------- reports

