@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .dist import column, identity_distributor, right_extension
+from .colimit import extension_row, find_representatives
 from .errors import (
     MultiplicationEscapesT,
     NotEnumerable,
@@ -134,16 +134,14 @@ def tensored_check(X: VCategory, extended: bool = True,
     q = X.quantale
     BX = ball_category(X, extended)
     n = len(X.objects)
-    a = identity_distributor(X)
     mapping = []
     ambiguous = []
     for (i, r), label in zip(BX.pairs, BX.objects):
         if via == "search":
             want = tuple(q.hom(r, X.hom[i][j]) for j in range(n))
         else:
-            phi = column(X, sigma_values(X, i, r))
-            want = tuple(right_extension(phi, a).matrix[0])
-        reps = [z for z in range(n) if tuple(X.hom[z]) == want]
+            want = extension_row(X, sigma_values(X, i, r))
+        reps = find_representatives(X, want)
         if not reps:
             return {"tensored": False, "witness": label, "algebra": None,
                     "ambiguous": ()}

@@ -141,8 +141,7 @@ def _reject_floats(text):
 class Workspace:
     """Parsed records by section and name, plus per-record failures."""
 
-    def __init__(self, path):
-        self.path = path
+    def __init__(self):
         self.sections = {s: {} for s in _SECTIONS}
         self.failures = {}     # (section, name) -> message
         self.order = []        # (section, name) in declaration order
@@ -253,7 +252,7 @@ def parse_workspace(path) -> Workspace:
     kept as a failure, visible to `validate` and fatal to any command
     that touches it.
     """
-    ws = Workspace(path)
+    ws = Workspace()
     try:
         with open(path) as fh:
             doc = json.load(fh, parse_float=_reject_floats)

@@ -20,7 +20,7 @@ from .errors import (
     SpecMismatch,
 )
 from .monadkit import SubmonadSpec, submonad_category, submonad_monad
-from .presheaf import DEFAULT_BUDGET, presheaf_label
+from .presheaf import DEFAULT_BUDGET, presheaf_label, representables
 from .vcat import VCategory, VFunctor, check_adjunction, identity_functor, is_functor
 
 DEFAULT_EXTENSION_BUDGET = 10 ** 5
@@ -134,7 +134,7 @@ def algebra_extract(X: VCategory, spec: SubmonadSpec,
     """
     TX = submonad_category(spec, X, budget)
     n = len(X.objects)
-    columns = [tuple(row[z] for row in X.hom) for z in range(n)]
+    columns = representables(X)
     mapping, failures, ambiguous = [], [], []
     for i, vals in enumerate(TX.presheaves):
         reps = find_representatives(X, extension_row(X, vals))

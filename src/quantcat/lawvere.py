@@ -6,14 +6,14 @@ certifying left adjoint, independently of the extension shortcut used
 elsewhere; the two routes agreeing is part of the test suite.
 """
 
-import itertools
 from dataclasses import dataclass
 
 from .colimit import extension_row, find_representatives
 from .dist import VRelation, column, point_column, point_row
 from .errors import NotEventuallyConstant, NotIntegral, PreconditionFail
-from .presheaf import DEFAULT_BUDGET, full_subcategory, presheaf_category
-from .vcat import VCategory, VFunctor, is_fully_faithful, unit_category
+from .presheaf import (DEFAULT_BUDGET, full_subcategory, member_functor,
+                       presheaf_category, presheaves, representables)
+from .vcat import VCategory, is_fully_faithful, unit_category
 
 
 @dataclass(frozen=True)
@@ -42,16 +42,13 @@ def enumerate_L(X: VCategory, budget: int = DEFAULT_BUDGET):
     certifying ψ kept for each member is canonical.
     """
     PX = presheaf_category(X, budget)
-    q = X.quantale
-    n = len(X.objects)
-    E = unit_category(q)
+    E = unit_category(X.quantale)
+    # candidates ψ: E ⇸ X obey ⋁ ψ(y)⊗a(y,x) ≤ ψ(x), the presheaf law on
+    # X^op (V is commutative); PX already passed the same |V|^n gate
+    Xop = VCategory(f"{X.name}^op", X.quantale, X.objects, tuple(zip(*X.hom)))
     members, pairs = [], []
     for vals in PX.presheaves:
-        for cand in itertools.product(q.carrier, repeat=n):
-            # only distributor candidates: ⋁ ψ(y)⊗a(y,x) ≤ ψ(x)
-            if not all(q.leq(q.tensor(cand[y], X.hom[y][x]), cand[x])
-                       for x in range(n) for y in range(n)):
-                continue
+        for cand in presheaves(Xop, budget):
             u = _certifies(X, vals, cand)
             if u is not None:
                 psi = VRelation(E, X, (cand,), validated=True)
@@ -64,7 +61,7 @@ def enumerate_L(X: VCategory, budget: int = DEFAULT_BUDGET):
 def is_L_complete(X: VCategory, budget: int = DEFAULT_BUDGET):
     """Every right-adjoint presheaf equals x^* for some x; else a witness."""
     LX, _ = enumerate_L(X, budget)
-    columns = {tuple(row[z] for row in X.hom) for z in range(len(X.objects))}
+    columns = set(representables(X))
     for i, vals in enumerate(LX.presheaves):
         if tuple(vals) not in columns:
             return False, LX.objects[i]
@@ -74,13 +71,10 @@ def is_L_complete(X: VCategory, budget: int = DEFAULT_BUDGET):
 def lawvere_completion(X: VCategory, budget: int = DEFAULT_BUDGET):
     """(LX, unit x ↦ x^*); the unit is an embedding, LX is complete."""
     LX, _ = enumerate_L(X, budget)
-    idx = {v: i for i, v in enumerate(LX.presheaves)}
-    mapping = []
-    for z in range(len(X.objects)):
-        column = tuple(row[z] for row in X.hom)
-        assert column in idx, "a lower companion column failed membership"
-        mapping.append(idx[column])
-    unit = VFunctor(f"complete_{X.name}", X, LX, tuple(mapping))
+    unit = member_functor(
+        f"complete_{X.name}", X, LX, representables(X),
+        escape=lambda i, vals: AssertionError(
+            "a lower companion column failed membership"))
     assert is_fully_faithful(unit)[0]
     assert is_L_complete(LX, budget)[0]
     return LX, unit
@@ -119,7 +113,7 @@ def cauchy_pair(X: VCategory, seq: CauchySequenceSpec):
     lim = X.index(seq.points[seq.stable_from])
     for label in seq.points:
         X.index(label)
-    phi_vals = tuple(row[lim] for row in X.hom)
+    phi_vals = representables(X)[lim]
     psi_vals = tuple(X.hom[lim])
     unit = _certifies(X, phi_vals, psi_vals)
     assert unit is not None, "point columns must certify their own pair"

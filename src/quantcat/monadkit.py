@@ -41,12 +41,14 @@ from .presheaf import (
     full_subcategory,
     is_presheaf,
     map_values,
+    member_functor,
     mult_values,
     multiplication,
     presheaf_category,
     presheaf_hom,
     presheaf_label,
     presheaf_map,
+    representables,
     yoneda,
 )
 from .quantale import show_value
@@ -88,12 +90,6 @@ def bc_star_square_check(sq: CommutingSquare):
     assert first_violation(through_corner, through_base) is None
     w = first_violation(through_base, through_corner)
     return w is None, w
-
-
-def naturality_square(component_dom, mapped_dom, component_cod, mapped_cod):
-    """The square α_Y ∘ Tf = T'f ∘ α_X for a transformation α: T → T'."""
-    return square(top=component_dom, left=mapped_dom,
-                  bottom=component_cod, right=mapped_cod)
 
 
 # ------------------------------------------------------------------- monads
@@ -157,7 +153,6 @@ class SubmonadSpec:
     """
 
     name: str
-    kind: str  # "all" | "right_adjoints" | "ball_image" | "user_table"
     member: Callable
     dist_member: Optional[Callable] = None
 
@@ -170,7 +165,7 @@ def is_right_adjoint_distributor(phi: VRelation) -> bool:
 
 
 def submonad_all() -> SubmonadSpec:
-    return SubmonadSpec("all", "all",
+    return SubmonadSpec("all",
                         member=lambda X, values: is_presheaf(X, values),
                         dist_member=is_distributor)
 
@@ -178,7 +173,7 @@ def submonad_all() -> SubmonadSpec:
 def submonad_right_adjoints() -> SubmonadSpec:
     def member(X, values):
         return is_right_adjoint_distributor(column(X, values))
-    return SubmonadSpec("right_adjoints", "right_adjoints",
+    return SubmonadSpec("right_adjoints",
                         member=member, dist_member=is_right_adjoint_distributor)
 
 
@@ -190,7 +185,7 @@ def submonad_user_table(name: str, table: dict) -> SubmonadSpec:
         except KeyError:
             raise SpecMismatch(f"no membership table for category {X.name}")
         return presheaf_label(values) in allowed
-    return SubmonadSpec(name, "user_table", member=member)
+    return SubmonadSpec(name, member=member)
 
 
 def phi_membership(spec: SubmonadSpec, phi: VRelation) -> bool:
@@ -220,43 +215,30 @@ def submonad_monad(spec: SubmonadSpec, budget: int = DEFAULT_BUDGET) -> MonadIns
 
     def unit(X):
         TX = apply(X)
-        idx = {v: i for i, v in enumerate(TX.presheaves)}
-        mapping = []
-        for i, x in enumerate(X.objects):
-            rep = tuple(row[i] for row in X.hom)
-            if rep not in idx:
-                raise UnitNotContained(
-                    f"{presheaf_label(rep)} = image of {x} is not a member of {TX.name}")
-            mapping.append(idx[rep])
-        return VFunctor(f"unit_{X.name}", X, TX, tuple(mapping), validated=True)
+        return member_functor(
+            f"unit_{X.name}", X, TX, representables(X),
+            escape=lambda i, rep: UnitNotContained(
+                f"{presheaf_label(rep)} = image of {X.objects[i]} "
+                f"is not a member of {TX.name}"))
 
     def map_(f):
         TX, TY = apply(f.dom), apply(f.cod)
-        idx = {v: i for i, v in enumerate(TY.presheaves)}
-        mapping = []
-        for vals in TX.presheaves:
-            img = map_values(f, vals)
-            if img not in idx:
-                raise SpecMismatch(
-                    f"image of {presheaf_label(vals)} under the mapped functor "
-                    f"escapes {TY.name}")
-            mapping.append(idx[img])
-        return VFunctor(f"{spec.name}({f.name})", TX, TY, tuple(mapping),
-                        validated=True)
+        return member_functor(
+            f"{spec.name}({f.name})", TX, TY,
+            (map_values(f, vals) for vals in TX.presheaves),
+            escape=lambda i, _: SpecMismatch(
+                f"image of {presheaf_label(TX.presheaves[i])} under the mapped "
+                f"functor escapes {TY.name}"))
 
     def mult(X):
         TX = apply(X)
         TTX = apply(TX)
-        idx = {v: i for i, v in enumerate(TX.presheaves)}
-        mapping = []
-        for gamma in TTX.presheaves:
-            out = mult_values(TX, gamma)
-            if out not in idx:
-                raise MultiplicationEscapesT(
-                    f"multiplication of {presheaf_label(gamma)} lands at "
-                    f"{presheaf_label(out)}, outside {TX.name}")
-            mapping.append(idx[out])
-        return VFunctor(f"mult_{X.name}", TTX, TX, tuple(mapping), validated=True)
+        return member_functor(
+            f"mult_{X.name}", TTX, TX,
+            (mult_values(TX, gamma) for gamma in TTX.presheaves),
+            escape=lambda i, out: MultiplicationEscapesT(
+                f"multiplication of {presheaf_label(TTX.presheaves[i])} "
+                f"lands at {presheaf_label(out)}, outside {TX.name}"))
 
     return MonadInstance(spec.name, apply, map_, unit, mult)
 
@@ -370,11 +352,10 @@ def canonical_comparison(T: MonadInstance, X: VCategory,
     TX = T.apply(X)
     eta = T.unit(X)
     PX = presheaf_category(X, budget)
-    idx = {v: i for i, v in enumerate(PX.presheaves)}
-    mapping = tuple(
-        idx[tuple(TX.hom[eta(i)][j] for i in range(len(X.objects)))]
-        for j in range(len(TX.objects)))
-    return VFunctor(f"sigma_{X.name}", TX, PX, mapping, validated=True)
+    return member_functor(
+        f"sigma_{X.name}", TX, PX,
+        (tuple(TX.hom[eta(i)][j] for i in range(len(X.objects)))
+         for j in range(len(TX.objects))))
 
 
 def monad_morphism_check(T: MonadInstance, X: VCategory, f: VFunctor = None,

@@ -50,23 +50,33 @@ def presheaf_hom(q, phi, psi):
     return q.meet_hom(phi, psi)
 
 
-@lru_cache(maxsize=None)
-def presheaf_category(X: VCategory, budget: int = DEFAULT_BUDGET) -> PresheafCategory:
+def presheaves(X: VCategory, budget: int = DEFAULT_BUDGET):
+    """Every presheaf on X as a value tuple, in carrier-product order.
+    The |V|^n budget gate is checked at once; the candidates are then
+    filtered lazily, so a caller that stops early tests no more."""
     q = X.quantale
     n = len(X.objects)
     if n == 0:
-        members = ((),)  # the empty presheaf is the only one
-    else:
-        if not q.enumerable:
-            raise NotEnumerable(
-                f"cannot enumerate presheaves on {X.name}: {q.name} is infinite")
-        count = len(q.carrier) ** n
-        if count > budget:
-            raise BudgetExceeded(
-                f"{count} candidate maps on {X.name} exceed the budget {budget}")
-        members = tuple(vals for vals in itertools.product(q.carrier, repeat=n)
-                        if is_presheaf(X, vals))
-    return full_subcategory(f"P({X.name})", X, members)
+        return iter(((),))  # the empty presheaf is the only one
+    if not q.enumerable:
+        raise NotEnumerable(
+            f"cannot enumerate presheaves on {X.name}: {q.name} is infinite")
+    count = len(q.carrier) ** n
+    if count > budget:
+        raise BudgetExceeded(
+            f"{count} candidate maps on {X.name} exceed the budget {budget}")
+    return (vals for vals in itertools.product(q.carrier, repeat=n)
+            if is_presheaf(X, vals))
+
+
+def representables(X: VCategory) -> tuple:
+    """The value tuples of x^* = a(−,x), one per object of X."""
+    return tuple(tuple(row[x] for row in X.hom) for x in range(len(X.objects)))
+
+
+@lru_cache(maxsize=None)
+def presheaf_category(X: VCategory, budget: int = DEFAULT_BUDGET) -> PresheafCategory:
+    return full_subcategory(f"P({X.name})", X, presheaves(X, budget))
 
 
 def full_subcategory(name: str, X: VCategory, members) -> PresheafCategory:
@@ -84,13 +94,23 @@ def _member_index(PX: PresheafCategory):
     return {v: i for i, v in enumerate(PX.presheaves)}
 
 
+def member_functor(name: str, dom: VCategory, T: PresheafCategory, images,
+                   escape=None) -> VFunctor:
+    """dom → T, object i ↦ the member with value tuple images[i].  A
+    non-member raises `escape(i, vals)`, or KeyError without `escape`."""
+    idx = _member_index(T)
+    mapping = []
+    for i, vals in enumerate(images):
+        if escape is not None and vals not in idx:
+            raise escape(i, vals)
+        mapping.append(idx[vals])
+    return VFunctor(name, dom, T, tuple(mapping), validated=True)
+
+
 def yoneda(X: VCategory, PX: PresheafCategory = None) -> VFunctor:
     """x ↦ x^* = a(−,x).  Fully faithful, asserted."""
     PX = PX or presheaf_category(X)
-    idx = _member_index(PX)
-    mapping = tuple(idx[tuple(row[i] for row in X.hom)]
-                    for i in range(len(X.objects)))
-    y = VFunctor(f"y_{X.name}", X, PX, mapping, validated=True)
+    y = member_functor(f"y_{X.name}", X, PX, representables(X))
     assert is_fully_faithful(y)[0]
     return y
 
@@ -100,9 +120,8 @@ def presheaf_map(f: VFunctor, PX=None, PY=None) -> VFunctor:
     X, Y = f.dom, f.cod
     PX = PX or presheaf_category(X)
     PY = PY or presheaf_category(Y)
-    idx = _member_index(PY)
-    mapping = tuple(idx[map_values(f, vals)] for vals in PX.presheaves)
-    return VFunctor(f"P({f.name})", PX, PY, mapping, validated=True)
+    return member_functor(f"P({f.name})", PX, PY,
+                          (map_values(f, vals) for vals in PX.presheaves))
 
 
 def map_values(f: VFunctor, vals):
@@ -124,9 +143,8 @@ def multiplication(X: VCategory, PX=None, PPX=None,
     """m_X: PPX → PX by sup-of-tensor evaluation."""
     PX = PX or presheaf_category(X, budget)
     PPX = PPX or presheaf_category(PX, budget)
-    idx = _member_index(PX)
-    mapping = tuple(idx[mult_values(PX, g)] for g in PPX.presheaves)
-    return VFunctor(f"m_{X.name}", PPX, PX, mapping, validated=True)
+    return member_functor(f"m_{X.name}", PPX, PX,
+                          (mult_values(PX, g) for g in PPX.presheaves))
 
 
 def _sample_theta(PPX: PresheafCategory, rng: random.Random, kind: int):
@@ -139,9 +157,7 @@ def _sample_theta(PPX: PresheafCategory, rng: random.Random, kind: int):
         return tuple(PPX.hom[i][g] for i in range(npp))
     if kind == 1:
         PX = PPX.base
-        np_ = len(PX.objects)
-        idx = _member_index(PPX)
-        yi = [idx[tuple(PX.hom[j][p] for j in range(np_))] for p in range(np_)]
+        yi = member_functor("y", PX, PPX, representables(PX)).mapping
         gv = PPX.presheaves[rng.randrange(npp)]
         return tuple(q.join_tensor([row[p] for p in yi], gv) for row in PPX.hom)
     g = [rng.choice(q.carrier) for _ in range(npp)]
@@ -172,8 +188,7 @@ def verify_monad_laws(X: VCategory, budget: int = DEFAULT_BUDGET,
 
     # m ∘ y_PX = 1:  y_PX(φ) = ã(−,φ)
     witness = None
-    for pi, vals in enumerate(PX.presheaves):
-        through = tuple(PX.hom[j][pi] for j in range(np_))
+    for through, vals in zip(representables(PX), PX.presheaves):
         if mult_values(PX, through) != vals:
             witness = presheaf_label(vals)
             break
@@ -194,9 +209,7 @@ def verify_monad_laws(X: VCategory, budget: int = DEFAULT_BUDGET,
 
         if len(q.carrier) ** npp <= budget:
             assoc["mode"] = "exhaustive"
-            for theta in itertools.product(q.carrier, repeat=npp):
-                if not is_presheaf(PPX, theta):
-                    continue
+            for theta in presheaves(PPX, budget):
                 assoc["checked"] += 1
                 if not routes_agree(theta):
                     assoc.update(ok=False, witness=presheaf_label(theta))

@@ -199,7 +199,6 @@ class Quantale:
                 raise NotUnital(f"{disp(i)} ⊗ {disp(u)} = {disp(tens[i][u])} ≠ {disp(i)}")
         if u == bot:
             raise UnitIsBottom(f"unit {disp(u)} is the bottom element")
-        self._unit_i = u
 
         for i in range(n):
             if tens[i][bot] != bot:

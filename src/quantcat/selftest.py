@@ -15,6 +15,7 @@ import itertools
 from fractions import Fraction
 
 from .ball import (
+    _pair_index,
     ball_category,
     ball_monad,
     ball_algebra_check,
@@ -38,7 +39,6 @@ from .monadkit import (
     admissible_class_check,
     bc_star_square_check,
     lax_idempotency_report,
-    naturality_square,
     presheaf_monad,
     square,
     submonad_all,
@@ -288,9 +288,10 @@ def criterion_3(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
         naturality = 0
         for f in fs:
             try:
-                naturality_square(P.unit(f.dom), f, P.unit(f.cod), pmap[id(f)])
-                naturality_square(P.mult(f.dom), P.map(pmap[id(f)]),
-                                  P.mult(f.cod), pmap[id(f)])
+                # η_Y ∘ f = Pf ∘ η_X and m_Y ∘ PPf = Pf ∘ m_X
+                square(P.unit(f.dom), f, P.unit(f.cod), pmap[id(f)])
+                square(P.mult(f.dom), P.map(pmap[id(f)]),
+                       P.mult(f.cod), pmap[id(f)])
             except NotCommuting as e:
                 return _result("C3", _C3_LABEL, False, f"{tag}: {f.name}: {e}")
             naturality += 2
@@ -368,7 +369,7 @@ def criterion_6(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
         if rep["multiplication"]["unchecked"]:
             return _result("C6", _C6_LABEL, False,
                            f"{spec.name}: unexpectedly over budget")
-    broken = SubmonadSpec("whole_only", "user_table",
+    broken = SubmonadSpec("whole_only",
                           member=lambda X, values: True,
                           dist_member=lambda phi: len(phi.cod.objects) != 1)
     rep = admissible_class_check(broken, [chain2], [identity_functor(chain2)],
@@ -441,7 +442,7 @@ def _no_action_exists(X, BX):
     q = X.quantale
     nx = len(X.objects)
     pairs = BX.pairs
-    idx = {p: j for j, p in enumerate(pairs)}
+    idx = _pair_index(BX)
     radii = tuple(dict.fromkeys(r for _, r in pairs))
     for mp in itertools.product(range(nx), repeat=len(pairs)):
         if any(mp[idx[(i, q.unit)]] != i for i in range(nx)):
@@ -488,9 +489,8 @@ def criterion_8(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
             if homself:
                 # on V itself the action must be x ⊕ r = x ⊗ r
                 BX = alpha.dom
-                pos = {e: i for i, e in enumerate(q.carrier)}
                 for j, (i, r) in enumerate(BX.pairs):
-                    if alpha(j) != pos[q.tensor(q.carrier[i], r)]:
+                    if alpha(j) != q.carrier.index(q.tensor(q.carrier[i], r)):
                         return _result("C8", _C8_LABEL, False,
                                        f"{X.name}: action is not ⊗ at "
                                        f"{BX.objects[j]}")
@@ -533,7 +533,7 @@ def _sharp_identities(h, escapes):
     q = Y.quantale
     BX = ball_category(X, extended=False)
     BY = ball_category(Y, extended=False)
-    by_idx = {p: j for j, p in enumerate(BY.pairs)}
+    by_idx = _pair_index(BY)
     embed = [by_idx[(h(i), r)] for i, r in BX.pairs]  # Bh on indices
     unit_checked = 0
     for j, (yi, r) in enumerate(BY.pairs):

@@ -39,9 +39,20 @@ def test_criterion(criterion, golden):
     assert _jsonable(result) == golden
 
 
-def _cli(*argv, cwd=None):
-    return subprocess.run([sys.executable, "-m", "quantcat.cli", *argv],
-                          capture_output=True, text=True, cwd=cwd)
+def _start(*argv):
+    return subprocess.Popen([sys.executable, "-m", "quantcat.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+
+
+def _finish(proc):
+    """Drain both pipes, then reap: the result subprocess.run would give."""
+    stdout, stderr = proc.communicate()
+    return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
+
+
+def _cli(*argv):
+    return _finish(_start(*argv))
 
 
 def test_c13_cli_round_trip(tmp_path):
@@ -52,8 +63,9 @@ def test_c13_cli_round_trip(tmp_path):
                         "objects": ["p", "q"], "hom": [[1, 1], [0, 1]]}],
     }))
 
-    first = _cli("selftest", "--format", "json")
-    second = _cli("selftest", "--format", "json")
+    # two independent processes, run side by side
+    started = [_start("selftest", "--format", "json") for _ in range(2)]
+    first, second = (_finish(p) for p in started)
     ok = first.returncode == second.returncode == 0
     ok = ok and first.stdout == second.stdout
     verdicts = [c["verdict"] for c in json.loads(first.stdout)["checks"]] \

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from quantcat import cli
-from quantcat.errors import ParseError, UnresolvedReference, ValidationError
+from quantcat.errors import ParseError, UnresolvedReference
 from quantcat.presheaf import presheaf_category
 from quantcat.vcat import validate_category
 
@@ -278,11 +278,16 @@ def test_cancellative_category_must_match(ws_path, capsys):
 
 
 def test_homomorphism_demands_algebras(ws_path, capsys):
-    code, _, err = run(
+    # S carries a right-adjoint algebra, so this actually runs
+    code, _, _ = run(
         ["check", "homomorphism", "--functor", "swap", "--spec", "adjoints",
          "--workspace", ws_path], capsys)
-    # S carries a right-adjoint algebra, so this actually runs
-    assert code == 0 or "does not carry" in err
+    assert code == 0
+    # but no algebra for the whole presheaf monad
+    code, _, err = run(
+        ["check", "homomorphism", "--functor", "swap", "--spec", "everything",
+         "--workspace", ws_path], capsys)
+    assert code == 2 and "S does not carry" in err
 
 
 # ---------------------------------------------------------- compute verbs
@@ -423,6 +428,17 @@ HANDLER_CASES = {
                      "--spec", "everything"],
     "algebra-fail": ["compute", "algebra", "--category", "S",
                      "--spec", "everything"],
+    "check-algebra-pass": ["check", "algebra", "--category", "C2",
+                           "--spec", "everything"],
+    "check-algebra-fail": ["check", "algebra", "--category", "S",
+                           "--spec", "everything"],
+    "homomorphism-pass": ["check", "homomorphism", "--functor", "swap",
+                          "--spec", "adjoints"],
+    "homomorphism-fail": ["check", "homomorphism", "--functor", "crush",
+                          "--spec", "everything"],
+    # the only CLI route into a table spec's membership in `check admissible`
+    "admissible-table": ["check", "admissible", "--spec", "tbl",
+                         "--quantale", "B"],
 }
 
 

@@ -3,11 +3,9 @@
 import pytest
 
 from quantcat.colimit import (
-    AlgebraStructure,
     algebra_extract,
     cocompleteness_check,
     extension_row,
-    find_representatives,
     injectivity_check,
     min_characterization,
     min_point,

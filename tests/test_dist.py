@@ -301,7 +301,7 @@ def test_validated_flag_bookkeeping():
     assert not mixed.validated
 
 
-def test_leq_and_first_violation_scan_order():
+def test_first_violation_scan_order():
     X = bool_chain2()
     r = rel(X, X, [[1, 1], [1, 0]])
     s = rel(X, X, [[1, 0], [0, 0]])

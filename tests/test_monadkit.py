@@ -23,7 +23,6 @@ from quantcat.monadkit import (
     canonical_comparison,
     lax_idempotency_report,
     monad_morphism_check,
-    naturality_square,
     phi_membership,
     presheaf_monad,
     square,
@@ -137,7 +136,7 @@ def test_discrete_collapse_square_fails():
         (False, ("d0", "d1"))
 
 
-def test_dual_always_agrees_transpose_does_not():
+def test_transposed_square_can_change_the_verdict():
     funs = all_functors([CHAIN2, DISC2, E])
     disagree = 0
     total = 0
@@ -163,14 +162,14 @@ def test_transpose_witness():
 
 @pytest.mark.parametrize("f", [EMB, CONST_X], ids=lambda f: f.name)
 def test_yoneda_naturality_square_passes(f):
-    sq = naturality_square(yoneda(f.dom), f, yoneda(f.cod), P.map(f))
+    sq = square(yoneda(f.dom), f, yoneda(f.cod), P.map(f))
     assert bc_star_square_check(sq) == (True, None)
 
 
 def test_mult_naturality_square_passes():
     ppf = presheaf_map(presheaf_map(EMB))
-    sq = naturality_square(multiplication(CHAIN2), ppf,
-                           multiplication(CHAIN3), P.map(EMB))
+    sq = square(multiplication(CHAIN2), ppf,
+                multiplication(CHAIN3), P.map(EMB))
     assert bc_star_square_check(sq) == (True, None)
 
 
@@ -285,7 +284,7 @@ def test_submonad_escape_errors():
             return presheaf_label(vals) == "[1,0]"
         return True
 
-    T = submonad_monad(SubmonadSpec("only_x", "user_table", member=only_x))
+    T = submonad_monad(SubmonadSpec("only_x", member=only_x))
     with pytest.raises(UnitNotContained, match="image of y"):
         T.unit(CHAIN2)
     with pytest.raises(MultiplicationEscapesT, match="outside only_x"):
@@ -326,7 +325,7 @@ def test_admissible_classes_on_small_universe():
 
 
 def test_broken_class_fails_columnwise_only():
-    broken = SubmonadSpec("broken", "user_table",
+    broken = SubmonadSpec("broken",
                           member=lambda X, vals: True,
                           dist_member=lambda phi: len(phi.cod.objects) != 1)
     rep = admissible_class_check(broken, [CHAIN2], [ID2])

@@ -14,7 +14,7 @@ from quantcat.presheaf import (
     verify_monad_laws,
     yoneda,
 )
-from quantcat.quantale import INF, builtin
+from quantcat.quantale import builtin
 from quantcat.vcat import (
     VFunctor,
     hom_self_category,

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from quantcat.errors import (
@@ -17,7 +15,6 @@ from quantcat.vcat import (
     is_separated,
     raw_functor,
     unit_category,
-    validate_category,
     validate_functor,
 )
 
