@@ -200,7 +200,7 @@ def tensor_consequences(X: VCategory, alpha: VFunctor) -> dict:
                             tuple(alpha(idx[(i, r)]) for r in q.carrier),
                             validated=True)
             right = VFunctor(f"hom_{X.objects[i]}", X, V,
-                             tuple(q.carrier.index(X.hom[i][j]) for j in range(n)),
+                             tuple(X.hom[i][j].index for j in range(n)),
                              validated=True)
             ok, w = check_adjunction(left, right)
             if not ok:

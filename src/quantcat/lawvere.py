@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 from .colimit import extension_row, find_representatives
 from .dist import VRelation, column, point_column, point_row
-from .errors import NotEventuallyConstant, NotIntegral, PreconditionFail
-from .presheaf import (DEFAULT_BUDGET, full_subcategory, member_functor,
+from .errors import BudgetExceeded, NotEventuallyConstant, NotIntegral, PreconditionFail
+from .presheaf import (DEFAULT_BUDGET, candidate_count, full_subcategory, member_functor,
                        presheaf_category, presheaves, representables)
 from .vcat import VCategory, is_fully_faithful, unit_category
 
@@ -39,12 +39,19 @@ def enumerate_L(X: VCategory, budget: int = DEFAULT_BUDGET):
 
     Searches every carrier vector as a candidate left adjoint;
     adjoints are unique among distributors in the thin setting, so the
-    certifying ψ kept for each member is canonical.
+    certifying ψ kept for each member is canonical.  The search is gated
+    on its (|V|^n)² candidate (presheaf, left adjoint) pairs, after the
+    |V|^n gate of PX and before PX is built.
     """
+    count = candidate_count(X, budget)
+    if X.objects and count * count > budget:
+        raise BudgetExceeded(
+            f"{count * count} candidate (presheaf, left adjoint) pairs on {X.name} "
+            f"exceed the budget {budget}")
     PX = presheaf_category(X, budget)
     E = unit_category(X.quantale)
     # candidates ψ: E ⇸ X obey ⋁ ψ(y)⊗a(y,x) ≤ ψ(x), the presheaf law on
-    # X^op (V is commutative); PX already passed the same |V|^n gate
+    # X^op (V is commutative); X already passed the same |V|^n gate
     Xop = VCategory(f"{X.name}^op", X.quantale, X.objects, tuple(zip(*X.hom)))
     members, pairs = [], []
     for vals in PX.presheaves:

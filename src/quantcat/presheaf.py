@@ -50,14 +50,13 @@ def presheaf_hom(q, phi, psi):
     return q.meet_hom(phi, psi)
 
 
-def presheaves(X: VCategory, budget: int = DEFAULT_BUDGET):
-    """Every presheaf on X as a value tuple, in carrier-product order.
-    The |V|^n budget gate is checked at once; the candidates are then
-    filtered lazily, so a caller that stops early tests no more."""
-    q = X.quantale
+def candidate_count(X: VCategory, budget: int = DEFAULT_BUDGET) -> int:
+    """|V|^n, the number of candidate maps on X: the budget gate of every
+    enumeration over X, checked before any candidate is built."""
     n = len(X.objects)
     if n == 0:
-        return iter(((),))  # the empty presheaf is the only one
+        return 1  # the empty presheaf is the only one
+    q = X.quantale
     if not q.enumerable:
         raise NotEnumerable(
             f"cannot enumerate presheaves on {X.name}: {q.name} is infinite")
@@ -65,7 +64,18 @@ def presheaves(X: VCategory, budget: int = DEFAULT_BUDGET):
     if count > budget:
         raise BudgetExceeded(
             f"{count} candidate maps on {X.name} exceed the budget {budget}")
-    return (vals for vals in itertools.product(q.carrier, repeat=n)
+    return count
+
+
+def presheaves(X: VCategory, budget: int = DEFAULT_BUDGET):
+    """Every presheaf on X as a value tuple, in carrier-product order.
+    The |V|^n budget gate is checked at once; the candidates are then
+    filtered lazily, so a caller that stops early tests no more."""
+    candidate_count(X, budget)
+    n = len(X.objects)
+    if n == 0:
+        return iter(((),))
+    return (vals for vals in itertools.product(X.quantale.carrier, repeat=n)
             if is_presheaf(X, vals))
 
 

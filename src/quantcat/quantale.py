@@ -11,6 +11,12 @@ enumerate the carrier refuses them.
 No floating point is used anywhere: scalars are `fractions.Fraction`
 values, opaque labels (user-supplied finite tables), or the single
 infinity sentinel `INF`.
+
+Each carrier element of a finite quantale carries its position in the
+carrier as `QElem.index`, which eq and hash ignore, so `leq`, `tensor`,
+`hom`, `join2` and `meet2` on a finite quantale are plain lookups in
+tables indexed by it.  Ownership is checked by comparing the element's
+`owner` with the quantale's key, never by hashing the element.
 """
 
 from __future__ import annotations
@@ -88,10 +94,19 @@ class QElem:
     `owner` is a structural key of the owning quantale, so elements of two
     identically-built quantales are interchangeable, while mixing elements
     across genuinely different quantales raises ForeignElement.
+
+    `index` is the element's position in the carrier of a finite quantale.
+    It is a class attribute, not a field, so eq and hash ignore it and no
+    element pays for it at construction: only the carrier elements of a
+    finite quantale set it, once, when the quantale is built.  Every other
+    element (those of the rational kinds, or one built by hand as
+    `QElem(key, value)`) has index None; `Quantale.check` swaps a
+    hand-built finite element for the carrier element it equals.
     """
 
     owner: str
     value: object  # Fraction | INF | str label
+    index = None  # int on carrier elements of a finite quantale
 
     def __str__(self):
         return show_value(self.value)
@@ -127,9 +142,12 @@ class Quantale:
         self.enumerable = carrier_values is not None
         if self.enumerable:
             self.carrier = tuple(QElem(key, v) for v in carrier_values)
-            self._index = {e: i for i, e in enumerate(self.carrier)}
+            for i, e in enumerate(self.carrier):
+                object.__setattr__(e, "index", i)
             self._by_value = {e.value: e for e in self.carrier}
-            self._leq = leq_set
+            n = len(self.carrier)
+            self._leq = tuple(tuple((i, j) in leq_set for j in range(n))
+                              for i in range(n))
             self._tensor = tensor_table
             self._validate_finite(unit_value)
         else:
@@ -150,7 +168,7 @@ class Quantale:
 
         for i in range(n):
             for j in range(n):
-                if i != j and (i, j) in leq and (j, i) in leq:
+                if i != j and leq[i][j] and leq[j][i]:
                     raise NotALattice(
                         f"order is not antisymmetric: {disp(i)} <= {disp(j)} <= {disp(i)}")
 
@@ -159,13 +177,13 @@ class Quantale:
         meet_t = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
-                ubs = [m for m in range(n) if (i, m) in leq and (j, m) in leq]
-                least = [u for u in ubs if all((u, m) in leq for m in ubs)]
+                ubs = [m for m in range(n) if leq[i][m] and leq[j][m]]
+                least = [u for u in ubs if all(leq[u][m] for m in ubs)]
                 if not least:
                     raise NotALattice(f"no least upper bound for {{{disp(i)}, {disp(j)}}}")
                 join_t[i][j] = least[0]
-                lbs = [m for m in range(n) if (m, i) in leq and (m, j) in leq]
-                greatest = [l for l in lbs if all((m, l) in leq for m in lbs)]
+                lbs = [m for m in range(n) if leq[m][i] and leq[m][j]]
+                greatest = [l for l in lbs if all(leq[m][l] for m in lbs)]
                 if not greatest:
                     raise NotALattice(f"no greatest lower bound for {{{disp(i)}, {disp(j)}}}")
                 meet_t[i][j] = greatest[0]
@@ -193,7 +211,7 @@ class Quantale:
                             f"({disp(i)} ⊗ {disp(j)}) ⊗ {disp(m)} ≠ "
                             f"{disp(i)} ⊗ ({disp(j)} ⊗ {disp(m)})")
 
-        u = self._index[QElem(self.key, unit_value)]
+        u = self._by_value[unit_value].index
         for i in range(n):
             if tens[i][u] != i:
                 raise NotUnital(f"{disp(i)} ⊗ {disp(u)} = {disp(tens[i][u])} ≠ {disp(i)}")
@@ -219,7 +237,7 @@ class Quantale:
             for w in range(n):
                 h = bot
                 for v in range(n):
-                    if (tens[i][v], w) in leq:
+                    if leq[tens[i][v]][w]:
                         h = join_t[h][v]
                 hom_t[i][w] = h
         self._hom_t = hom_t
@@ -227,7 +245,7 @@ class Quantale:
         for i in range(n):
             for v in range(n):
                 for w in range(n):
-                    assert ((tens[i][v], w) in leq) == ((v, hom_t[i][w]) in leq), \
+                    assert leq[tens[i][v]][w] == leq[v][hom_t[i][w]], \
                         "residuation adjunction failed on a validated quantale"
 
         self.unit = self.carrier[u]
@@ -262,63 +280,100 @@ class Quantale:
         return QElem(self.key, value)
 
     def check(self, e: QElem) -> QElem:
-        if not isinstance(e, QElem) or e.owner != self.key:
-            raise ForeignElement(f"{e!r} does not belong to quantale {self.name}")
-        return e
+        """`e` if it belongs to this quantale, else ForeignElement.
+
+        A finite element built by hand, without its index, comes back as
+        the carrier element it equals, so that the ops can look it up."""
+        if type(e) is QElem and e.owner == self.key:
+            if e.index is not None or not self.enumerable:
+                return e
+            c = self._by_value.get(e.value)
+            if c is not None:
+                return c
+        raise ForeignElement(f"{e!r} does not belong to quantale {self.name}")
 
     # ----- core operations -----
+    # Each op tests ownership inline and calls `check`, which raises
+    # ForeignElement, only when that test fails.  On a finite quantale the
+    # op is then a lookup in a table indexed by `QElem.index`; a hand-built
+    # element, whose index is None, is first swapped for its carrier element.
 
     def leq(self, u: QElem, v: QElem) -> bool:
-        self.check(u), self.check(v)
+        key = self.key
+        if not (type(u) is QElem and u.owner == key and type(v) is QElem and v.owner == key):
+            self.check(u), self.check(v)
         if self.enumerable:
-            return (self._index[u], self._index[v]) in self._leq
+            try:
+                return self._leq[u.index][v.index]
+            except TypeError:  # a hand-built element: index None
+                return self.leq(self.check(u), self.check(v))
         if self.kind == "ext_real_plus":
             return u.value >= v.value  # quantale order is reversed
         return u.value <= v.value
 
     def tensor(self, u: QElem, v: QElem) -> QElem:
-        self.check(u), self.check(v)
+        key = self.key
+        if not (type(u) is QElem and u.owner == key and type(v) is QElem and v.owner == key):
+            self.check(u), self.check(v)
         if self.enumerable:
-            return self.carrier[self._tensor[self._index[u]][self._index[v]]]
+            try:
+                return self.carrier[self._tensor[u.index][v.index]]
+            except TypeError:  # a hand-built element: index None
+                return self.tensor(self.check(u), self.check(v))
         a, b = u.value, v.value
         if self.kind == "ext_real_plus":
-            return QElem(self.key, a + b)
+            return QElem(key, a + b)
         if self.kind == "unit_interval_product":
-            return QElem(self.key, a * b)
+            return QElem(key, a * b)
         s = a + b - 1  # lukasiewicz_rational
-        return QElem(self.key, s if s > 0 else Fraction(0))
+        return QElem(key, s if s > 0 else Fraction(0))
 
     def hom(self, u: QElem, w: QElem) -> QElem:
-        self.check(u), self.check(w)
+        key = self.key
+        if not (type(u) is QElem and u.owner == key and type(w) is QElem and w.owner == key):
+            self.check(u), self.check(w)
         if self.enumerable:
-            return self.carrier[self._hom_t[self._index[u]][self._index[w]]]
+            try:
+                return self.carrier[self._hom_t[u.index][w.index]]
+            except TypeError:  # a hand-built element: index None
+                return self.hom(self.check(u), self.check(w))
         a, b = u.value, w.value
         if self.kind == "ext_real_plus":
             if a is INF:
-                return QElem(self.key, Fraction(0))
+                return QElem(key, Fraction(0))
             if b is INF:
-                return QElem(self.key, INF)
+                return QElem(key, INF)
             d = b - a
-            return QElem(self.key, d if d > 0 else Fraction(0))
+            return QElem(key, d if d > 0 else Fraction(0))
         if self.kind == "unit_interval_product":
             if a == 0:
-                return QElem(self.key, Fraction(1))
-            return QElem(self.key, min(Fraction(1), b / a))
+                return QElem(key, Fraction(1))
+            return QElem(key, min(Fraction(1), b / a))
         r = 1 - a + b  # lukasiewicz_rational
-        return QElem(self.key, r if r < 1 else Fraction(1))
+        return QElem(key, r if r < 1 else Fraction(1))
 
     def join2(self, u: QElem, v: QElem) -> QElem:
-        self.check(u), self.check(v)
+        key = self.key
+        if not (type(u) is QElem and u.owner == key and type(v) is QElem and v.owner == key):
+            self.check(u), self.check(v)
         if self.enumerable:
-            return self.carrier[self._join_t[self._index[u]][self._index[v]]]
+            try:
+                return self.carrier[self._join_t[u.index][v.index]]
+            except TypeError:  # a hand-built element: index None
+                return self.join2(self.check(u), self.check(v))
         if self.kind == "ext_real_plus":
             return u if u.value <= v.value else v  # numeric min
         return u if u.value >= v.value else v
 
     def meet2(self, u: QElem, v: QElem) -> QElem:
-        self.check(u), self.check(v)
+        key = self.key
+        if not (type(u) is QElem and u.owner == key and type(v) is QElem and v.owner == key):
+            self.check(u), self.check(v)
         if self.enumerable:
-            return self.carrier[self._meet_t[self._index[u]][self._index[v]]]
+            try:
+                return self.carrier[self._meet_t[u.index][v.index]]
+            except TypeError:  # a hand-built element: index None
+                return self.meet2(self.check(u), self.check(v))
         if self.kind == "ext_real_plus":
             return u if u.value >= v.value else v  # numeric max
         return u if u.value <= v.value else v

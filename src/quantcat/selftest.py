@@ -490,7 +490,7 @@ def criterion_8(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
                 # on V itself the action must be x ⊕ r = x ⊗ r
                 BX = alpha.dom
                 for j, (i, r) in enumerate(BX.pairs):
-                    if alpha(j) != q.carrier.index(q.tensor(q.carrier[i], r)):
+                    if alpha(j) != q.tensor(q.carrier[i], r).index:
                         return _result("C8", _C8_LABEL, False,
                                        f"{X.name}: action is not ⊗ at "
                                        f"{BX.objects[j]}")
@@ -746,7 +746,7 @@ def criterion_12(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
     expect["crush"] = False
     q = BOOL
     for c, tag, want in ((q.unit, "hom(k,-)", True), (q.bottom, "hom(0,-)", False)):
-        mp = tuple(q.carrier.index(q.hom(c, v)) for v in q.carrier)
+        mp = tuple(q.hom(c, v).index for v in q.carrier)
         curated[tag] = VFunctor(tag, homv, homv, mp, validated=True)
         expect[tag] = want
     strictness = {}

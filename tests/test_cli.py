@@ -255,6 +255,22 @@ def test_budget_exhaustion_is_unchecked(ws_path, capsys):
     assert "reason=" in out
 
 
+def test_budget_bounds_the_left_adjoint_search(tmp_path, capsys):
+    # 4^5 = 1024 presheaves pass the |V|^n gate, but enumerate_L pairs each
+    # with 1024 candidate left adjoints
+    hom = [["1" if i == j else "0" for j in range(5)] for i in range(5)]
+    doc = {"quantales": [{"name": "G3", "kind": "goedel_chain", "n": 3}],
+           "categories": [{"name": "disc5", "quantale": "G3",
+                           "objects": list("abcde"), "hom": hom}]}
+    code, out, _ = run(
+        ["check", "l-complete", "--category", "disc5", "--budget", "2000",
+         "--format", "json", "--workspace", write(tmp_path, doc)], capsys)
+    assert code == 3
+    [check] = json.loads(out)["checks"]
+    assert check["verdict"] == "unchecked"
+    assert "exceed the budget 2000" in check["reason"]
+
+
 def test_admissible_wants_one_quantale(ws_path, capsys):
     code, _, err = run(
         ["check", "admissible", "--spec", "everything",

@@ -14,7 +14,7 @@ from quantcat.errors import (
     TensorNotCommutative,
     UnitIsBottom,
 )
-from quantcat.quantale import INF, builtin, make_finite_quantale
+from quantcat.quantale import INF, QElem, builtin, make_finite_quantale
 
 
 def F(a, b=1):
@@ -308,3 +308,77 @@ def test_kernels_reject_foreign_elements(family, data):
             kernel(with_foreign, padded)
         with pytest.raises(ForeignElement):
             kernel(padded, with_foreign)
+
+
+# ---- carrier index: finite ops are lookups on QElem.index ----
+
+INDEXED_QUANTALES = FINITE_BUILTINS + [make_bool_like()]
+RATIONAL_QUANTALES = KERNEL_QUANTALES[len(FINITE_BUILTINS):]
+
+
+@pytest.mark.parametrize("q", INDEXED_QUANTALES, ids=lambda q: q.name)
+def test_carrier_elements_carry_their_index(q):
+    for i, e in enumerate(q.carrier):
+        assert e.index == i
+        assert q.carrier[e.index] is e
+        assert q.elem(e.value) is e
+
+
+@pytest.mark.parametrize("q", INDEXED_QUANTALES, ids=lambda q: q.name)
+def test_eq_and_hash_ignore_the_index(q):
+    for e in q.carrier:
+        bare = QElem(q.key, e.value)
+        assert bare.index is None
+        assert bare == q.elem(e.value) and hash(bare) == hash(e)
+
+
+@pytest.mark.parametrize("q", INDEXED_QUANTALES, ids=lambda q: q.name)
+def test_ops_accept_a_hand_built_element(q):
+    for u in q.carrier:
+        for v in q.carrier:
+            bare_u, bare_v = QElem(q.key, u.value), QElem(q.key, v.value)
+            for op in (q.leq, q.tensor, q.hom, q.join2, q.meet2):
+                assert op(bare_u, v) == op(u, bare_v) == op(u, v)
+    assert q.tensor(QElem(q.key, q.unit.value), q.top) is q.top
+
+
+def test_separate_builds_interoperate():
+    g, h = builtin("goedel_chain", 3), builtin("goedel_chain", 3)
+    assert g is not h and g == h
+    for u in g.carrier:
+        for v in h.carrier:
+            assert g.tensor(u, v) is g.carrier[min(u.index, v.index)]
+            assert h.tensor(u, v) == g.tensor(u, v)
+            assert g.leq(u, v) == h.leq(u, v) == (u.value <= v.value)
+    assert g.join_tensor(g.carrier, h.carrier) == h.top
+    assert h.meet_hom(g.carrier, h.carrier) == g.top
+
+
+def _foreign_cases():
+    g3, g5 = builtin("goedel_chain", 3), builtin("goedel_chain", 5)
+    ext, prod = builtin("ext_real_plus"), builtin("unit_interval_product")
+    strangers = [Fraction(1), "1", None]
+    cases = []
+    for q in INDEXED_QUANTALES:
+        other = g5 if q.key != g5.key else g3
+        for x in [other.unit, ext.unit, prod.elem(F(1, 2))] + strangers:
+            cases.append((q, x))
+    for q in RATIONAL_QUANTALES:
+        other = ext if q.key != ext.key else prod
+        for x in [g3.unit, g5.elem(F(2, 5)), other.unit] + strangers:
+            cases.append((q, x))
+    return cases
+
+
+@pytest.mark.parametrize("q, x", _foreign_cases(),
+                         ids=lambda v: v.name if hasattr(v, "key") else repr(v))
+def test_every_op_rejects_a_foreign_element(q, x):
+    pairs = ((x, q.unit), (q.unit, x))
+    for op in (q.leq, q.tensor, q.hom, q.join2, q.meet2):
+        for u, v in pairs:
+            with pytest.raises(ForeignElement):
+                op(u, v)
+    for kernel in (q.join_tensor, q.meet_hom):
+        for u, v in pairs:
+            with pytest.raises(ForeignElement):
+                kernel([u], [v])
