@@ -34,8 +34,9 @@ Commands: `validate`, `check <property>`, `compute <construction>`,
 seed, then list one verdict per check: pass, fail (with witness), or
 unchecked (with reason — only a blown budget produces this).  Exit
 codes: 0 all pass, 1 some check failed, 2 bad input or usage, 3 budget
-exceeded with items left unchecked.  Output is deterministic for fixed
-inputs, budget, and seed.
+exceeded with items left unchecked, 4 an internal invariant failed (a
+bug in quantcat, reported as `InternalError` without a traceback).
+Output is deterministic for fixed inputs, budget, and seed.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from .dist import relation, validate_distributor
 from .errors import (
     BudgetExceeded,
     ForeignElement,
+    InternalError,
     ParseError,
     PreconditionFail,
     QuantcatError,
@@ -227,7 +229,7 @@ def _build_quantale(rec, where):
     return builtin(kind, n)
 
 
-def _build_spec(rec, ws, where):
+def _build_spec(rec, where):
     (kind,) = _take(rec, where, ("kind",), optional=("members",))
     if kind == "all":
         return submonad_all()
@@ -284,7 +286,7 @@ def parse_workspace(path) -> Workspace:
         try:
             ws.sections[section][name] = builder()
             return ws.sections[section][name]
-        except (ParseError, UnresolvedReference):
+        except (ParseError, UnresolvedReference, InternalError):
             raise
         except QuantcatError as e:
             ws.failures[(section, name)] = str(e)
@@ -346,7 +348,7 @@ def parse_workspace(path) -> Workspace:
                             ws.functor(bottom), ws.functor(right)))
 
     for rec, name, where in records("submonad_specs"):
-        keep("submonad_specs", name, lambda: _build_spec(rec, ws, where))
+        keep("submonad_specs", name, lambda: _build_spec(rec, where))
 
     for rec, name, where in records("sequences"):
         alias, points, stable = _take(
@@ -613,6 +615,8 @@ def _run_compute(ws, args, cname):
         d = weighted_diagram(w, f)
         try:
             g = weighted_colimit(d)
+        except InternalError:
+            raise
         except QuantcatError as e:
             return [_check(cname, False, str(e))], {}, None
         return ([_check(cname, True)],
@@ -792,7 +796,7 @@ def main(argv=None) -> int:
                               "error": message}, indent=2, sort_keys=True))
         else:
             print(f"error: {message}", file=sys.stderr)
-        return 2
+        return 4 if isinstance(e, InternalError) else 2
     if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
     else:

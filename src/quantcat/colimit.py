@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .dist import VRelation, compose, right_extension, star_lower, star_upper
 from .errors import (
     BudgetExceeded,
+    InternalError,
     NoColimit,
     NoMinimum,
     QuantaleMismatch,
@@ -21,7 +22,8 @@ from .errors import (
 )
 from .monadkit import SubmonadSpec, submonad_category, submonad_monad
 from .presheaf import DEFAULT_BUDGET, presheaf_label, representables
-from .vcat import VCategory, VFunctor, check_adjunction, identity_functor, is_functor
+from .vcat import (VCategory, VFunctor, check_adjunction, functors, identity_functor,
+                   is_functor)
 
 DEFAULT_EXTENSION_BUDGET = 10 ** 5
 
@@ -67,8 +69,10 @@ def weighted_colimit(d: WeightedDiagram) -> VFunctor:
         mapping.append(reps[0])
     g = VFunctor(f"colim({f.name})", phi.cod, Z, tuple(mapping))
     # row-wise representability already forces both of these
-    assert is_functor(g.dom, g.cod, g.mapping)
-    assert star_lower(g).matrix == target.matrix
+    if not is_functor(g.dom, g.cod, g.mapping):
+        raise InternalError(f"{g.name} is not a functor")
+    if star_lower(g).matrix != target.matrix:
+        raise InternalError(f"{g.name}_* is not the right extension")
     return g
 
 
@@ -151,7 +155,8 @@ def algebra_extract(X: VCategory, spec: SubmonadSpec,
                 "failures": tuple(failures), "ambiguous": tuple(ambiguous),
                 "unit_section": None, "adjoint_to_unit": None, "ok": False}
     alpha = VFunctor(f"alpha_{TX.name}", TX, X, tuple(mapping))
-    assert is_functor(TX, X, alpha.mapping)
+    if not is_functor(TX, X, alpha.mapping):
+        raise InternalError(f"{alpha.name} is not a functor")
     unit = submonad_monad(spec, budget).unit(X)
     section = all(alpha(unit(i)) == i for i in range(n))
     adjoint = check_adjunction(alpha, unit)[0]
@@ -225,8 +230,9 @@ def min_characterization(X: VCategory, spec: SubmonadSpec,
     if ok and extract["ok"]:
         alpha = extract["algebra"].alpha
         # both routes must land on representatives with the same rows
-        assert all(tuple(X.hom[alpha(i)]) == tuple(X.hom[points[i]])
-                   for i in range(m))
+        if any(tuple(X.hom[alpha(i)]) != tuple(X.hom[points[i]])
+               for i in range(m)):
+            raise InternalError("minima and representatives have different rows")
         agrees = alpha.mapping == tuple(points)
     else:
         agrees = None
@@ -245,7 +251,7 @@ def t_homomorphism_check(f: VFunctor, algX: AlgebraStructure,
     """Lax versus strict compatibility of f with two algebra structures.
 
     The lax inequality β(Tf(φ)) ≤ f(α(φ)) holds for every functor
-    between algebras and is asserted; strict means isomorphism, which
+    between algebras and is checked; strict means isomorphism, which
     by laxness reduces to the single order inequality the other way.
     Colimit preservation is recomputed independently from rows.
     """
@@ -265,7 +271,8 @@ def t_homomorphism_check(f: VFunctor, algX: AlgebraStructure,
     for i in range(len(TX.objects)):
         via_y = beta(Tf(i))
         via_x = f(alpha(i))
-        assert q.leq(q.unit, Y.hom[via_y][via_x])
+        if not q.leq(q.unit, Y.hom[via_y][via_x]):
+            raise InternalError(f"{f.name} is not lax at {TX.objects[i]}")
         if strict["ok"] and not q.leq(q.unit, Y.hom[via_x][via_y]):
             strict = {"ok": False, "witness": TX.objects[i]}
         row = extension_row(Y, TY.presheaves[Tf(i)])
@@ -292,28 +299,13 @@ def injectivity_check(X: VCategory, h: VFunctor,
     if nx ** nb > budget:
         raise BudgetExceeded(
             f"{nx}^{nb} extension candidates over budget {budget}")
-    free = sorted(set(range(nb)) - set(h.mapping))
+    extensions = list(functors(B, X))
     total = extended = 0
     witness = None
-    for u in itertools.product(range(nx), repeat=len(A.objects)):
-        if not is_functor(A, X, u):
-            continue
+    for u in functors(A, X):
         total += 1
-        seed = {}
-        conflict = False
-        for a, b in enumerate(h.mapping):
-            if seed.setdefault(b, u[a]) != u[a]:
-                conflict = True
-                break
-        found = False
-        if not conflict:
-            for fill in itertools.product(range(nx), repeat=len(free)):
-                v = dict(seed)
-                v.update(zip(free, fill))
-                if is_functor(B, X, tuple(v[b] for b in range(nb))):
-                    found = True
-                    break
-        if found:
+        if any(all(v[b] == u[a] for a, b in enumerate(h.mapping))
+               for v in extensions):
             extended += 1
         elif witness is None:
             witness = tuple(X.objects[z] for z in u)

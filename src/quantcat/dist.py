@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .errors import (BudgetExceeded, LeftActionFail, NotEnumerable,
                      QuantaleMismatch, RightActionFail, ShapeMismatch)
+from .presheaf import DEFAULT_BUDGET, presheaves
 from .quantale import QElem
 from .vcat import VCategory, VFunctor, unit_category
 
@@ -189,8 +190,13 @@ def point_column(X: VCategory, label: str) -> VRelation:
 
 
 def enumerate_distributors(X: VCategory, Y: VCategory,
-                           budget: int = 10**6) -> tuple:
-    """Every distributor X ⇸ Y, found by filtering all matrices."""
+                           budget: int = DEFAULT_BUDGET) -> tuple:
+    """Every distributor X ⇸ Y, in row-major carrier-product order.
+
+    A distributor X ⇸ Y is a presheaf on X ⊗ Y^op, whose objects are the
+    pairs (x, y) in row-major order and whose hom is a(x,x')⊗b(y',y);
+    the presheaves on it, cut into rows, are the distributors.
+    """
     q = X.quantale
     if Y.quantale != q:
         raise QuantaleMismatch(f"{X.name} and {Y.name} live over different quantales")
@@ -200,10 +206,12 @@ def enumerate_distributors(X: VCategory, Y: VCategory,
     count = len(q.carrier) ** cells
     if count > budget:
         raise BudgetExceeded(f"{count} candidate matrices over budget {budget}")
-    m = len(Y.objects)
-    found = []
-    for flat in itertools.product(q.carrier, repeat=cells):
-        matrix = tuple(flat[i * m:(i + 1) * m] for i in range(len(X.objects)))
-        if is_distributor(VRelation(X, Y, matrix)):
-            found.append(VRelation(X, Y, matrix, validated=True))
-    return tuple(found)
+    n, m = len(X.objects), len(Y.objects)
+    pairs = tuple(itertools.product(range(n), range(m)))
+    XY = VCategory(f"{X.name}⊗{Y.name}^op", q, tuple(map(str, pairs)),
+                   tuple(tuple(q.tensor(X.hom[x][x2], Y.hom[y2][y])
+                               for x2, y2 in pairs) for x, y in pairs))
+    # the gate inside `presheaves` is the count just checked: it cannot fire
+    return tuple(VRelation(X, Y, tuple(vals[i * m:(i + 1) * m] for i in range(n)),
+                           validated=True)
+                 for vals in presheaves(XY, budget))

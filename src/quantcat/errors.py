@@ -129,6 +129,12 @@ class NotEventuallyConstant(QuantcatError):
     pass
 
 
+# --- internal invariants ---
+
+class InternalError(QuantcatError):
+    """A postcondition the library proves failed: a bug, not bad input."""
+
+
 # --- document / CLI layer ---
 
 class ParseError(QuantcatError):

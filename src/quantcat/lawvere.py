@@ -1,7 +1,7 @@
 """Right-adjoint presheaves by brute force: enumeration, completeness,
 completion, and eventually constant Cauchy data over ext_real_plus.
 
-Membership here is decided by searching every candidate vector for a
+Membership here is decided by searching every distributor E ⇸ X for a
 certifying left adjoint, independently of the extension shortcut used
 elsewhere; the two routes agreeing is part of the test suite.
 """
@@ -9,10 +9,11 @@ elsewhere; the two routes agreeing is part of the test suite.
 from dataclasses import dataclass
 
 from .colimit import extension_row, find_representatives
-from .dist import VRelation, column, point_column, point_row
-from .errors import BudgetExceeded, NotEventuallyConstant, NotIntegral, PreconditionFail
+from .dist import VRelation, column, enumerate_distributors, point_column, point_row
+from .errors import (BudgetExceeded, InternalError, NotEventuallyConstant, NotIntegral,
+                     PreconditionFail)
 from .presheaf import (DEFAULT_BUDGET, candidate_count, full_subcategory, member_functor,
-                       presheaf_category, presheaves, representables)
+                       presheaf_category, representables)
 from .vcat import VCategory, is_fully_faithful, unit_category
 
 
@@ -37,28 +38,27 @@ def _certifies(X, phi, psi):
 def enumerate_L(X: VCategory, budget: int = DEFAULT_BUDGET):
     """LX with one certified AdjointPair per member.
 
-    Searches every carrier vector as a candidate left adjoint;
+    Tries every distributor ψ: E ⇸ X as a candidate left adjoint;
     adjoints are unique among distributors in the thin setting, so the
     certifying ψ kept for each member is canonical.  The search is gated
     on its (|V|^n)² candidate (presheaf, left adjoint) pairs, after the
     |V|^n gate of PX and before PX is built.
     """
     count = candidate_count(X, budget)
-    if X.objects and count * count > budget:
+    if not X.objects:
+        # no ψ certifies the empty presheaf: k ≰ ⋁∅ = ⊥, over any V
+        return full_subcategory(f"L({X.name})", X, ()), ()
+    if count * count > budget:
         raise BudgetExceeded(
             f"{count * count} candidate (presheaf, left adjoint) pairs on {X.name} "
             f"exceed the budget {budget}")
     PX = presheaf_category(X, budget)
-    E = unit_category(X.quantale)
-    # candidates ψ: E ⇸ X obey ⋁ ψ(y)⊗a(y,x) ≤ ψ(x), the presheaf law on
-    # X^op (V is commutative); X already passed the same |V|^n gate
-    Xop = VCategory(f"{X.name}^op", X.quantale, X.objects, tuple(zip(*X.hom)))
+    psis = enumerate_distributors(unit_category(X.quantale), X, budget)
     members, pairs = [], []
     for vals in PX.presheaves:
-        for cand in presheaves(Xop, budget):
-            u = _certifies(X, vals, cand)
+        for psi in psis:
+            u = _certifies(X, vals, psi.matrix[0])
             if u is not None:
-                psi = VRelation(E, X, (cand,), validated=True)
                 members.append(vals)
                 pairs.append(AdjointPair(column(X, vals), psi, u))
                 break
@@ -80,10 +80,12 @@ def lawvere_completion(X: VCategory, budget: int = DEFAULT_BUDGET):
     LX, _ = enumerate_L(X, budget)
     unit = member_functor(
         f"complete_{X.name}", X, LX, representables(X),
-        escape=lambda i, vals: AssertionError(
+        escape=lambda i, vals: InternalError(
             "a lower companion column failed membership"))
-    assert is_fully_faithful(unit)[0]
-    assert is_L_complete(LX, budget)[0]
+    if not is_fully_faithful(unit)[0]:
+        raise InternalError(f"the completion unit of {X.name} is not fully faithful")
+    if not is_L_complete(LX, budget)[0]:
+        raise InternalError(f"the completion of {X.name} is not L-complete")
     return LX, unit
 
 
@@ -123,11 +125,13 @@ def cauchy_pair(X: VCategory, seq: CauchySequenceSpec):
     phi_vals = representables(X)[lim]
     psi_vals = tuple(X.hom[lim])
     unit = _certifies(X, phi_vals, psi_vals)
-    assert unit is not None, "point columns must certify their own pair"
+    if unit is None:
+        raise InternalError("point columns must certify their own pair")
     pair = AdjointPair(point_column(X, X.objects[lim]),
                        point_row(X, X.objects[lim]), unit)
     reps = find_representatives(X, extension_row(X, phi_vals))
-    assert lim in reps, "the stable point must represent its own weight"
+    if lim not in reps:
+        raise InternalError("the stable point must represent its own weight")
     return pair, X.objects[lim]
 
 

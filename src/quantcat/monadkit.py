@@ -2,7 +2,7 @@
 
 A commuting square of functors passes the check when the distributor
 square h^*·f_* <= l_*·g^* holds (the reverse inequality is automatic and
-asserted).  On top of that sit: lax idempotency via three equivalent
+checked).  On top of that sit: lax idempotency via three equivalent
 routes, membership classes of distributors with their closure
 conditions, submonads carved out of the presheaf construction, and the
 canonical comparison into it.
@@ -29,6 +29,7 @@ from .dist import (
 )
 from .errors import (
     BudgetExceeded,
+    InternalError,
     MultiplicationEscapesT,
     NotCommuting,
     ShapeMismatch,
@@ -87,7 +88,8 @@ def bc_star_square_check(sq: CommutingSquare):
     through_corner = compose(star_lower(sq.top), star_upper(sq.left))
     through_base = compose(star_upper(sq.right), star_lower(sq.bottom))
     # this direction holds for every commuting square
-    assert first_violation(through_corner, through_base) is None
+    if first_violation(through_corner, through_base) is not None:
+        raise InternalError("the automatic BC inequality failed on a commuting square")
     w = first_violation(through_base, through_corner)
     return w is None, w
 

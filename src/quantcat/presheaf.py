@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BudgetExceeded, NotEnumerable
+from .errors import BudgetExceeded, InternalError, NotEnumerable
 from .quantale import show_value
 from .vcat import VCategory, VFunctor, is_fully_faithful
 
@@ -70,7 +70,10 @@ def candidate_count(X: VCategory, budget: int = DEFAULT_BUDGET) -> int:
 def presheaves(X: VCategory, budget: int = DEFAULT_BUDGET):
     """Every presheaf on X as a value tuple, in carrier-product order.
     The |V|^n budget gate is checked at once; the candidates are then
-    filtered lazily, so a caller that stops early tests no more."""
+    filtered lazily, so a caller that stops early tests no more.  This is
+    the library's one filter over carrier products: distributors X ⇸ Y
+    (`dist.enumerate_distributors`) are the presheaves on X ⊗ Y^op, and
+    the candidate left adjoints of `lawvere.enumerate_L` are distributors."""
     candidate_count(X, budget)
     n = len(X.objects)
     if n == 0:
@@ -118,10 +121,11 @@ def member_functor(name: str, dom: VCategory, T: PresheafCategory, images,
 
 
 def yoneda(X: VCategory, PX: PresheafCategory = None) -> VFunctor:
-    """x ↦ x^* = a(−,x).  Fully faithful, asserted."""
+    """x ↦ x^* = a(−,x).  Fully faithful, checked."""
     PX = PX or presheaf_category(X)
     y = member_functor(f"y_{X.name}", X, PX, representables(X))
-    assert is_fully_faithful(y)[0]
+    if not is_fully_faithful(y)[0]:
+        raise InternalError(f"{y.name} is not fully faithful")
     return y
 
 
@@ -219,19 +223,15 @@ def verify_monad_laws(X: VCategory, budget: int = DEFAULT_BUDGET,
 
         if len(q.carrier) ** npp <= budget:
             assoc["mode"] = "exhaustive"
-            for theta in presheaves(PPX, budget):
-                assoc["checked"] += 1
-                if not routes_agree(theta):
-                    assoc.update(ok=False, witness=presheaf_label(theta))
-                    break
+            thetas = presheaves(PPX, budget)
         else:
             assoc["mode"] = "sampled"
             rng = random.Random(seed)
-            for t in range(samples):
-                theta = _sample_theta(PPX, rng, t % 3)
-                assoc["checked"] += 1
-                if not routes_agree(theta):
-                    assoc.update(ok=False, witness=presheaf_label(theta))
-                    break
+            thetas = (_sample_theta(PPX, rng, t % 3) for t in range(samples))
+        for theta in thetas:
+            assoc["checked"] += 1
+            if not routes_agree(theta):
+                assoc.update(ok=False, witness=presheaf_label(theta))
+                break
     report["associativity"] = assoc
     return report

@@ -28,6 +28,7 @@ from fractions import Fraction
 from .errors import (
     BadParameter,
     ForeignElement,
+    InternalError,
     JoinsNotPreserved,
     NotALattice,
     NotUnital,
@@ -82,8 +83,6 @@ def show_value(value) -> str:
     """Canonical display form: '3/4', '2', 'inf', or the opaque label."""
     if value is INF:
         return "inf"
-    if isinstance(value, Fraction):
-        return str(value)
     return str(value)
 
 
@@ -245,8 +244,9 @@ class Quantale:
         for i in range(n):
             for v in range(n):
                 for w in range(n):
-                    assert leq[tens[i][v]][w] == leq[v][hom_t[i][w]], \
-                        "residuation adjunction failed on a validated quantale"
+                    if leq[tens[i][v]][w] != leq[v][hom_t[i][w]]:
+                        raise InternalError(
+                            "residuation adjunction failed on a validated quantale")
 
         self.unit = self.carrier[u]
         self.bottom = self.carrier[bot]

@@ -11,6 +11,7 @@ never from tolerances.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -50,6 +51,7 @@ from .presheaf import DEFAULT_BUDGET, verify_monad_laws
 from .quantale import builtin, make_finite_quantale
 from .vcat import (
     VFunctor,
+    functors,
     hom_self_category,
     identity_functor,
     is_fully_faithful,
@@ -128,11 +130,10 @@ def _all_functors(cats):
     for X in cats:
         for Y in cats:
             m = len(Y.objects)
-            for num, mp in enumerate(
-                    itertools.product(range(m), repeat=len(X.objects))):
-                if is_functor(X, Y, mp):
-                    out.append(VFunctor(f"{X.name}->{Y.name}#{num}",
-                                        X, Y, mp, validated=True))
+            for mp in functors(X, Y):
+                num = functools.reduce(lambda acc, i: acc * m + i, mp, 0)  # product rank
+                out.append(VFunctor(f"{X.name}->{Y.name}#{num}",
+                                    X, Y, mp, validated=True))
     return out
 
 

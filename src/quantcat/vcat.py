@@ -8,9 +8,11 @@ are always the first violation in object-index order.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import (
+    InternalError,
     NotAFunctor,
     NotEnumerable,
     QuantaleMismatch,
@@ -146,6 +148,13 @@ def is_functor(dom, cod, mapping) -> bool:
         return False
 
 
+def functors(A: VCategory, X: VCategory):
+    """Every object map A → X that is a V-functor, as a tuple of object
+    indices of X, in `itertools.product` order."""
+    return (mp for mp in itertools.product(range(len(X.objects)), repeat=len(A.objects))
+            if is_functor(A, X, mp))
+
+
 def identity_functor(X: VCategory) -> VFunctor:
     return VFunctor(f"1_{X.name}", X, X, tuple(range(len(X.objects))))
 
@@ -176,7 +185,7 @@ def check_adjunction(f: VFunctor, g: VFunctor):
     """f ⊣ g iff X(x, g y) = Y(f x, y) for all x, y.
 
     f and g may be raw maps: when the equality holds everywhere, both are
-    automatically V-functors (this is re-asserted here).
+    automatically V-functors (this is re-checked here).
     """
     X, Y = f.dom, f.cod
     if not (g.dom.same_shape(Y) and g.cod.same_shape(X)):
@@ -185,6 +194,6 @@ def check_adjunction(f: VFunctor, g: VFunctor):
         for j in range(len(Y.objects)):
             if X.hom[i][g(j)] != Y.hom[f(i)][j]:
                 return False, (X.objects[i], Y.objects[j])
-    assert is_functor(X, Y, f.mapping) and is_functor(Y, X, g.mapping), \
-        "adjunction equality held but a map failed functoriality"
+    if not (is_functor(X, Y, f.mapping) and is_functor(Y, X, g.mapping)):
+        raise InternalError("adjunction equality held but a map failed functoriality")
     return True, None

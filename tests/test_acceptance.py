@@ -4,7 +4,8 @@ C1-C12 are the exact verification battery from quantcat.selftest, run
 here at full budget with the default seed.  Each result must also equal
 its entry in golden/selftest.json (witnesses, modes, detail counts), so
 a change that keeps the verdicts but moves a witness is caught.  C13
-drives the installed CLI end to end: deterministic reports and a
+drives the installed CLI end to end: deterministic reports (also under
+`python -O`) and a
 presheaf fragment that parses back to the category it came from.  Every
 comparison is exact equality.
 """
@@ -39,8 +40,8 @@ def test_criterion(criterion, golden):
     assert _jsonable(result) == golden
 
 
-def _start(*argv):
-    return subprocess.Popen([sys.executable, "-m", "quantcat.cli", *argv],
+def _start(*argv, flags=()):
+    return subprocess.Popen([sys.executable, *flags, "-m", "quantcat.cli", *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             text=True)
 
@@ -63,8 +64,10 @@ def test_c13_cli_round_trip(tmp_path):
                         "objects": ["p", "q"], "hom": [[1, 1], [0, 1]]}],
     }))
 
-    # two independent processes, run side by side
-    started = [_start("selftest", "--format", "json") for _ in range(2)]
+    # two independent processes, run side by side; the second under -O,
+    # which strips assert statements, so no verdict may rest on one
+    started = [_start("selftest", "--format", "json", flags=flags)
+               for flags in ((), ("-O",))]
     first, second = (_finish(p) for p in started)
     ok = first.returncode == second.returncode == 0
     ok = ok and first.stdout == second.stdout

@@ -4,6 +4,9 @@ A public module-level function of `src/quantcat` must be named (called,
 passed or imported) somewhere in the package, or be listed in KEEP with
 the reason it stays although nothing in the package uses it.  A function
 that only its own unit tests call fails this scan: wire it in or delete it.
+
+The package also holds no `assert` statement: `python -O` strips them, so
+an invariant the library relies on raises `InternalError` instead.
 """
 
 import ast
@@ -50,3 +53,10 @@ def _named(trees):
 def test_orphans_are_exactly_the_kept_functions():
     trees = _trees()
     assert _public_functions(trees) - _named(trees) == set(KEEP)
+
+
+def test_no_assert_statements():
+    found = [f"{path.name}:{node.lineno}" for path in SRC.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from quantcat import cli
-from quantcat.errors import ParseError, UnresolvedReference
+from quantcat.errors import InternalError, ParseError, UnresolvedReference
 from quantcat.presheaf import presheaf_category
 from quantcat.vcat import validate_category
 
@@ -383,6 +383,32 @@ def test_colimit_success_and_failure(ws_path, tmp_path, capsys):
          "--workspace", write(tmp_path, doc)], capsys)
     assert code == 1
     assert "nothing in D2 represents" in out
+
+
+def _fail(*args):
+    raise InternalError("boom")
+
+
+@pytest.mark.parametrize("target, replacement, argv", [
+    # the Yoneda embedding is checked to be fully faithful
+    ("quantcat.presheaf.is_fully_faithful", lambda f: (False, None),
+     ["compute", "presheaf", "--category", "C2"]),
+    # the colimit's representative map is checked to be a functor; the
+    # handler turns other errors of weighted_colimit into a fail verdict
+    ("quantcat.colimit.is_functor", lambda *a: False,
+     ["compute", "colimit", "--weight", "wid", "--diagram", "idc"]),
+    # a record build that fails internally is not stored as a bad record
+    ("quantcat.cli.validate_category", _fail, ["validate"]),
+], ids=["yoneda", "colimit", "parse"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_failed_invariant_exits_4(ws_path, capsys, monkeypatch, target,
+                                  replacement, argv, fmt):
+    monkeypatch.setattr(target, replacement)
+    code, out, err = run([*argv, "--format", fmt, "--workspace", ws_path], capsys)
+    assert code == 4
+    message = json.loads(out)["error"] if fmt == "json" else err
+    assert "InternalError: " in message
+    assert "Traceback" not in out + err
 
 
 def test_complete_is_an_alias(ws_path, capsys):

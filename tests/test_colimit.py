@@ -279,6 +279,25 @@ def test_injectivity_extension_search():
         injectivity_check(V, INTO_VEE, budget=3)
 
 
+@pytest.mark.parametrize("h, X, expected", [
+    # both objects of disc2 go to x: a u with u(d0) ≠ u(d1) cannot extend
+    (raw_functor("fold", DISC2, CHAIN2, {"d0": "x", "d1": "x"}), CHAIN3,
+     (9, 3, ("x", "y"))),
+    # x, y both go to y, so x and z are free
+    (raw_functor("fold3", CHAIN2, CHAIN3, {"x": "y", "y": "y"}), CHAIN3,
+     (6, 3, ("x", "y"))),
+    (raw_functor("fold3", CHAIN2, CHAIN3, {"x": "y", "y": "y"}), DISC2,
+     (2, 2, None)),
+    (raw_functor("collapse", DISC2, cat("pt", BOOL, ["p"], [[1]]), {"d0": "p", "d1": "p"}),
+     hom_self_category(BOOL), (4, 2, ("0", "1"))),
+], ids=["fold-chain3", "fold3-chain3", "fold3-disc2", "collapse-V"])
+def test_injectivity_along_a_non_injective_map(h, X, expected):
+    # figures computed by the former seed-and-fill extension search
+    rep = injectivity_check(X, h)
+    assert (rep["functors"], rep["extended"], rep["witness"]) == expected
+    assert rep["ok"] is (rep["extended"] == rep["functors"])
+
+
 def test_injectivity_matches_algebra_status():
     embeddings = (EMB, INTO_VEE)
     for X in (hom_self_category(BOOL), CHAIN3, DISC2):

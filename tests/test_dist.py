@@ -5,8 +5,10 @@ import itertools
 import pytest
 
 from quantcat.dist import (
+    VRelation,
     check_adjoint_pair,
     compose,
+    enumerate_distributors,
     first_violation,
     functor_criterion,
     identity_distributor,
@@ -37,6 +39,7 @@ from quantcat.vcat import (
 
 from .helpers import (
     BOOL,
+    LUK2,
     F,
     bool_chain2,
     bool_chain3,
@@ -307,3 +310,29 @@ def test_first_violation_scan_order():
     s = rel(X, X, [[1, 0], [0, 0]])
     assert first_violation(r, s) == ("x", "y")
     assert first_violation(s, r) is None
+
+
+def _matrix_filter(X, Y):
+    """Every distributor X ⇸ Y by testing each carrier matrix, row-major."""
+    n, m = len(X.objects), len(Y.objects)
+    found = []
+    for flat in itertools.product(X.quantale.carrier, repeat=n * m):
+        matrix = tuple(flat[i * m:(i + 1) * m] for i in range(n))
+        if is_distributor(VRelation(X, Y, matrix)):
+            found.append(matrix)
+    return found
+
+
+_BOOL_CATS = [bool_chain2(), bool_discrete(2), bool_indiscrete2(),
+              unit_category(BOOL), cat("empty", BOOL, [], [])]
+_LUK_CATS = [luk2_sym(), luk2_asym(), unit_category(LUK2)]
+_PAIRS = [(X, Y) for cats in (_BOOL_CATS, _LUK_CATS) for X in cats for Y in cats]
+
+
+@pytest.mark.parametrize(
+    "X, Y", _PAIRS,
+    ids=[f"{X.name}-{Y.name}-{X.quantale.name}" for X, Y in _PAIRS])
+def test_enumerate_distributors_matches_the_matrix_filter(X, Y):
+    found = enumerate_distributors(X, Y)
+    assert [r.matrix for r in found] == _matrix_filter(X, Y)
+    assert all(r.validated and r.dom is X and r.cod is Y for r in found)

@@ -21,14 +21,17 @@ from quantcat.lawvere import (
     lawvere_completion,
 )
 from quantcat.monadkit import submonad_category, submonad_right_adjoints
+from quantcat.presheaf import presheaf_category, presheaves
 from quantcat.quantale import builtin, make_finite_quantale
 from quantcat.vcat import (
+    VCategory,
     hom_self_category,
     is_fully_faithful,
+    unit_category,
     validate_category,
 )
 
-from .helpers import BOOL, LUK2, bool_chain2, bool_indiscrete2, cat, luk2_sym
+from .helpers import BOOL, LUK2, bool_chain2, bool_indiscrete2, cat, luk2_asym, luk2_sym
 
 LUK4 = builtin("lukasiewicz_chain", 4)
 GO3 = builtin("goedel_chain", 3)
@@ -132,6 +135,10 @@ def test_completion_unit_embeds_and_is_iso_iff_complete():
 def test_enumeration_needs_a_finite_carrier():
     with pytest.raises(NotEnumerable):
         enumerate_L(metric("pt", [[0]]))
+    # except on no objects: the empty presheaf has no left adjoint, over any V
+    LX, pairs = enumerate_L(metric("none", []))
+    assert (LX.objects, LX.presheaves, pairs) == ((), (), ())
+    assert is_L_complete(metric("none", [])) == (True, None)
 
 
 def test_cauchy_pair_lands_on_the_stable_point():
@@ -209,3 +216,38 @@ def test_fully_dense_points_are_l_dense_but_not_conversely():
     assert l_dense_point_check(bool_indiscrete2(), "p") is True
     assert fully_dense(CHAIN2, "x") is False
     assert l_dense_point_check(CHAIN2, "x") is True
+
+
+def _per_phi_search(X):
+    """(φ, ψ, unit) per member: for each presheaf φ, the first value tuple
+    ψ in carrier-product order that is a presheaf on X^op and certifies
+    ψ ⊣ φ, searched afresh for every φ."""
+    q = X.quantale
+    n = len(X.objects)
+    Xop = VCategory(f"{X.name}^op", q, X.objects, tuple(zip(*X.hom)))
+    found = []
+    for phi in presheaf_category(X).presheaves:
+        for psi in presheaves(Xop):
+            counit = all(q.leq(q.tensor(phi[x], psi[y]), X.hom[x][y])
+                         for x in range(n) for y in range(n))
+            u = q.bottom
+            for p, f in zip(psi, phi):
+                u = q.join2(u, q.tensor(p, f))
+            if counit and q.leq(q.unit, u):
+                found.append((phi, psi, u))
+                break
+    return found
+
+
+_C11_BATTERY = [CHAIN2, LSYM, luk2_asym(), hom_self_category(BOOL),
+                hom_self_category(builtin("goedel_chain", 2)), PAIR]
+
+
+@pytest.mark.parametrize("X", _C11_BATTERY, ids=lambda X: X.name)
+def test_enumerate_L_matches_the_per_phi_search(X):
+    LX, pairs = enumerate_L(X)
+    E = unit_category(X.quantale)
+    expected = _per_phi_search(X)
+    assert LX.presheaves == tuple(phi for phi, _, _ in expected)
+    assert [(p.phi.matrix, p.psi.dom, p.psi.matrix, p.unit) for p in pairs] == \
+        [(tuple((v,) for v in phi), E, (psi,), u) for phi, psi, u in expected]

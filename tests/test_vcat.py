@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from quantcat.errors import (
@@ -8,10 +10,12 @@ from quantcat.errors import (
 from quantcat.quantale import builtin
 from quantcat.vcat import (
     check_adjunction,
+    functors,
     hom_self_category,
     identity_functor,
     is_fully_dense,
     is_fully_faithful,
+    is_functor,
     is_separated,
     raw_functor,
     unit_category,
@@ -133,3 +137,16 @@ def test_check_adjunction_failure_witness():
     idX = identity_functor(X)
     ok, witness = check_adjunction(top, idX)
     assert not ok and witness == ("x", "x")
+
+
+_FUNCTOR_CATS = [bool_chain2(), bool_chain3(), bool_discrete(2), bool_indiscrete2(),
+                 hom_self_category(BOOL), cat("empty", BOOL, [], [])]
+
+
+@pytest.mark.parametrize("A", _FUNCTOR_CATS, ids=lambda X: X.name)
+def test_functors_is_the_object_map_filter(A):
+    for X in _FUNCTOR_CATS:
+        every = itertools.product(range(len(X.objects)), repeat=len(A.objects))
+        assert list(functors(A, X)) == [mp for mp in every if is_functor(A, X, mp)]
+    asym = luk2_asym()
+    assert list(functors(asym, asym)) == [(0, 0), (0, 1), (1, 1)]
