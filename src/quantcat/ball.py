@@ -72,7 +72,7 @@ def ball_functor(f: VFunctor, BX: BallCategory = None,
     idx = _pair_index(BY)
     mapping = tuple(idx[(f(i), r)] for i, r in BX.pairs)
     prefix = "Bb" if extended else "B"
-    return VFunctor(f"{prefix}({f.name})", BX, BY, mapping, validated=True)
+    return VFunctor(f"{prefix}({f.name})", BX, BY, mapping)
 
 
 def ball_unit(X: VCategory, BX: BallCategory = None) -> VFunctor:
@@ -80,7 +80,7 @@ def ball_unit(X: VCategory, BX: BallCategory = None) -> VFunctor:
     idx = _pair_index(BX)
     k = X.quantale.unit
     mapping = tuple(idx[(i, k)] for i in range(len(X.objects)))
-    return VFunctor(f"unit_{X.name}", X, BX, mapping, validated=True)
+    return VFunctor(f"unit_{X.name}", X, BX, mapping)
 
 
 def ball_mult(X: VCategory, BX: BallCategory = None,
@@ -98,7 +98,7 @@ def ball_mult(X: VCategory, BX: BallCategory = None,
                 f"radius {show_value(r.value)} ⊗ {show_value(s.value)} = "
                 f"{show_value(t.value)} leaves {BX.name} at {X.objects[i]}")
         mapping.append(idx[(i, t)])
-    return VFunctor(f"mult_{X.name}", BBX, BX, tuple(mapping), validated=True)
+    return VFunctor(f"mult_{X.name}", BBX, BX, tuple(mapping))
 
 
 def ball_monad(extended: bool = True) -> MonadInstance:
@@ -149,7 +149,7 @@ def tensored_check(X: VCategory, extended: bool = True,
         if len(reps) > 1:
             ambiguous.append(label)
         mapping.append(choice)
-    alpha = VFunctor(f"tensor_{X.name}", BX, X, tuple(mapping), validated=True)
+    alpha = VFunctor(f"tensor_{X.name}", BX, X, tuple(mapping))
     return {"tensored": True, "witness": None, "algebra": alpha,
             "ambiguous": tuple(ambiguous)}
 
@@ -197,11 +197,9 @@ def tensor_consequences(X: VCategory, alpha: VFunctor) -> dict:
         adj_w = None
         for i in range(n):
             left = VFunctor(f"tensor_{X.objects[i]}", V, X,
-                            tuple(alpha(idx[(i, r)]) for r in q.carrier),
-                            validated=True)
+                            tuple(alpha(idx[(i, r)]) for r in q.carrier))
             right = VFunctor(f"hom_{X.objects[i]}", X, V,
-                             tuple(X.hom[i][j].index for j in range(n)),
-                             validated=True)
+                             tuple(X.hom[i][j].index for j in range(n)))
             ok, w = check_adjunction(left, right)
             if not ok:
                 adj_w = (X.objects[i], str(w))
@@ -238,8 +236,7 @@ def ball_algebra_check(alpha: VFunctor) -> dict:
         mu = ball_mult(X, BX, BBX)
         bidx = _pair_index(BX)
         balpha = VFunctor(f"B({alpha.name})", BBX, BX,
-                          tuple(bidx[(alpha(bi), s)] for bi, s in BBX.pairs),
-                          validated=True)
+                          tuple(bidx[(alpha(bi), s)] for bi, s in BBX.pairs))
         law_w = next((BBX.objects[g] for g in range(len(BBX.objects))
                       if alpha(balpha(g)) != alpha(mu(g))), None)
         monad_laws = {"ok": law_w is None and unit_w is None, "witness": law_w or unit_w}

@@ -3,8 +3,9 @@
 A workspace is a single JSON document with any of the sections
 `quantales`, `categories`, `functors`, `relations`, `squares`,
 `submonad_specs`, `sequences`; each section is a list of named records.
-Values are exact: integers, rational strings like "3/4", "inf" (for the
-extended-real quantale), or carrier labels of a finite quantale.  Hom
+Values are exact: integers, rational strings like "3/4" (a zero
+denominator makes the string a label), "inf" (for the extended-real
+quantale), or carrier labels of a finite quantale.  Hom
 and weight matrices are row-major in declared object order.  Quantale
 records never carry a "hom" table — residuation is derived, and
 supplying one is rejected outright.
@@ -122,7 +123,7 @@ def _record_value(raw, q, where):
         else:
             try:
                 candidates = [Fraction(raw), raw]
-            except ValueError:
+            except (ValueError, ZeroDivisionError):  # not a rational: a label
                 candidates = [raw]
     else:
         raise ParseError(f"{where}: {raw!r} is not a value")
@@ -554,7 +555,7 @@ def _check_ball_algebra(ws, args, cname):
             f"compute ball emits the expected record")
     if not f.cod.same_shape(X):
         raise ValidationError(f"{f.name} must land in {X.name}")
-    alpha = VFunctor(f.name, BX, X, f.mapping, validated=True)
+    alpha = VFunctor(f.name, BX, X, f.mapping)
     rep = ball_algebra_check(alpha)
     ok = rep["algebra"] and rep["agree"]
     w = rep["unit_pointing"]["witness"] or rep["associativity"]["witness"] \

@@ -26,17 +26,15 @@ class VRelation:
     dom: VCategory
     cod: VCategory
     matrix: tuple[tuple[QElem, ...], ...]  # matrix[i][j], i in dom, j in cod
-    validated: bool = False  # True once the bimodule laws were checked
 
     def at(self, x: str, y: str) -> QElem:
         return self.matrix[self.dom.index(x)][self.cod.index(y)]
 
     def __repr__(self):
-        tag = "VDistributor" if self.validated else "VRelation"
-        return f"{tag}({self.dom.name} ⇸ {self.cod.name})"
+        return f"VRelation({self.dom.name} ⇸ {self.cod.name})"
 
 
-def relation(dom, cod, matrix, validated=False) -> VRelation:
+def relation(dom, cod, matrix) -> VRelation:
     if dom.quantale != cod.quantale:
         raise QuantaleMismatch(f"{dom.name} and {cod.name} live over different quantales")
     q = dom.quantale
@@ -46,7 +44,7 @@ def relation(dom, cod, matrix, validated=False) -> VRelation:
         raise ShapeMismatch(
             f"matrix must be {len(dom.objects)}x{len(cod.objects)} "
             f"for {dom.name} ⇸ {cod.name}")
-    return VRelation(dom, cod, matrix, validated)
+    return VRelation(dom, cod, matrix)
 
 
 def first_violation(r: VRelation, s: VRelation):
@@ -74,8 +72,7 @@ def compose(s: VRelation, r: VRelation) -> VRelation:
     s_cols = _columns(s)
     matrix = tuple(tuple(q.join_tensor(row, col) for col in s_cols)
                    for row in r.matrix)
-    # distributors are closed under composition
-    return VRelation(r.dom, s.cod, matrix, r.validated and s.validated)
+    return VRelation(r.dom, s.cod, matrix)
 
 
 def _columns(r: VRelation) -> tuple:
@@ -86,7 +83,7 @@ def _columns(r: VRelation) -> tuple:
 
 def identity_distributor(X: VCategory) -> VRelation:
     """1_X in the distributor category is the hom structure itself."""
-    return VRelation(X, X, X.hom, validated=True)
+    return VRelation(X, X, X.hom)
 
 
 def validate_distributor(r: VRelation) -> VRelation:
@@ -102,7 +99,7 @@ def validate_distributor(r: VRelation) -> VRelation:
     if w is not None:
         raise LeftActionFail(
             f"codomain action escapes at {w}: (b·φ){w} = {br.at(*w)} ≰ φ{w} = {r.at(*w)}")
-    return VRelation(X, Y, r.matrix, validated=True)
+    return r
 
 
 def is_distributor(r: VRelation) -> bool:
@@ -133,7 +130,7 @@ def star_lower(f: VFunctor) -> VRelation:
     Y = f.cod
     matrix = tuple(tuple(Y.hom[f(i)][j] for j in range(len(Y.objects)))
                    for i in range(len(f.dom.objects)))
-    return VRelation(f.dom, Y, matrix, validated=True)
+    return VRelation(f.dom, Y, matrix)
 
 
 def star_upper(f: VFunctor) -> VRelation:
@@ -141,7 +138,7 @@ def star_upper(f: VFunctor) -> VRelation:
     Y = f.cod
     matrix = tuple(tuple(Y.hom[j][f(i)] for i in range(len(f.dom.objects)))
                    for j in range(len(Y.objects)))
-    return VRelation(Y, f.dom, matrix, validated=True)
+    return VRelation(Y, f.dom, matrix)
 
 
 def check_adjoint_pair(psi: VRelation, phi: VRelation):
@@ -167,20 +164,19 @@ def right_extension(phi: VRelation, psi: VRelation) -> VRelation:
     psi_cols = _columns(psi)
     matrix = tuple(tuple(q.meet_hom(phi_col, psi_col) for psi_col in psi_cols)
                    for phi_col in _columns(phi))
-    return VRelation(phi.cod, psi.cod, matrix, phi.validated and psi.validated)
+    return VRelation(phi.cod, psi.cod, matrix)
 
 
 def point_row(X: VCategory, label: str) -> VRelation:
     """x_*: E ⇸ X, the row a(x,−)."""
     i = X.index(label)
-    return VRelation(unit_category(X.quantale), X, (tuple(X.hom[i]),), validated=True)
+    return VRelation(unit_category(X.quantale), X, (tuple(X.hom[i]),))
 
 
 def column(X: VCategory, values) -> VRelation:
-    """The X ⇸ E column of a value tuple over X, marked validated: callers
-    pass presheaves."""
+    """The X ⇸ E column of a value tuple over X."""
     return VRelation(X, unit_category(X.quantale),
-                     tuple((v,) for v in values), validated=True)
+                     tuple((v,) for v in values))
 
 
 def point_column(X: VCategory, label: str) -> VRelation:
@@ -212,6 +208,5 @@ def enumerate_distributors(X: VCategory, Y: VCategory,
                    tuple(tuple(q.tensor(X.hom[x][x2], Y.hom[y2][y])
                                for x2, y2 in pairs) for x, y in pairs))
     # the gate inside `presheaves` is the count just checked: it cannot fire
-    return tuple(VRelation(X, Y, tuple(vals[i * m:(i + 1) * m] for i in range(n)),
-                           validated=True)
+    return tuple(VRelation(X, Y, tuple(vals[i * m:(i + 1) * m] for i in range(n)))
                  for vals in presheaves(XY, budget))

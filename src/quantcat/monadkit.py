@@ -11,6 +11,7 @@ canonical comparison into it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Optional
 
 from .dist import (
@@ -259,78 +260,74 @@ def admissible_class_check(spec: SubmonadSpec, categories, functors,
     finite test universe: conjoints of functors belong; composition with
     conjoints on either side stays in the class; membership is decided
     columnwise; multiplication of a presheaf on PX whose restriction to
-    the member subcategory belongs lands on a member."""
-    report = {"spec": spec.name}
+    the member subcategory belongs lands on a member.
 
-    w = None
-    for f in functors:
-        if not phi_membership(spec, star_upper(f)):
-            w = f"{f.name}^*"
-            break
-    report["conjoints"] = {"ok": w is None, "witness": w}
+    Each condition is one search that stops at its first witness.  Within
+    a call each distributor list X ⇸ Y is enumerated once and each
+    membership decided once, both on first use, so gates and spec errors
+    fire where they would without the memo."""
 
-    w = None
-    for f in functors:
-        X, Y = f.dom, f.cod
-        for Z in categories:
-            for psi in enumerate_distributors(X, Z, budget):
-                if phi_membership(spec, psi) and \
-                        not phi_membership(spec, compose(psi, star_upper(f))):
-                    w = f"{_rel_desc(psi)}·{f.name}^*"
-                    break
-            else:
-                for phi in enumerate_distributors(Z, Y, budget):
-                    if phi_membership(spec, phi) and \
-                            not phi_membership(spec, compose(star_upper(f), phi)):
-                        w = f"{f.name}^*·{_rel_desc(phi)}"
-                        break
-                if w is None:
-                    continue
-            break
-        if w is not None:
-            break
-    report["composites"] = {"ok": w is None, "witness": w}
+    @cache
+    def dists(X, Y):
+        return enumerate_distributors(X, Y, budget)
 
-    w = None
-    for X in categories:
-        for Y in categories:
-            for phi in enumerate_distributors(X, Y, budget):
-                whole = phi_membership(spec, phi)
-                columns = all(
-                    phi_membership(spec, compose(point_column(Y, y), phi))
-                    for y in Y.objects)
-                if whole != columns:
-                    w = f"{_rel_desc(phi)} ({'in' if whole else 'out'} as a whole)"
-                    break
-            if w is not None:
-                break
-        if w is not None:
-            break
-    report["columnwise"] = {"ok": w is None, "witness": w,
-                            "independent": spec.dist_member is not None}
+    @cache
+    def member(phi):
+        return phi_membership(spec, phi)
 
-    w = None
+    def conjoints():
+        for f in functors:
+            if not member(star_upper(f)):
+                yield f"{f.name}^*"
+
+    def composites():
+        for f in functors:
+            up = star_upper(f)
+            for Z in categories:
+                for psi in dists(f.dom, Z):
+                    if member(psi) and not member(compose(psi, up)):
+                        yield f"{_rel_desc(psi)}·{f.name}^*"
+                for phi in dists(Z, f.cod):
+                    if member(phi) and not member(compose(up, phi)):
+                        yield f"{f.name}^*·{_rel_desc(phi)}"
+
+    def columnwise():
+        for X in categories:
+            for Y in categories:
+                for phi in dists(X, Y):
+                    whole = member(phi)
+                    if whole != all(member(compose(point_column(Y, y), phi))
+                                    for y in Y.objects):
+                        yield f"{_rel_desc(phi)} ({'in' if whole else 'out'} as a whole)"
+
     unchecked = []
-    for X in categories:
-        try:
-            PX = presheaf_category(X, budget)
-            TX = submonad_category(spec, X, budget)
-            PPX = presheaf_category(PX, budget)
-        except BudgetExceeded:
-            unchecked.append(X.name)
-            continue
-        keep = [i for i, v in enumerate(PX.presheaves) if spec.member(X, v)]
-        for gamma in PPX.presheaves:
-            restriction = tuple(gamma[i] for i in keep)
-            if spec.member(TX, restriction) and \
-                    not spec.member(X, mult_values(PX, gamma)):
-                w = f"{presheaf_label(gamma)} on P({X.name})"
-                break
-        if w is not None:
-            break
-    report["multiplication"] = {"ok": w is None, "witness": w,
-                                "unchecked": unchecked}
 
+    def multiplication():
+        for X in categories:
+            try:
+                PX = presheaf_category(X, budget)
+                TX = submonad_category(spec, X, budget)
+                PPX = presheaf_category(PX, budget)
+            except BudgetExceeded:
+                unchecked.append(X.name)
+                continue
+            # the positions in PX of the members, via the inclusion TX ↪ PX
+            keep = member_functor("incl", TX, PX, TX.presheaves).mapping
+            for gamma in PPX.presheaves:
+                if spec.member(TX, tuple(gamma[i] for i in keep)) and \
+                        not spec.member(X, mult_values(PX, gamma)):
+                    yield f"{presheaf_label(gamma)} on P({X.name})"
+
+    def first(search, **extra):
+        w = next(search(), None)
+        return {"ok": w is None, "witness": w, **extra}
+
+    report = {"spec": spec.name,
+              "conjoints": first(conjoints),
+              "composites": first(composites),
+              "columnwise": first(columnwise,
+                                  independent=spec.dist_member is not None),
+              "multiplication": first(multiplication, unchecked=unchecked)}
     report["admissible"] = all(report[k]["ok"] for k in
                                ("conjoints", "composites", "columnwise",
                                 "multiplication"))

@@ -117,7 +117,7 @@ def member_functor(name: str, dom: VCategory, T: PresheafCategory, images,
         if escape is not None and vals not in idx:
             raise escape(i, vals)
         mapping.append(idx[vals])
-    return VFunctor(name, dom, T, tuple(mapping), validated=True)
+    return VFunctor(name, dom, T, tuple(mapping))
 
 
 def yoneda(X: VCategory, PX: PresheafCategory = None) -> VFunctor:
@@ -170,21 +170,20 @@ def _sample_theta(PPX: PresheafCategory, rng: random.Random, kind: int):
         g = rng.randrange(npp)
         return tuple(PPX.hom[i][g] for i in range(npp))
     if kind == 1:
-        PX = PPX.base
-        yi = member_functor("y", PX, PPX, representables(PX)).mapping
-        gv = PPX.presheaves[rng.randrange(npp)]
-        return tuple(q.join_tensor([row[p] for p in yi], gv) for row in PPX.hom)
+        y = member_functor("y", PPX.base, PPX, representables(PPX.base))
+        return map_values(y, PPX.presheaves[rng.randrange(npp)])
     g = [rng.choice(q.carrier) for _ in range(npp)]
     return tuple(q.join_tensor(row, g) for row in PPX.hom)
 
 
 def verify_monad_laws(X: VCategory, budget: int = DEFAULT_BUDGET,
-                      seed: int = 0, samples: int = DEFAULT_SAMPLES) -> dict:
+                      seed: int = 0) -> dict:
     """Unit and associativity laws for the presheaf structure on X.
 
     Units are always exhaustive over PX.  Associativity is exhaustive
-    when every presheaf on PPX fits the budget, sampled (seeded, from
-    lawful sources) when only PPX itself does, and unchecked otherwise.
+    when every presheaf on PPX fits the budget, sampled (DEFAULT_SAMPLES
+    seeded θs from lawful sources) when only PPX itself does, and
+    unchecked otherwise.
     """
     q = X.quantale
     PX = presheaf_category(X, budget)
@@ -227,7 +226,7 @@ def verify_monad_laws(X: VCategory, budget: int = DEFAULT_BUDGET,
         else:
             assoc["mode"] = "sampled"
             rng = random.Random(seed)
-            thetas = (_sample_theta(PPX, rng, t % 3) for t in range(samples))
+            thetas = (_sample_theta(PPX, rng, t % 3) for t in range(DEFAULT_SAMPLES))
         for theta in thetas:
             assoc["checked"] += 1
             if not routes_agree(theta):

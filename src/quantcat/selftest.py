@@ -133,7 +133,7 @@ def _all_functors(cats):
             for mp in functors(X, Y):
                 num = functools.reduce(lambda acc, i: acc * m + i, mp, 0)  # product rank
                 out.append(VFunctor(f"{X.name}->{Y.name}#{num}",
-                                    X, Y, mp, validated=True))
+                                    X, Y, mp))
     return out
 
 
@@ -521,7 +521,7 @@ def _full_subchain(V, labels, name):
     idx = [V.objects.index(l) for l in labels]
     sub = validate_category(name, V.quantale, [V.objects[i] for i in idx],
                             [[V.hom[i][j] for j in idx] for i in idx])
-    h = VFunctor(f"incl_{name}", sub, V, tuple(idx), validated=True)
+    h = VFunctor(f"incl_{name}", sub, V, tuple(idx))
     return sub, h
 
 
@@ -742,13 +742,12 @@ def criterion_12(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
     expect = {}
     curated["identity"] = identity_functor(chain3)
     expect["identity"] = True
-    curated["crush"] = VFunctor("crush", lat4, chain2, (0, 0, 0, 1),
-                                validated=True)
+    curated["crush"] = VFunctor("crush", lat4, chain2, (0, 0, 0, 1))
     expect["crush"] = False
     q = BOOL
     for c, tag, want in ((q.unit, "hom(k,-)", True), (q.bottom, "hom(0,-)", False)):
         mp = tuple(q.hom(c, v).index for v in q.carrier)
-        curated[tag] = VFunctor(tag, homv, homv, mp, validated=True)
+        curated[tag] = VFunctor(tag, homv, homv, mp)
         expect[tag] = want
     strictness = {}
     for tag, f in curated.items():

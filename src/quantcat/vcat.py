@@ -50,7 +50,6 @@ class VFunctor:
     dom: VCategory
     cod: VCategory
     mapping: tuple[int, ...]  # dom object index -> cod object index
-    validated: bool = True
 
     def __call__(self, i: int) -> int:
         return self.mapping[i]
@@ -123,7 +122,7 @@ def validate_functor(name, dom, cod, mapping) -> VFunctor:
                 raise NotAFunctor(
                     f"{name}: a({dom.objects[i]},{dom.objects[j]}) = {dom.hom[i][j]} ≰ "
                     f"b({cod.objects[f(i)]},{cod.objects[f(j)]}) = {cod.hom[f(i)][f(j)]}")
-    return VFunctor(name, dom, cod, f.mapping, validated=True)
+    return VFunctor(name, dom, cod, f.mapping)
 
 
 def raw_functor(name, dom, cod, mapping) -> VFunctor:
@@ -137,7 +136,7 @@ def raw_functor(name, dom, cod, mapping) -> VFunctor:
     if len(mapping) != len(dom.objects) or any(
             not (0 <= i < len(cod.objects)) for i in mapping):
         raise NotAFunctor(f"{name}: mapping is not total on {dom.name}")
-    return VFunctor(name, dom, cod, mapping, validated=False)
+    return VFunctor(name, dom, cod, mapping)
 
 
 def is_functor(dom, cod, mapping) -> bool:

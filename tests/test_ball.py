@@ -198,7 +198,7 @@ def test_non_algebra_detected_on_every_route():
     V = hom_self_category(BOOL)
     BV = ball_category(V)
     from quantcat.vcat import VFunctor
-    crushed = VFunctor("to_top", BV, V, (1,) * len(BV.objects), validated=True)
+    crushed = VFunctor("to_top", BV, V, (1,) * len(BV.objects))
     rep = ball_algebra_check(crushed)
     assert rep["algebra"] is False
     assert rep["unit_pointing"] == {"ok": False, "witness": "0"}

@@ -1,11 +1,16 @@
 """Workspace parsing, report rendering, and exit codes of the CLI."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantcat import cli
 from quantcat.errors import InternalError, ParseError, UnresolvedReference
@@ -199,6 +204,72 @@ def test_wrong_json_types_are_parse_errors(tmp_path, capsys, doc):
     code, _, err = run(["validate", "--workspace", write(tmp_path, doc)], capsys)
     assert code == 2
     assert "ParseError" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("raw", ["1/0", "0/0"])
+def test_zero_denominator_is_not_a_value(tmp_path, capsys, raw):
+    doc = {"quantales": [{"name": "E", "kind": "ext_real_plus"}],
+           "categories": [{"name": "M", "quantale": "E", "objects": ["a"],
+                           "hom": [[raw]]}]}
+    path = write(tmp_path, doc)
+    code, out, err = run(["validate", "--workspace", path], capsys)
+    assert code == 1
+    assert f"{raw!r} is not an element of ext_real_plus" in out
+    assert "Traceback" not in out + err
+    code, out, err = run(
+        ["check", "separated", "--category", "M", "--workspace", path], capsys)
+    assert code == 2
+    assert "ValidationError" in err and "Traceback" not in out + err
+
+
+def test_a_carrier_label_may_read_as_a_zero_fraction(tmp_path, capsys):
+    zero_label = {"name": "D", "carrier": ["o", "1/0"], "leq": [["o", "1/0"]],
+                  "tensor": [["o", "o"], ["o", "1/0"]], "unit": "1/0"}
+    doc = {"quantales": [zero_label],
+           "categories": [{"name": "M", "quantale": "D", "objects": ["a", "b"],
+                           "hom": [["1/0", "o"], ["o", "1/0"]]}]}
+    path = write(tmp_path, doc)
+    code, out, _ = run(["validate", "--workspace", path], capsys)
+    assert code == 0 and "PASS      category:M" in out
+    code, _, _ = run(
+        ["check", "separated", "--category", "M", "--workspace", path], capsys)
+    assert code == 0
+
+
+# one record value: mostly rational strings of at most six digits (zero
+# denominators included), else another JSON scalar or a small list
+_RATIONAL = st.builds("{}/{}".format, st.integers(-99, 999),
+                      st.one_of(st.just(0), st.integers(0, 999)))
+_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(-9, 99),
+    st.floats(allow_nan=False, allow_infinity=False, width=16),
+    st.sampled_from(["inf", "o", "i", "a", "", "-", "1/"]),
+    st.integers(-99, 999).map(str), _RATIONAL)
+_VALUE = st.one_of(_RATIONAL, _SCALAR, st.lists(_SCALAR, max_size=2))
+_KINDS = [{"kind": "boolean2"}, {"kind": "goedel_chain", "n": 2},
+          {"kind": "lukasiewicz_chain", "n": 3}, {"kind": "ext_real_plus"},
+          {"kind": "unit_interval_product"}, {"kind": "lukasiewicz_rational"},
+          {k: v for k, v in _FIN.items() if k != "name"}]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.sampled_from(_KINDS), st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(_VALUE, min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_record_values_never_escape_the_exit_codes(kind, hom):
+    doc = {"quantales": [dict(kind, name="Q")],
+           "categories": [{"name": "M", "quantale": "Q",
+                           "objects": ["a", "b", "c"][:len(hom)], "hom": hom}]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "doc.json")
+        Path(path).write_text(json.dumps(doc))
+        for argv in (["validate"], ["check", "separated", "--category", "M"],
+                     ["compute", "presheaf", "--category", "M"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([*argv, "--workspace", path])
+            assert code in (0, 1, 2), (argv, doc)
+            assert "Traceback" not in out.getvalue() + err.getvalue()
 
 
 def test_parse_workspace_direct(ws_path):

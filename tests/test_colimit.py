@@ -58,7 +58,7 @@ RA = submonad_right_adjoints()
 def top_weight(X):
     E = point_column(X, X.objects[0]).cod
     col = tuple((X.quantale.top,) for _ in X.objects)
-    return VRelation(X, E, col, validated=True)
+    return VRelation(X, E, col)
 
 
 def test_weighted_diagram_guards():

@@ -1,10 +1,19 @@
 """Square checks, lax idempotency, and submonads of the presheaf construction."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
-from quantcat.dist import enumerate_distributors, identity_distributor, relation
+from quantcat import monadkit
+from quantcat.dist import (
+    compose,
+    enumerate_distributors,
+    identity_distributor,
+    point_column,
+    relation,
+    star_upper,
+)
 from quantcat.errors import (
     BudgetExceeded,
     MultiplicationEscapesT,
@@ -18,6 +27,7 @@ from quantcat.errors import (
 from quantcat.monadkit import (
     MonadInstance,
     SubmonadSpec,
+    _rel_desc,
     admissible_class_check,
     bc_star_square_check,
     canonical_comparison,
@@ -34,10 +44,12 @@ from quantcat.monadkit import (
     t_embedding_check,
 )
 from quantcat.presheaf import (
+    mult_values,
     multiplication,
     presheaf_category,
     presheaf_label,
     presheaf_map,
+    representables,
     yoneda,
 )
 from quantcat.quantale import builtin
@@ -52,7 +64,16 @@ from quantcat.vcat import (
     validate_category,
 )
 
-from .helpers import BOOL, bool_chain2, bool_chain3, bool_discrete, bool_indiscrete2, cat
+from .helpers import (
+    BOOL,
+    bool_chain2,
+    bool_chain3,
+    bool_discrete,
+    bool_indiscrete2,
+    cat,
+    luk2_asym,
+    luk2_sym,
+)
 
 CHAIN2 = bool_chain2()
 CHAIN3 = bool_chain3()
@@ -200,7 +221,7 @@ def test_constant_mult_fails_every_route():
     PPX = presheaf_category(PX)
     top = len(PX.objects) - 1
     crushed = VFunctor("mult_chain2", PPX, PX,
-                       tuple(top for _ in PPX.objects), validated=True)
+                       tuple(top for _ in PPX.objects))
     broken = MonadInstance("crushed", P.apply, P.map, P.unit, lambda X: crushed)
     rep = lax_idempotency_report(broken, CHAIN2)
     assert rep["bc_square"] is False
@@ -213,7 +234,6 @@ def test_constant_mult_fails_every_route():
 def test_enumerate_distributors_counts():
     found = enumerate_distributors(CHAIN2, CHAIN2)
     assert len(found) == 6
-    assert all(r.validated for r in found)
     cols = enumerate_distributors(CHAIN2, E)
     assert len(cols) == len(presheaf_category(CHAIN2).presheaves)
     with pytest.raises(BudgetExceeded):
@@ -338,6 +358,169 @@ def test_broken_class_fails_columnwise_only():
         "independent": True,
     }
     assert rep["admissible"] is False
+
+
+def _nested_admissible_class_check(spec, categories, functors, budget):
+    """The nested-loop search `admissible_class_check` replaced, kept as
+    the oracle for its reports, witnesses and exceptions."""
+    report = {"spec": spec.name}
+
+    w = None
+    for f in functors:
+        if not phi_membership(spec, star_upper(f)):
+            w = f"{f.name}^*"
+            break
+    report["conjoints"] = {"ok": w is None, "witness": w}
+
+    w = None
+    for f in functors:
+        X, Y = f.dom, f.cod
+        for Z in categories:
+            for psi in enumerate_distributors(X, Z, budget):
+                if phi_membership(spec, psi) and \
+                        not phi_membership(spec, compose(psi, star_upper(f))):
+                    w = f"{_rel_desc(psi)}·{f.name}^*"
+                    break
+            else:
+                for phi in enumerate_distributors(Z, Y, budget):
+                    if phi_membership(spec, phi) and \
+                            not phi_membership(spec, compose(star_upper(f), phi)):
+                        w = f"{f.name}^*·{_rel_desc(phi)}"
+                        break
+                if w is None:
+                    continue
+            break
+        if w is not None:
+            break
+    report["composites"] = {"ok": w is None, "witness": w}
+
+    w = None
+    for X in categories:
+        for Y in categories:
+            for phi in enumerate_distributors(X, Y, budget):
+                whole = phi_membership(spec, phi)
+                columns = all(
+                    phi_membership(spec, compose(point_column(Y, y), phi))
+                    for y in Y.objects)
+                if whole != columns:
+                    w = f"{_rel_desc(phi)} ({'in' if whole else 'out'} as a whole)"
+                    break
+            if w is not None:
+                break
+        if w is not None:
+            break
+    report["columnwise"] = {"ok": w is None, "witness": w,
+                            "independent": spec.dist_member is not None}
+
+    w = None
+    unchecked = []
+    for X in categories:
+        try:
+            PX = presheaf_category(X, budget)
+            TX = submonad_category(spec, X, budget)
+            PPX = presheaf_category(PX, budget)
+        except BudgetExceeded:
+            unchecked.append(X.name)
+            continue
+        keep = [i for i, v in enumerate(PX.presheaves) if spec.member(X, v)]
+        for gamma in PPX.presheaves:
+            restriction = tuple(gamma[i] for i in keep)
+            if spec.member(TX, restriction) and \
+                    not spec.member(X, mult_values(PX, gamma)):
+                w = f"{presheaf_label(gamma)} on P({X.name})"
+                break
+        if w is not None:
+            break
+    report["multiplication"] = {"ok": w is None, "witness": w,
+                                "unchecked": unchecked}
+
+    report["admissible"] = all(report[k]["ok"] for k in
+                               ("conjoints", "composites", "columnwise",
+                                "multiplication"))
+    return report
+
+
+def _table_spec(categories, with_member_tables=True):
+    """Representables on each X; on tbl(X), every presheaf but the last."""
+    table = {X.name: {presheaf_label(v) for v in representables(X)}
+             for X in categories}
+    if with_member_tables:
+        base = submonad_user_table("tbl", dict(table))
+        for X in categories:
+            TX = submonad_category(base, X)
+            table[TX.name] = {presheaf_label(v)
+                              for v in presheaf_category(TX).presheaves[:-1]}
+    return submonad_user_table("tbl", table)
+
+
+# test universes as (categories, budget); over lukasiewicz_chain(2), a
+# budget of 100 leaves PPX unchecked and 50 stops the distributor lists
+_LUK = [luk2_sym(), luk2_asym()]
+_UNIVERSES = {
+    "bool2": ([CHAIN2, DISC2], 10 ** 6),
+    "bool3": ([CHAIN2, INDISC2, cat("chain1", BOOL, ["x"], [[1]])], 10 ** 6),
+    "luk": (_LUK, 10 ** 6),
+    "luk_budget100": (_LUK, 100),
+    "luk_budget50": (_LUK, 50),
+}
+_SPECS = {
+    "all": lambda cats: submonad_all(),
+    "right_adjoints": lambda cats: submonad_right_adjoints(),
+    "whole_only": lambda cats: SubmonadSpec(
+        "whole_only", member=lambda X, vals: True,
+        dist_member=lambda phi: len(phi.cod.objects) != 1),
+    "representables": lambda cats: SubmonadSpec(
+        "representables", member=lambda X, vals: vals in representables(X)),
+    "has_bottom": lambda cats: SubmonadSpec(
+        "has_bottom", member=lambda X, vals: X.quantale.bottom in vals),
+    # the same class decided on whole distributors: here the first failing
+    # (f, Z) has a witness on each side, so the search order shows
+    "bottom_entry": lambda cats: SubmonadSpec(
+        "bottom_entry", member=lambda X, vals: X.quantale.bottom in vals,
+        dist_member=lambda phi: any(phi.dom.quantale.bottom in row
+                                    for row in phi.matrix)),
+    "table": _table_spec,
+    "table_without_tbl": lambda cats: _table_spec(cats, False),
+}
+
+
+@pytest.mark.parametrize("universe, spec_name",
+                         list(itertools.product(_UNIVERSES, _SPECS)))
+def test_admissible_class_check_matches_the_nested_search(universe, spec_name):
+    cats, budget = _UNIVERSES[universe]
+    funs = all_functors(cats)
+    spec = _SPECS[spec_name](cats)
+
+    def outcome(check):
+        try:
+            return check(spec, cats, funs, budget)
+        except (BudgetExceeded, SpecMismatch) as e:
+            return f"{type(e).__name__}: {e}"
+
+    assert outcome(admissible_class_check) == \
+        outcome(_nested_admissible_class_check)
+
+
+@pytest.mark.parametrize("spec_name", ["all", "right_adjoints", "whole_only",
+                                       "representables"])
+def test_admissibility_enumerates_and_decides_once(monkeypatch, spec_name):
+    enumerated, decided = Counter(), Counter()
+
+    def counting_enumerate(X, Y, budget):
+        enumerated[X, Y] += 1
+        return enumerate_distributors(X, Y, budget)
+
+    def counting_membership(spec, phi):
+        decided[phi.dom, phi.cod, phi.matrix] += 1
+        return phi_membership(spec, phi)
+
+    monkeypatch.setattr(monadkit, "enumerate_distributors", counting_enumerate)
+    monkeypatch.setattr(monadkit, "phi_membership", counting_membership)
+    cats, _ = _UNIVERSES["bool2"]
+    admissible_class_check(_SPECS[spec_name](cats), cats, all_functors(cats))
+    assert set(enumerated) == {(X, Y) for X in cats for Y in cats}
+    assert max(enumerated.values()) == 1
+    assert max(decided.values()) == 1
 
 
 def test_t_embedding_checks():
