@@ -5,7 +5,11 @@ A workspace is a single JSON document with any of the sections
 `submonad_specs`, `sequences`; each section is a list of named records.
 Values are exact: integers, rational strings like "3/4" (a zero
 denominator makes the string a label), "inf" (for the extended-real
-quantale), or carrier labels of a finite quantale.  Hom
+quantale), or carrier labels of a finite quantale.  A rational string
+whose numerator or denominator, written out in full before reduction,
+has more than `sys.get_int_max_str_digits()` digits (4300 by default)
+is a parse error: "1e4299" is read, "1e4300" and "1e999999999" are not,
+and no such integer is ever built.  Hom
 and weight matrices are row-major in declared object order.  Quantale
 records never carry a "hom" table — residuation is derived, and
 supplying one is rejected outright.
@@ -44,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -110,6 +115,39 @@ _SECTIONS = ("quantales", "categories", "functors", "relations", "squares",
 
 # ------------------------------------------------------------ value parsing
 
+# A rational string in the syntax `Fraction` reads, on every Python this
+# package supports, with its digit runs as groups.  Compiled on first use,
+# by `re`'s cache, so that start-up does not pay for it.
+_RATIONAL_TEXT = r"""\s*[-+]?(?=\d|\.\d)(?P<num>(?:\d+(?:_\d+)*)?)
+    (?:\s*/\s*(?P<den>\d+(?:_\d+)*)
+      |(?:\.(?P<dec>(?:\d+(?:_\d+)*)?))?(?:[eE](?P<exp>[-+]?\d+(?:_\d+)*))?)\s*\Z"""
+
+
+def _refuse_long_rational(raw, where):
+    """ParseError if `raw` is a rational string whose numerator or
+    denominator, written out in full before reduction, has more digits
+    than Python converts to a string; read from the text alone, so that
+    `Fraction(raw)` never builds such an integer."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    if len(raw) <= limit and "e" not in raw and "E" not in raw:
+        return  # no part of it is longer than the string
+    m = re.match(_RATIONAL_TEXT, raw, re.VERBOSE)
+    if m is None:
+        return  # a label
+    num, den, dec, exp = ((m[g] or "").replace("_", "") for g in ("num", "den", "dec", "exp"))
+    if den:
+        digits = max(len(num), len(den))
+    elif len(exp.lstrip("+-").lstrip("0")) > len(str(limit)):
+        digits = limit + 1  # the exponent alone is longer than the limit
+    else:
+        shift = int(exp or 0) - len(dec)
+        digits = max(len(num) + len(dec) + max(shift, 0), 1 + max(-shift, 0))
+    if digits > limit:
+        shown = repr(raw) if len(raw) <= 40 else repr(raw[:40]) + "…"
+        raise ParseError(f"{where}: {shown} has a numerator or denominator "
+                         f"of more than {limit} digits")
+
+
 def _record_value(raw, q, where):
     """One JSON entry as an element of q: int, 'p/q', 'inf', or label."""
     if isinstance(raw, bool) or isinstance(raw, float):
@@ -121,6 +159,7 @@ def _record_value(raw, q, where):
         if raw == "inf":
             candidates = [INF]
         else:
+            _refuse_long_rational(raw, where)
             try:
                 candidates = [Fraction(raw), raw]
             except (ValueError, ZeroDivisionError):  # not a rational: a label
@@ -283,6 +322,15 @@ def parse_workspace(path) -> Workspace:
             ws.order.append((section, name))
             yield rec, name, f"{where} ({name})"
 
+    elements = {}  # (type, raw, quantale key) -> element: a value is read once
+
+    def value(raw, q, where):
+        key = (type(raw), raw, q.key)
+        e = elements.get(key)
+        if e is None:
+            e = elements[key] = _record_value(raw, q, where)
+        return e
+
     def keep(section, name, builder):
         try:
             ws.sections[section][name] = builder()
@@ -306,7 +354,7 @@ def parse_workspace(path) -> Workspace:
             if not isinstance(objects, list) or \
                     any(not isinstance(o, str) for o in objects):
                 raise ParseError(f"{where}: objects are strings")
-            rows = [[_record_value(v, q, where) for v in row]
+            rows = [[value(v, q, where) for v in row]
                     for row in _grid(hom, where, "hom")]
             return validate_category(name, q, objects, rows)
 
@@ -335,7 +383,7 @@ def parse_workspace(path) -> Workspace:
 
         def build():
             X, Y = ws.category(dom), ws.category(cod)
-            rows = [[_record_value(v, X.quantale, where) for v in row]
+            rows = [[value(v, X.quantale, where) for v in row]
                     for row in _grid(matrix, where, "matrix")]
             return relation(X, Y, rows)
 

@@ -4,9 +4,10 @@ A relation r: X ⇸ Y is a matrix r[x][y] over the shared quantale;
 composition is sup-of-tensor, (s·r)(x,z) = ⋁_y r(x,y) ⊗ s(y,z).
 A distributor additionally absorbs the hom structures on both sides.
 Companions f_* and f^* of a functor, adjoint pairs, and the right
-extension [φ,ψ](y,z) = ⋀_x hom(φ(x,y), ψ(x,z)) live here too.  Each
-entry of a composite is one `Quantale.join_tensor` call, each entry of
-a right extension one `Quantale.meet_hom` call.
+extension [φ,ψ](y,z) = ⋀_x hom(φ(x,y), ψ(x,z)) live here too.  A
+composite and the order test `first_violation` run on the integer codes
+of `Quantale.coded`; each entry of a right extension is one
+`Quantale.meet_hom` call.
 """
 
 from __future__ import annotations
@@ -50,12 +51,8 @@ def relation(dom, cod, matrix) -> VRelation:
 def first_violation(r: VRelation, s: VRelation):
     """First (x,y) where r(x,y) ≰ s(x,y), or None."""
     _same_shape(r, s)
-    q = r.dom.quantale
-    for i, (ra, rb) in enumerate(zip(r.matrix, s.matrix)):
-        for j, (a, b) in enumerate(zip(ra, rb)):
-            if not q.leq(a, b):
-                return (r.dom.objects[i], r.cod.objects[j])
-    return None
+    w = r.dom.quantale.coded(r.matrix, s.matrix).escape(0, 1)
+    return None if w is None else (r.dom.objects[w[0]], r.cod.objects[w[1]])
 
 
 def _same_shape(r, s):
@@ -68,17 +65,13 @@ def compose(s: VRelation, r: VRelation) -> VRelation:
     if not r.cod.same_shape(s.dom):
         raise ShapeMismatch(
             f"cannot compose: {r.dom.name} ⇸ {r.cod.name} then {s.dom.name} ⇸ {s.cod.name}")
-    q = r.dom.quantale
-    s_cols = _columns(s)
-    matrix = tuple(tuple(q.join_tensor(row, col) for col in s_cols)
-                   for row in r.matrix)
+    matrix = r.dom.quantale.coded(r.matrix, _columns(s)).sup_tensor(0, 1)
     return VRelation(r.dom, s.cod, matrix)
 
 
 def _columns(r: VRelation) -> tuple:
     """The transposed matrix: one tuple per object of the codomain."""
-    return tuple(tuple(row[j] for row in r.matrix)
-                 for j in range(len(r.cod.objects)))
+    return tuple(zip(*r.matrix)) if r.matrix else ((),) * len(r.cod.objects)
 
 
 def identity_distributor(X: VCategory) -> VRelation:

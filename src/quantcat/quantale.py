@@ -17,6 +17,10 @@ carrier as `QElem.index`, which eq and hash ignore, so `leq`, `tensor`,
 `hom`, `join2` and `meet2` on a finite quantale are plain lookups in
 tables indexed by it.  Ownership is checked by comparing the element's
 `owner` with the quantale's key, never by hashing the element.
+
+`Quantale.coded` is the matrix kernel: it codes a family of matrices as
+integers (carrier indices, or the values over one common denominator) and
+runs the transitivity, order and sup-tensor checks on the codes.
 """
 
 from __future__ import annotations
@@ -24,6 +28,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import lcm
+from operator import add, attrgetter, getitem, gt, lt, mul, sub
 
 from .errors import (
     BadParameter,
@@ -402,6 +409,11 @@ class Quantale:
         the right extension.  The empty meet is the top element."""
         return self.meet(map(self.hom, us, vs))
 
+    def coded(self, *matrices) -> "Coded":
+        """A family of matrices over this quantale, coded as integers: the
+        matrix kernel of the transitivity, order and composition checks."""
+        return _CODED.get(self.kind, _FiniteCoded)(self, matrices)
+
     # ----- predicates -----
 
     def flags(self) -> QuantaleFlags:
@@ -429,6 +441,170 @@ class Quantale:
 
     def __repr__(self):
         return f"Quantale({self.name})"
+
+
+_INDEX, _OWNER, _VALUE = attrgetter("index"), attrgetter("owner"), attrgetter("value")
+
+
+class Coded:
+    """A family of matrices over one quantale, every entry read as an integer.
+
+    `codes[a]` is matrix a of the family in its kind's codes (`_code`),
+    chosen so that the order and the tensor are integer arithmetic or
+    table lookups.  Each kind gives two row tests, `_rows_leq` (every
+    entry of one row below the paired entry of another) and
+    `_row_transitive` (p ⊗ qₘ ≤ rₘ for every m), and the join of a row
+    of tensors, `_join_tensor`, turned back into an element by `_decode`.
+    Each runs at C speed, as `map` over `operator` functions.  Only a row
+    known to fail is then scanned entry by entry, with the same test on
+    one-entry slices, so every witness is the first one in scan order.
+    """
+
+    def __init__(self, q: Quantale, matrices):
+        self.q = q
+        entries = chain.from_iterable(chain.from_iterable(matrices))
+        try:
+            owned = {*map(_OWNER, entries)} <= {q.key}
+        except AttributeError:  # not a QElem
+            owned = False
+        if not owned:  # check raises ForeignElement
+            matrices = tuple(tuple(tuple(map(q.check, row)) for row in m) for m in matrices)
+        self.codes = self._code(matrices)
+
+    def escape(self, a, b):
+        """The first (x, y), row-major, with a[x][y] ≰ b[x][y]; else None."""
+        for x, (ra, rb) in enumerate(zip(self.codes[a], self.codes[b])):
+            if not self._rows_leq(ra, rb):
+                return x, next(y for y in range(len(ra))
+                               if not self._rows_leq(ra[y:y + 1], rb[y:y + 1]))
+        return None
+
+    def transitivity_escape(self, a):
+        """The first (i, j, m) in index order with a[i][j] ⊗ a[j][m] ≰
+        a[i][m], the (T) law of a hom matrix; else None."""
+        A = self.codes[a]
+        for i, row_i in enumerate(A):
+            for j, p in enumerate(row_i):
+                if not self._row_transitive(p, A[j], row_i):
+                    return i, j, next(m for m in range(len(row_i)) if not
+                                      self._row_transitive(p, A[j][m:m + 1], row_i[m:m + 1]))
+        return None
+
+    def sup_tensor(self, a, b):
+        """The matrix of ⋁ᵧ a[x][y] ⊗ b[z][y] over the rows x of a and z of
+        b, as elements: `join_tensor` of every pair of rows at once."""
+        return tuple(tuple(self._decode(self._join_tensor(ra, rb)) for rb in self.codes[b])
+                     for ra in self.codes[a])
+
+
+class _FiniteCoded(Coded):
+    """The code of a carrier element is its index `QElem.index`, read
+    inside each test, so coding copies nothing; order, tensor and join
+    are the tables.  `sup_tensor` looks up each row's tensor rows once."""
+
+    def _code(self, matrices):
+        if None in map(_INDEX, chain.from_iterable(chain.from_iterable(matrices))):
+            # a hand-built element: check swaps it for its carrier element
+            matrices = tuple(tuple(tuple(map(self.q.check, row)) for row in m)
+                             for m in matrices)
+        return matrices
+
+    def _rows_leq(self, ra, rb):
+        return all(map(getitem, map(self.q._leq.__getitem__, map(_INDEX, ra)),
+                       map(_INDEX, rb)))
+
+    def _row_transitive(self, p, row_q, row_r):
+        q = self.q
+        return all(map(getitem, map(q._leq.__getitem__, map(
+            q._tensor[p.index].__getitem__, map(_INDEX, row_q))), map(_INDEX, row_r)))
+
+    def sup_tensor(self, a, b):
+        q = self.q
+        join, carrier = q._join_t, q.carrier
+        out = []
+        for ra in self.codes[a]:
+            rows = tuple(map(q._tensor.__getitem__, map(_INDEX, ra)))
+            out_row = []
+            for rb in self.codes[b]:
+                c = q._bottom_i
+                for t in set(map(getitem, rows, map(_INDEX, rb))):
+                    c = join[c][t]
+                out_row.append(carrier[c])
+            out.append(tuple(out_row))
+        return tuple(out)
+
+
+class _RationalCoded(Coded):
+    """Codes are the values times D, the least common denominator of every
+    finite entry of the family; INF codes as None, which `_ExtRealCoded`
+    replaces by its sentinel.  The order is the numeric one."""
+
+    def _code(self, matrices):
+        values = tuple(tuple(tuple(map(_VALUE, row)) for row in m) for m in matrices)
+        D = lcm(*{v.denominator for m in values for row in m for v in row
+                  if v is not INF})
+        self.D = D
+        return tuple(tuple(tuple(None if v is INF else v.numerator * (D // v.denominator)
+                                 for v in row) for row in m) for m in values)
+
+    def _rows_leq(self, ra, rb):
+        return not any(map(gt, ra, rb))
+
+
+class _ExtRealCoded(_RationalCoded):
+    """[0,∞] under +, ordered by ≥: p ⊗ q ≤ r is p + q ≥ r.  INF codes as
+    the sentinel S = 2·(largest finite code) + 1, which no sum of two
+    finite codes reaches, so a sum is ≥ S exactly when a summand is INF."""
+
+    def _code(self, matrices):
+        codes = super()._code(matrices)
+        S = 2 * max((c for m in codes for row in m for c in row if c is not None),
+                    default=0) + 1
+        self.S = S
+        return tuple(tuple(tuple(S if c is None else c for c in row) for row in m)
+                     for m in codes)
+
+    def _rows_leq(self, ra, rb):
+        return not any(map(lt, ra, rb))
+
+    def _row_transitive(self, p, row_q, row_r):
+        return max(map(sub, row_r, row_q)) <= p
+
+    def _join_tensor(self, ra, rb):
+        return min(map(add, ra, rb), default=self.S)
+
+    def _decode(self, c):
+        return QElem(self.q.key, INF if c >= self.S else Fraction(c, self.D))
+
+
+class _ProductCoded(_RationalCoded):
+    """[0,1] under ·: p ⊗ q ≤ r is p·q ≤ r·D; a composite is over D²."""
+
+    def _row_transitive(self, p, row_q, row_r):
+        return not any(map(gt, map(p.__mul__, row_q), map(self.D.__mul__, row_r)))
+
+    def _join_tensor(self, ra, rb):
+        return max(map(mul, ra, rb), default=0)
+
+    def _decode(self, c):
+        return QElem(self.q.key, Fraction(c, self.D * self.D))
+
+
+class _LukasiewiczCoded(_RationalCoded):
+    """[0,1] under max(p + q − 1, 0): p ⊗ q ≤ r is p + q − D ≤ r."""
+
+    def _row_transitive(self, p, row_q, row_r):
+        return max(map(sub, row_q, row_r)) <= self.D - p
+
+    def _join_tensor(self, ra, rb):
+        return max(max(map(add, ra, rb), default=0) - self.D, 0)
+
+    def _decode(self, c):
+        return QElem(self.q.key, Fraction(c, self.D))
+
+
+_CODED = {"ext_real_plus": _ExtRealCoded, "unit_interval_product": _ProductCoded,
+          "lukasiewicz_rational": _LukasiewiczCoded}
 
 
 def _close_order(n, pairs):

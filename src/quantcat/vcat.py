@@ -3,7 +3,8 @@
 A V-category is a finite object list with a hom matrix over a quantale,
 satisfying reflexivity (k <= a(x,x)) and transitivity
 (a(x,x') ⊗ a(x',x'') <= a(x,x'')).  Witnesses reported by the validators
-are always the first violation in object-index order.
+are always the first violation in object-index order.  The (T) check runs
+on the integer codes of `Quantale.coded`.
 """
 
 from __future__ import annotations
@@ -40,6 +41,16 @@ class VCategory:
         return (self.quantale == other.quantale and self.objects == other.objects
                 and self.hom == other.hom)
 
+    def __hash__(self):
+        """The dataclass hash of the fields, computed once per instance:
+        a memo keyed by a relation or category hashes it on every lookup."""
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.name, self.quantale, self.objects, self.hom))
+            object.__setattr__(self, "_hash", h)
+            return h
+
     def __repr__(self):
         return f"VCategory({self.name}, {len(self.objects)} objects)"
 
@@ -75,14 +86,13 @@ def validate_category(name, quantale, objects, hom) -> VCategory:
         if not quantale.leq(k, matrix[i][i]):
             raise ReflexivityFail(
                 f"k ≰ a({objects[i]},{objects[i]}) = {matrix[i][i]} in {name}")
-    for i in range(n):
-        for j in range(n):
-            for m in range(n):
-                lhs = quantale.tensor(matrix[i][j], matrix[j][m])
-                if not quantale.leq(lhs, matrix[i][m]):
-                    raise TransitivityFail(
-                        f"a({objects[i]},{objects[j]}) ⊗ a({objects[j]},{objects[m]}) "
-                        f"= {lhs} ≰ a({objects[i]},{objects[m]}) = {matrix[i][m]} in {name}")
+    w = quantale.coded(matrix).transitivity_escape(0)
+    if w is not None:
+        i, j, m = w
+        raise TransitivityFail(
+            f"a({objects[i]},{objects[j]}) ⊗ a({objects[j]},{objects[m]}) "
+            f"= {quantale.tensor(matrix[i][j], matrix[j][m])} ≰ "
+            f"a({objects[i]},{objects[m]}) = {matrix[i][m]} in {name}")
     return VCategory(name, quantale, objects, matrix)
 
 

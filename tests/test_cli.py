@@ -238,12 +238,21 @@ def test_a_carrier_label_may_read_as_a_zero_fraction(tmp_path, capsys):
 
 # one record value: mostly rational strings of at most six digits (zero
 # denominators included), else another JSON scalar or a small list
-_RATIONAL = st.builds("{}/{}".format, st.integers(-99, 999),
-                      st.one_of(st.just(0), st.integers(0, 999)))
+_RATIONAL = st.one_of(
+    st.builds("{}/{}".format, st.integers(-99, 999),
+              st.one_of(st.just(0), st.integers(0, 999))),
+    # exponent forms, on both sides of the digit limit
+    st.builds("{}e{}".format, st.integers(-9, 99), st.integers(-4400, 4400)),
+    st.builds("{}.{}E{}".format, st.integers(0, 9), st.integers(0, 99),
+              st.integers(-99, 99)),
+    # digit strings near the limit of 4300
+    st.builds("{}{}".format, st.sampled_from(["", "1/", "0."]),
+              st.integers(4290, 4310).map("3".__mul__)))
 _SCALAR = st.one_of(
     st.none(), st.booleans(), st.integers(-9, 99),
     st.floats(allow_nan=False, allow_infinity=False, width=16),
-    st.sampled_from(["inf", "o", "i", "a", "", "-", "1/"]),
+    st.sampled_from(["inf", "o", "i", "a", "", "-", "1/", "1e999999999",
+                     "1e-999999999", "0e999999999", "e5", "1e"]),
     st.integers(-99, 999).map(str), _RATIONAL)
 _VALUE = st.one_of(_RATIONAL, _SCALAR, st.lists(_SCALAR, max_size=2))
 _KINDS = [{"kind": "boolean2"}, {"kind": "goedel_chain", "n": 2},
@@ -270,6 +279,24 @@ def test_record_values_never_escape_the_exit_codes(kind, hom):
                 code = cli.main([*argv, "--workspace", path])
             assert code in (0, 1, 2), (argv, doc)
             assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+@pytest.mark.parametrize("value, code", [
+    ("1e4299", 0), ("1e-4299", 0), ("1" * 4300 + "/7", 0),
+    ("1e4300", 2), ("1e-4300", 2), ("1e5000", 2), ("1e999999999", 2),
+    ("1e-999999999", 2), ("0e999999999", 2), ("7/" + "1" * 4301, 2),
+    ("1" * 4301, 2), ("1_0e4299", 2),
+])
+def test_rationals_past_the_digit_limit_are_parse_errors(tmp_path, capsys, value, code):
+    # the bound is on the text, so the exponent is never applied
+    doc = {"quantales": [{"name": "R", "kind": "ext_real_plus"}],
+           "categories": [{"name": "M", "quantale": "R", "objects": ["a", "b"],
+                           "hom": [[0, value], [value, 0]]}]}
+    got, out, err = run(["validate", "--workspace", write(tmp_path, doc)], capsys)
+    assert got == code
+    assert "Traceback" not in out + err
+    if code == 2:
+        assert "ParseError" in err and "more than 4300 digits" in err
 
 
 def test_parse_workspace_direct(ws_path):
@@ -567,6 +594,85 @@ def handler_report(argv, path, capsys):
 def test_handler_report_matches_golden(tmp_path, capsys, case):
     path = write(tmp_path, HANDLER_WS)
     code, report = handler_report(HANDLER_CASES[case], path, capsys)
+    golden = json.loads(GOLDEN_REPORTS.read_text())[case]
+    assert code == golden["exit"]
+    assert report == golden["report"]
+
+
+# The rational kinds, whose (T) and distributor checks run on integer codes.
+# Each failing record has a later violation too, so a witness out of scan
+# order shows.
+RATIONAL_WS = {
+    "quantales": [
+        {"name": "R", "kind": "ext_real_plus"},
+        {"name": "P", "kind": "unit_interval_product"},
+        {"name": "L", "kind": "lukasiewicz_rational"},
+    ],
+    "categories": [
+        {"name": "X", "quantale": "R", "objects": ["a", "b", "c"],
+         "hom": [[0, 1, "inf"], ["inf", 0, "inf"], ["inf", "1/2", 0]]},
+        {"name": "Z", "quantale": "R", "objects": ["u", "v"],
+         "hom": [[0, "3/2"], ["2/3", 0]]},
+        # (T) fails at (a,b,c), (b,c,a) and (c,a,b)
+        {"name": "Rbad", "quantale": "R", "objects": ["a", "b", "c"],
+         "hom": [[0, 1, "inf"], ["inf", 0, 2], ["1/3", "inf", 0]]},
+        # (T) fails at (a,b,c), but reflexivity at c comes first
+        {"name": "Rrefl", "quantale": "R", "objects": ["a", "b", "c"],
+         "hom": [[0, 1, 5], [0, 0, 1], [0, 0, 3]]},
+        {"name": "Pbad", "quantale": "P", "objects": ["a", "b", "c"],
+         "hom": [[1, "1/2", "1/8"], ["1/2", 1, "1/2"], [0, "1/3", 1]]},
+        {"name": "Lbad", "quantale": "L", "objects": ["a", "b", "c"],
+         "hom": [[1, "3/4", "1/5"], ["2/3", 1, "5/6"], ["1/7", "1/2", 1]]},
+        {"name": "Q", "quantale": "P", "objects": ["s", "t"],
+         "hom": [[1, "1/2"], ["1/3", 1]]},
+        {"name": "K", "quantale": "L", "objects": ["s", "t"],
+         "hom": [[1, "2/5"], ["3/4", 1]]},
+    ],
+    "relations": [
+        {"name": "x_pass", "dom": "X", "cod": "X",
+         "matrix": [[0, 1, "inf"], ["inf", 0, "inf"], ["inf", "1/2", 0]]},
+        # escapes at (a,u) and (c,u)
+        {"name": "x_dom_bad", "dom": "X", "cod": "Z",
+         "matrix": [["inf", 2], [0, "inf"], ["inf", "inf"]]},
+        {"name": "x_cod_bad", "dom": "X", "cod": "Z",
+         "matrix": [[1, 3], ["inf", "inf"], ["inf", "inf"]]},
+        {"name": "q_pass", "dom": "Q", "cod": "Q",
+         "matrix": [["1/2", "1/4"], ["1/6", "1/2"]]},
+        {"name": "q_dom_bad", "dom": "Q", "cod": "Q",
+         "matrix": [["1/2", "1/5"], ["1/6", "1/2"]]},
+        {"name": "k_pass", "dom": "K", "cod": "K",
+         "matrix": [[1, "2/5"], ["3/4", 1]]},
+        {"name": "k_cod_bad", "dom": "K", "cod": "K",
+         "matrix": [[0, 0], [0, "1/3"]]},
+    ],
+    "sequences": [
+        {"name": "seq", "category": "X", "points": ["c", "a", "b", "b"],
+         "stable_from": 2},
+    ],
+}
+
+RATIONAL_CASES = {
+    "rational-validate": ["validate"],
+    "rational-distributor-pass": ["check", "distributor", "--relation", "x_pass"],
+    "rational-distributor-domain": ["check", "distributor", "--relation",
+                                    "x_dom_bad"],
+    "rational-distributor-codomain": ["check", "distributor", "--relation",
+                                      "x_cod_bad"],
+    "product-distributor-pass": ["check", "distributor", "--relation", "q_pass"],
+    "product-distributor-domain": ["check", "distributor", "--relation",
+                                   "q_dom_bad"],
+    "lukasiewicz-distributor-pass": ["check", "distributor", "--relation",
+                                     "k_pass"],
+    "lukasiewicz-distributor-codomain": ["check", "distributor", "--relation",
+                                         "k_cod_bad"],
+    "rational-cauchy-pair": ["compute", "cauchy-pair", "--sequence", "seq"],
+}
+
+
+@pytest.mark.parametrize("case", list(RATIONAL_CASES))
+def test_rational_report_matches_golden(tmp_path, capsys, case):
+    path = write(tmp_path, RATIONAL_WS)
+    code, report = handler_report(RATIONAL_CASES[case], path, capsys)
     golden = json.loads(GOLDEN_REPORTS.read_text())[case]
     assert code == golden["exit"]
     assert report == golden["report"]

@@ -382,3 +382,164 @@ def test_every_op_rejects_a_foreign_element(q, x):
         for u, v in pairs:
             with pytest.raises(ForeignElement):
                 kernel([u], [v])
+
+
+# ---- the coded matrix kernel against the per-element ops ----
+
+# a lattice that is not a chain, so a coded join is not a max
+DIAMOND = make_finite_quantale(
+    "diamond", ["o", "a", "b", "i"], [("o", "a"), ("o", "b"), ("a", "i"), ("b", "i")],
+    [["o", "o", "o", "o"], ["o", "a", "o", "a"], ["o", "o", "b", "b"],
+     ["o", "a", "b", "i"]], "i")
+CODED_QUANTALES = KERNEL_QUANTALES + [DIAMOND]
+
+
+def _fraction_in(lo, hi_num, denominators):
+    return denominators.flatmap(
+        lambda d: st.integers(lo, hi_num * d).map(lambda n: Fraction(n, d)))
+
+
+# small and large denominators, mixed within one matrix
+_DENOMINATORS = st.one_of(st.integers(1, 12), st.integers(1, 10 ** 15))
+
+
+def _coded_elements(q):
+    if q.enumerable:
+        return st.sampled_from(q.carrier)
+    if q.kind == "ext_real_plus":
+        values = st.one_of(st.sampled_from([INF, F(0), F(1)]),
+                           _fraction_in(0, 40, _DENOMINATORS),
+                           st.integers(0, 10 ** 20).map(Fraction))
+    else:
+        values = st.one_of(st.sampled_from([F(0), F(1)]),
+                           _fraction_in(0, 1, _DENOMINATORS))
+    return values.map(q.elem)
+
+
+def _matrix(q, rows, cols):
+    return st.lists(st.lists(_coded_elements(q), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+def _first_escape(q, a, b):
+    for x, (ra, rb) in enumerate(zip(a, b)):
+        for y, (u, v) in enumerate(zip(ra, rb)):
+            if not q.leq(u, v):
+                return x, y
+    return None
+
+
+def _first_intransitive(q, a):
+    n = len(a)
+    for i in range(n):
+        for j in range(n):
+            for m in range(n):
+                if not q.leq(q.tensor(a[i][j], a[j][m]), a[i][m]):
+                    return i, j, m
+    return None
+
+
+def _below(q, data, e):
+    """An element strictly below e, or None when e is the bottom."""
+    if e == q.bottom:
+        return None
+    if q.enumerable:
+        return data.draw(st.sampled_from([v for v in q.carrier
+                                          if q.leq(v, e) and v != e]))
+    if q.kind == "ext_real_plus":
+        if e.value is INF:
+            raise AssertionError("INF is the bottom")
+        return q.elem(e.value + data.draw(st.sampled_from([F(1, 10 ** 9), F(1), INF])))
+    return q.elem(e.value * data.draw(st.sampled_from([F(0), F(1, 3), F(10 ** 9 - 1, 10 ** 9)])))
+
+
+CODED = settings(max_examples=300, derandomize=True, deadline=None)
+
+
+@CODED
+@given(st.sampled_from(CODED_QUANTALES), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_coded_escape_is_the_first_per_element_escape(q, rows, cols, data):
+    a = data.draw(_matrix(q, rows, cols))
+    # b above a everywhere, then lowered below a at a few planted cells
+    b = [[q.join2(u, v) for u, v in zip(ra, rb)]
+         for ra, rb in zip(a, data.draw(_matrix(q, rows, cols)))]
+    cells = [(x, y) for x in range(rows) for y in range(cols)]
+    planted = sorted(data.draw(st.lists(st.sampled_from(cells), max_size=3, unique=True))
+                     if cells else [])
+    for x, y in planted:
+        low = _below(q, data, a[x][y])
+        if low is not None:
+            b[x][y] = low
+    want = _first_escape(q, a, b)
+    assert q.coded(a, b).escape(0, 1) == want
+    assert want == next((c for c in planted if not q.leq(a[c[0]][c[1]], b[c[0]][c[1]])), None)
+    # and on two unrelated matrices
+    c = data.draw(_matrix(q, rows, cols))
+    assert q.coded(a, c).escape(0, 1) == _first_escape(q, a, c)
+
+
+def _closure(q, a):
+    """The least transitive matrix above a (Floyd–Warshall over V)."""
+    a = [row[:] for row in a]
+    for i in range(len(a)):
+        a[i][i] = q.join2(a[i][i], q.unit)
+    for k in range(len(a)):
+        for i in range(len(a)):
+            for j in range(len(a)):
+                a[i][j] = q.join2(a[i][j], q.tensor(a[i][k], a[k][j]))
+    return a
+
+
+@CODED
+@given(st.sampled_from(CODED_QUANTALES), st.integers(0, 5), st.data())
+def test_coded_transitivity_is_the_first_per_element_failure(q, n, data):
+    a = data.draw(_matrix(q, n, n))
+    assert q.coded(a).transitivity_escape(0) == _first_intransitive(q, a)
+    hom = _closure(q, a)
+    assert q.coded(hom).transitivity_escape(0) is None
+    assert _first_intransitive(q, hom) is None
+    # lower planted entries of a transitive matrix: the witness is the
+    # first failing triple in (i, j, m) order
+    for i, m in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                   max_size=2) if n else st.just([])):
+        low = _below(q, data, hom[i][m])
+        if low is not None:
+            hom[i][m] = low
+    assert q.coded(hom).transitivity_escape(0) == _first_intransitive(q, hom)
+
+
+@CODED
+@given(st.sampled_from(CODED_QUANTALES), st.integers(0, 4), st.integers(0, 4),
+       st.integers(0, 4), st.data())
+def test_coded_sup_tensor_is_join_tensor(q, rows, inner, cols, data):
+    a = data.draw(_matrix(q, rows, inner))
+    b = data.draw(_matrix(q, cols, inner))
+    got = q.coded(a, b).sup_tensor(0, 1)
+    want = tuple(tuple(q.join_tensor(ra, rb) for rb in b) for ra in a)
+    assert got == want
+    # the same elements: normalised Fractions, INF kept, carrier elements
+    assert [[(type(e.value), str(e)) for e in row] for row in got] == \
+        [[(type(e.value), str(e)) for e in row] for row in want]
+    if q.enumerable:
+        assert all(e is q.carrier[e.index] for row in got for e in row)
+
+
+def test_a_sum_of_finite_codes_never_reaches_inf():
+    q = builtin("ext_real_plus")
+    big, zero, inf = q.elem(F(7, 3)), q.elem(F(0)), q.elem(INF)
+    # (big + big) < inf: the sentinel must sit above twice the largest code
+    hom = [[zero, big, inf], [inf, zero, big], [inf, inf, zero]]
+    assert q.coded(hom).transitivity_escape(0) == (0, 1, 2)
+    assert q.coded([[big]], [[big]]).sup_tensor(0, 1) == ((q.elem(F(14, 3)),),)
+    assert q.coded([[inf, big]], [[zero, inf]]).sup_tensor(0, 1) == ((inf,),)
+
+
+@pytest.mark.parametrize("q", CODED_QUANTALES, ids=lambda q: q.name)
+def test_coded_accepts_hand_built_and_rejects_foreign_elements(q):
+    bare = QElem(q.key, q.unit.value)
+    assert q.coded([[bare]], [[q.unit]]).escape(0, 1) is None
+    assert q.coded([[bare]]).transitivity_escape(0) is None
+    assert q.coded([[bare]], [[bare]]).sup_tensor(0, 1) == ((q.unit,),)
+    for m in ([[FOREIGN]], [[q.unit, FOREIGN]]):
+        with pytest.raises(ForeignElement):
+            q.coded(m)

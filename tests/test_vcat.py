@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -17,6 +18,7 @@ from quantcat.vcat import (
     is_fully_faithful,
     is_functor,
     is_separated,
+    VCategory,
     raw_functor,
     unit_category,
     validate_functor,
@@ -150,3 +152,23 @@ def test_functors_is_the_object_map_filter(A):
         assert list(functors(A, X)) == [mp for mp in every if is_functor(A, X, mp)]
     asym = luk2_asym()
     assert list(functors(asym, asym)) == [(0, 0), (0, 1), (1, 1)]
+
+
+class _CountedHash:
+    calls = 0
+
+    def __hash__(self):
+        _CountedHash.calls += 1
+        return 7
+
+
+def test_category_hash_is_the_dataclass_hash_computed_once():
+    X = luk2_asym()
+    plain = dataclasses.make_dataclass(
+        "Plain", [f.name for f in dataclasses.fields(VCategory)], frozen=True)
+    assert hash(X) == hash(plain(X.name, X.quantale, X.objects, X.hom))
+    twin = VCategory(X.name, X.quantale, X.objects, X.hom)
+    assert twin == X and hash(twin) == hash(X) and len({X, twin}) == 1
+    counted = VCategory("C", BOOL, ("x",), ((_CountedHash(),),))
+    hash(counted), hash(counted), hash(counted)
+    assert _CountedHash.calls == 1
