@@ -14,7 +14,6 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .colimit import extension_row, find_representatives
 from .errors import (
     MultiplicationEscapesT,
     NotEnumerable,
@@ -22,6 +21,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .monadkit import MonadInstance
+from .presheaf import extension_row, find_representatives
 from .quantale import QElem, Quantale, show_value
 from .vcat import (
     VCategory,

@@ -52,17 +52,9 @@ import re
 import sys
 from fractions import Fraction
 
-from .ball import (
-    ball_algebra_check,
-    b_embedding_check,
-    ball_category,
-    ball_monad,
-    ball_unit,
-    cancellation_report,
-    tensored_check,
-)
-from .colimit import algebra_extract, t_homomorphism_check, weighted_colimit, weighted_diagram
-from .dist import relation, validate_distributor
+# Every process pays for what it imports here, and with no bytecode cache
+# it compiles it too; the other layers (dist, monadkit, ball, colimit,
+# lawvere, selftest) are imported inside the branch that calls them.
 from .errors import (
     BudgetExceeded,
     ForeignElement,
@@ -74,23 +66,8 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .lawvere import cauchy_pair, cauchy_sequence, is_L_complete, lawvere_completion
-from .monadkit import (
-    admissible_class_check,
-    bc_star_square_check,
-    lax_idempotency_report,
-    presheaf_monad,
-    square,
-    submonad_all,
-    submonad_category,
-    submonad_monad,
-    submonad_right_adjoints,
-    submonad_user_table,
-    t_embedding_check,
-)
 from .presheaf import DEFAULT_BUDGET, presheaf_category, yoneda
 from .quantale import INF, QElem, Quantale, builtin, make_finite_quantale, show_value
-from .selftest import run_selftest
 from .vcat import (
     VFunctor,
     check_adjunction,
@@ -270,6 +247,8 @@ def _build_quantale(rec, where):
 
 
 def _build_spec(rec, where):
+    from .monadkit import submonad_all, submonad_right_adjoints, submonad_user_table
+
     (kind,) = _take(rec, where, ("kind",), optional=("members",))
     if kind == "all":
         return submonad_all()
@@ -296,10 +275,14 @@ def parse_workspace(path) -> Workspace:
     """
     ws = Workspace()
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh, parse_float=_reject_floats)
     except FileNotFoundError:
         raise ParseError(f"{path}: no such file")
+    except OSError as e:
+        raise ParseError(f"{path}: cannot be read: {e.strerror or e}")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: byte {e.start} is not UTF-8")
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}:{e.lineno}:{e.colno}: {e.msg}")
     if not isinstance(doc, dict):
@@ -379,6 +362,8 @@ def parse_workspace(path) -> Workspace:
         keep("functors", name, build)
 
     for rec, name, where in records("relations"):
+        from .dist import relation
+
         dom, cod, matrix = _take(rec, where, ("dom", "cod", "matrix"))
 
         def build():
@@ -390,6 +375,8 @@ def parse_workspace(path) -> Workspace:
         keep("relations", name, build)
 
     for rec, name, where in records("squares"):
+        from .monadkit import square
+
         top, left, bottom, right = _take(
             rec, where, ("top", "left", "bottom", "right"))
         keep("squares", name,
@@ -400,6 +387,8 @@ def parse_workspace(path) -> Workspace:
         keep("submonad_specs", name, lambda: _build_spec(rec, where))
 
     for rec, name, where in records("sequences"):
+        from .lawvere import cauchy_sequence
+
         alias, points, stable = _take(
             rec, where, ("category", "points", "stable_from"))
 
@@ -511,6 +500,8 @@ def _run_check(ws, args, cname):
         ok, w = check_adjunction(f, g)
         return [_check(cname, ok, w)], {}, None
     if prop == "distributor":
+        from .dist import validate_distributor
+
         r = ws.relation(args.relation)
         try:
             validate_distributor(r)
@@ -518,18 +509,27 @@ def _run_check(ws, args, cname):
         except QuantcatError as e:
             return [_check(cname, False, str(e))], {}, None
     if prop == "bc-square":
+        from .monadkit import bc_star_square_check
+
         ok, w = bc_star_square_check(ws.square(args.square))
         return [_check(cname, ok, w)], {}, None
     if prop == "lax-idempotent":
+        from .monadkit import lax_idempotency_report, presheaf_monad
+
         X = ws.category(args.category)
         monad = args.monad or "presheaf"
-        T = {"presheaf": lambda: presheaf_monad(budget),
-             "ball": lambda: ball_monad(True),
-             "ball-plain": lambda: ball_monad(False)}[monad]()
+        if monad == "presheaf":
+            T = presheaf_monad(budget)
+        else:
+            from .ball import ball_monad
+
+            T = ball_monad(monad == "ball")
         rep = lax_idempotency_report(T, X)
         ok = rep["lax_idempotent"] and rep["routes_agree"]
         return [_check(cname, ok, detail=rep)], {}, None
     if prop == "admissible":
+        from .monadkit import admissible_class_check
+
         spec = ws.spec(args.spec)
         cats = list(ws.sections["categories"].values())
         funs = list(ws.sections["functors"].values())
@@ -553,15 +553,21 @@ def _run_check(ws, args, cname):
                                + ", ".join(skipped))], {}, None
         return [_check(cname, True, detail=rep)], {}, None
     if prop == "t-embedding":
+        from .monadkit import t_embedding_check
+
         rep = t_embedding_check(ws.spec(args.spec), ws.functor(args.functor))
         return [_check(cname, rep["t_embedding"], rep["witness"], detail=rep)], {}, None
     if prop == "b-embedding":
+        from .ball import b_embedding_check
+
         rep = b_embedding_check(ws.functor(args.functor))
         w = rep["ff_witness"] or rep["pointing"]["witness"] \
             or rep["scalar_identity"]["witness"]
         return [_check(cname, rep["b_embedding"],
                        None if rep["b_embedding"] else w, detail=rep)], {}, None
     if prop == "tensored":
+        from .ball import tensored_check
+
         rep = tensored_check(ws.category(args.category), not args.plain)
         detail = dict(rep, algebra=None if rep["algebra"] is None
                       else _functor_record(rep["algebra"]))
@@ -569,6 +575,8 @@ def _run_check(ws, args, cname):
     if prop == "ball-algebra":
         return _check_ball_algebra(ws, args, cname)
     if prop == "algebra":
+        from .colimit import algebra_extract
+
         rep = algebra_extract(ws.category(args.category),
                               ws.spec(args.spec), budget)
         w = ", ".join(rep["failures"]) or None
@@ -578,9 +586,13 @@ def _run_check(ws, args, cname):
     if prop == "homomorphism":
         return _check_homomorphism(ws, args, cname)
     if prop == "l-complete":
+        from .lawvere import is_L_complete
+
         ok, w = is_L_complete(ws.category(args.category), budget)
         return [_check(cname, ok, w)], {}, None
     if prop == "cancellative":
+        from .ball import cancellation_report
+
         q = ws.quantale(args.quantale)
         cats = (ws.category(args.category),) if args.category else ()
         if any(X.quantale is not q for X in cats):
@@ -593,6 +605,8 @@ def _run_check(ws, args, cname):
 
 
 def _check_ball_algebra(ws, args, cname):
+    from .ball import ball_algebra_check, ball_category
+
     f = ws.functor(args.functor)
     X = ws.category(args.category)
     BX = ball_category(X, not args.plain)
@@ -612,6 +626,8 @@ def _check_ball_algebra(ws, args, cname):
 
 
 def _check_homomorphism(ws, args, cname):
+    from .colimit import algebra_extract, t_homomorphism_check
+
     f = ws.functor(args.functor)
     spec = ws.spec(args.spec)
     algebras = []
@@ -639,6 +655,8 @@ def _run_compute(ws, args, cname):
                 {"category": PX.name, "unit": y.name},
                 _fragment(ws, [X, PX], [y]))
     if con == "ball":
+        from .ball import ball_category, ball_unit
+
         X = ws.category(args.category)
         BX = ball_category(X, not args.plain)
         unit = ball_unit(X, BX)
@@ -646,6 +664,8 @@ def _run_compute(ws, args, cname):
                 {"category": BX.name, "unit": unit.name},
                 _fragment(ws, [X, BX], [unit]))
     if con == "submonad":
+        from .monadkit import submonad_category, submonad_monad
+
         X = ws.category(args.category)
         spec = ws.spec(args.spec)
         TX = submonad_category(spec, X, budget)
@@ -654,6 +674,9 @@ def _run_compute(ws, args, cname):
                 {"category": TX.name, "unit": unit.name},
                 _fragment(ws, [X, TX], [unit]))
     if con == "colimit":
+        from .colimit import weighted_colimit, weighted_diagram
+        from .dist import validate_distributor
+
         w = ws.relation(args.weight)
         f = ws.functor(args.diagram)
         try:
@@ -672,6 +695,8 @@ def _run_compute(ws, args, cname):
                 {"functor": g.name},
                 _fragment(ws, [g.dom, g.cod], [g]))
     if con == "algebra":
+        from .colimit import algebra_extract
+
         X = ws.category(args.category)
         spec = ws.spec(args.spec)
         rep = algebra_extract(X, spec, budget)
@@ -683,12 +708,16 @@ def _run_compute(ws, args, cname):
                 {"functor": alpha.name},
                 _fragment(ws, [alpha.dom, X], [alpha]))
     if con == "lawvere-completion":
+        from .lawvere import lawvere_completion
+
         X = ws.category(args.category)
         LX, unit = lawvere_completion(X, budget)
         return ([_check(cname, True, detail={"objects": len(LX.objects)})],
                 {"category": LX.name, "unit": unit.name},
                 _fragment(ws, [X, LX], [unit]))
     if con == "cauchy-pair":
+        from .lawvere import cauchy_pair
+
         X, seq = ws.sequence(args.sequence)
         pair, label = cauchy_pair(X, seq)
         return ([_check(cname, True, detail={"representative": label})],
@@ -759,6 +788,8 @@ def run(args, argv):
     report = {"command": command, "budget": args.budget, "seed": args.seed}
     outputs, fragment = {}, None
     if args.command == "selftest":
+        from .selftest import run_selftest
+
         checks = [{"name": r["name"], "verdict": r["verdict"],
                    "witness": r["witness"], "reason": None,
                    "detail": _jsonable(dict(r["detail"], label=r["label"]))}

@@ -21,7 +21,8 @@ from .errors import (
     SpecMismatch,
 )
 from .monadkit import SubmonadSpec, submonad_category, submonad_monad
-from .presheaf import DEFAULT_BUDGET, presheaf_label, representables
+from .presheaf import (DEFAULT_BUDGET, extension_row, find_representatives, presheaf_label,
+                       representables)
 from .vcat import (VCategory, VFunctor, check_adjunction, functors, identity_functor,
                    is_functor)
 
@@ -42,12 +43,6 @@ def weighted_diagram(weight: VRelation, diagram: VFunctor) -> WeightedDiagram:
     if not weight.dom.same_shape(diagram.dom):
         raise ShapeMismatch("weight and diagram must share their source")
     return WeightedDiagram(weight, diagram)
-
-
-def find_representatives(Z: VCategory, row) -> tuple:
-    """All z whose lower companion row Z(z,−) equals the given row."""
-    row = tuple(row)
-    return tuple(z for z in range(len(Z.objects)) if tuple(Z.hom[z]) == row)
 
 
 def weighted_colimit(d: WeightedDiagram) -> VFunctor:
@@ -74,13 +69,6 @@ def weighted_colimit(d: WeightedDiagram) -> VFunctor:
     if star_lower(g).matrix != target.matrix:
         raise InternalError(f"{g.name}_* is not the right extension")
     return g
-
-
-def extension_row(X: VCategory, vals) -> tuple:
-    """[φ, (1_X)_*](∗,−) for a presheaf φ on X given by its value tuple."""
-    q = X.quantale
-    return tuple(q.meet_hom(vals, [row[j] for row in X.hom])
-                 for j in range(len(X.objects)))
 
 
 def cocompleteness_check(Z: VCategory, spec: SubmonadSpec, diagrams=(),

@@ -8,12 +8,11 @@ elsewhere; the two routes agreeing is part of the test suite.
 
 from dataclasses import dataclass
 
-from .colimit import extension_row, find_representatives
 from .dist import VRelation, column, enumerate_distributors, point_column, point_row
 from .errors import (BudgetExceeded, InternalError, NotEventuallyConstant, NotIntegral,
                      PreconditionFail)
-from .presheaf import (DEFAULT_BUDGET, candidate_count, full_subcategory, member_functor,
-                       presheaf_category, representables)
+from .presheaf import (DEFAULT_BUDGET, candidate_count, extension_row, find_representatives,
+                       full_subcategory, member_functor, presheaf_category, representables)
 from .vcat import VCategory, is_fully_faithful, unit_category
 
 

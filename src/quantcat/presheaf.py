@@ -87,6 +87,19 @@ def representables(X: VCategory) -> tuple:
     return tuple(tuple(row[x] for row in X.hom) for x in range(len(X.objects)))
 
 
+def extension_row(X: VCategory, vals) -> tuple:
+    """[φ, (1_X)_*](∗,−) for a presheaf φ on X given by its value tuple."""
+    q = X.quantale
+    return tuple(q.meet_hom(vals, [row[j] for row in X.hom])
+                 for j in range(len(X.objects)))
+
+
+def find_representatives(Z: VCategory, row) -> tuple:
+    """All z whose lower companion row Z(z,−) equals the given row."""
+    row = tuple(row)
+    return tuple(z for z in range(len(Z.objects)) if tuple(Z.hom[z]) == row)
+
+
 @lru_cache(maxsize=None)
 def presheaf_category(X: VCategory, budget: int = DEFAULT_BUDGET) -> PresheafCategory:
     return full_subcategory(f"P({X.name})", X, presheaves(X, budget))

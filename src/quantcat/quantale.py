@@ -25,7 +25,6 @@ runs the transitivity, order and sup-tensor checks on the codes.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -623,6 +622,8 @@ def _close_order(n, pairs):
 
 
 def _structural_key(labels, leq_pairs, tensor_labels, unit_label):
+    import hashlib  # only user-defined finite quantales need it
+
     canon = repr((tuple(labels), tuple(sorted(leq_pairs)), tuple(tensor_labels), unit_label))
     return "finite:" + hashlib.sha256(canon.encode()).hexdigest()[:12]
 

@@ -314,6 +314,24 @@ def test_missing_file(tmp_path):
         cli.parse_workspace(str(tmp_path / "nope.json"))
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("unreadable, message", [
+    ("directory", "cannot be read: Is a directory"),
+    ("not-utf8", "byte 0 is not UTF-8"),
+], ids=["directory", "not-utf8"])
+def test_unreadable_workspace_is_a_parse_error(tmp_path, capsys, unreadable, message, fmt):
+    path = tmp_path / unreadable
+    if unreadable == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe{")
+    code, out, err = run(["validate", "--workspace", str(path), "--format", fmt], capsys)
+    assert code == 2
+    assert "Traceback" not in out + err
+    shown = json.loads(out)["error"] if fmt == "json" else err
+    assert "ParseError" in shown and message in shown
+
+
 # ------------------------------------------------------------ check verbs
 
 
@@ -709,6 +727,47 @@ def test_text_report_shape(ws_path, capsys):
     lines = out.splitlines()
     assert lines[0].startswith("quantcat check separated")
     assert lines[1] == "PASS      separated[C2]"
+
+
+# ------------------------------------------------------------- start-up
+
+# prints the quantcat modules loaded after the statements in argv[1]
+_LOADED = ("import sys\n"
+           "exec(sys.argv[1])\n"
+           "print(*sorted(m for m in sys.modules if m.startswith('quantcat.')),"
+           " 'hashlib' in sys.modules, file=sys.stderr)")
+
+
+def loaded_after(code, *argv):
+    """(quantcat modules, whether hashlib is loaded) in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", _LOADED, code, *argv],
+                          capture_output=True, text=True)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    *modules, has_hashlib = proc.stderr.splitlines()[-1].split()
+    return {m.removeprefix("quantcat.") for m in modules}, has_hashlib == "True"
+
+
+CLI_MAIN = "from quantcat import cli; cli.main(sys.argv[2:])"
+
+
+def test_import_loads_no_command_layer():
+    modules, has_hashlib = loaded_after("import quantcat.cli")
+    assert not modules & {"selftest", "ball", "colimit", "lawvere", "monadkit", "dist"}
+    assert not has_hashlib
+
+
+def test_a_cheap_check_loads_only_its_layers(tmp_path):
+    doc = {"quantales": BASIC["quantales"], "categories": BASIC["categories"]}
+    modules, _ = loaded_after(CLI_MAIN, "check", "separated", "--category", "C2",
+                              "--workspace", write(tmp_path, doc))
+    assert modules == {"cli", "errors", "quantale", "vcat", "presheaf"}
+
+
+def test_compute_ball_loads_no_colimit_or_lawvere(tmp_path):
+    doc = {"quantales": BASIC["quantales"], "categories": BASIC["categories"]}
+    modules, _ = loaded_after(CLI_MAIN, "compute", "ball", "--category", "C2",
+                              "--workspace", write(tmp_path, doc))
+    assert "ball" in modules and not modules & {"colimit", "lawvere"}
 
 
 def test_module_entry_point(ws_path):

@@ -5,7 +5,6 @@ import pytest
 from quantcat.colimit import (
     algebra_extract,
     cocompleteness_check,
-    extension_row,
     injectivity_check,
     min_characterization,
     min_point,
@@ -37,6 +36,7 @@ from quantcat.monadkit import (
     submonad_right_adjoints,
     submonad_user_table,
 )
+from quantcat.presheaf import extension_row
 from quantcat.quantale import builtin, show_value
 from quantcat.vcat import hom_self_category, identity_functor, raw_functor
 

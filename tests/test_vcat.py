@@ -2,6 +2,8 @@ import dataclasses
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quantcat.errors import (
     NotAFunctor,
@@ -35,6 +37,7 @@ from .helpers import (
     cat,
     luk2_asym,
 )
+from .test_quantale import CODED, DIAMOND, _closure, _coded_elements, _matrix
 
 
 def test_validate_category_luk2():
@@ -172,3 +175,44 @@ def test_category_hash_is_the_dataclass_hash_computed_once():
     counted = VCategory("C", BOOL, ("x",), ((_CountedHash(),),))
     hash(counted), hash(counted), hash(counted)
     assert _CountedHash.calls == 1
+
+
+# the rational kinds and two finite ones, one of them not a chain
+_FUNCTOR_QUANTALES = [builtin(kind) for kind in ("ext_real_plus", "unit_interval_product",
+                                                 "lukasiewicz_rational")] + [
+    builtin("goedel_chain", 3), DIAMOND]
+
+
+def _first_nonfunctorial_pair(dom, cod, mp):
+    """The first (i, j), row-major, with a(i,j) ≰ b(f i, f j); else None."""
+    q = dom.quantale
+    for i in range(len(mp)):
+        for j in range(len(mp)):
+            if not q.leq(dom.hom[i][j], cod.hom[mp[i]][mp[j]]):
+                return i, j
+    return None
+
+
+@CODED
+@given(st.sampled_from(_FUNCTOR_QUANTALES), st.integers(0, 4), st.integers(1, 4), st.data())
+def test_validate_functor_names_the_first_escape_of_the_per_pair_scan(q, n, m, data):
+    Y = VCategory("Y", q, tuple(f"y{k}" for k in range(m)),
+                  tuple(map(tuple, _closure(q, data.draw(_matrix(q, m, m))))))
+    mp = tuple(data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)))
+    # the hom pulled back along mp is a functor's domain; raising a few
+    # entries plants violations, some of which are real
+    hom = [[Y.hom[mp[i]][mp[j]] for j in range(n)] for i in range(n)]
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    for i, j in data.draw(st.lists(st.sampled_from(cells), max_size=3, unique=True)
+                          if cells else st.just([])):
+        hom[i][j] = q.join2(hom[i][j], data.draw(st.one_of(st.just(q.top), _coded_elements(q))))
+    X = VCategory("X", q, tuple(f"x{k}" for k in range(n)), tuple(map(tuple, hom)))
+    want = _first_nonfunctorial_pair(X, Y, mp)
+    if want is None:
+        assert validate_functor("f", X, Y, mp).mapping == mp
+        return
+    i, j = want
+    with pytest.raises(NotAFunctor) as e:
+        validate_functor("f", X, Y, mp)
+    assert str(e.value) == (f"f: a(x{i},x{j}) = {X.hom[i][j]} ≰ "
+                            f"b(y{mp[i]},y{mp[j]}) = {Y.hom[mp[i]][mp[j]]}")
