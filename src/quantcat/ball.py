@@ -18,7 +18,6 @@ from .errors import (
     MultiplicationEscapesT,
     NotEnumerable,
     PreconditionFail,
-    ShapeMismatch,
 )
 from .monadkit import MonadInstance
 from .presheaf import extension_row, find_representatives
@@ -38,6 +37,8 @@ class BallCategory(VCategory):
     base: VCategory = None
     pairs: tuple = ()    # (object index, radius), aligned with .objects
     extended: bool = True
+
+    __hash__ = VCategory.__hash__  # else @dataclass writes a field-wise, unmemoised one
 
 
 def ball_label(x_label: str, r: QElem) -> str:
@@ -64,29 +65,23 @@ def _pair_index(BX: BallCategory) -> dict:
     return {p: i for i, p in enumerate(BX.pairs)}
 
 
-def ball_functor(f: VFunctor, BX: BallCategory = None,
-                 BY: BallCategory = None) -> VFunctor:
-    extended = BX.extended if BX is not None else True
-    BX = BX or ball_category(f.dom, extended)
-    BY = BY or ball_category(f.cod, extended)
+def ball_functor(f: VFunctor, BX: BallCategory, BY: BallCategory) -> VFunctor:
     idx = _pair_index(BY)
     mapping = tuple(idx[(f(i), r)] for i, r in BX.pairs)
-    prefix = "Bb" if extended else "B"
+    prefix = "Bb" if BX.extended else "B"
     return VFunctor(f"{prefix}({f.name})", BX, BY, mapping)
 
 
-def ball_unit(X: VCategory, BX: BallCategory = None) -> VFunctor:
-    BX = BX or ball_category(X)
+def ball_unit(X: VCategory, BX: BallCategory) -> VFunctor:
     idx = _pair_index(BX)
     k = X.quantale.unit
     mapping = tuple(idx[(i, k)] for i in range(len(X.objects)))
     return VFunctor(f"unit_{X.name}", X, BX, mapping)
 
 
-def ball_mult(X: VCategory, BX: BallCategory = None,
+def ball_mult(X: VCategory, BX: BallCategory,
               BBX: BallCategory = None) -> VFunctor:
     q = X.quantale
-    BX = BX or ball_category(X)
     BBX = BBX or ball_category(BX, BX.extended)
     idx = _pair_index(BX)
     mapping = []
@@ -258,54 +253,6 @@ def ball_algebra_check(alpha: VFunctor) -> dict:
         "algebra": unit_w is None,
         "agree": len(set(verdicts)) == 1,
     }
-
-
-def monotone_map(X: VCategory, Y: VCategory, mapping) -> bool:
-    q = X.quantale
-    k = q.unit
-    return all(q.leq(k, Y.hom[mapping[i]][mapping[j]])
-               for i in range(len(X.objects)) for j in range(len(X.objects))
-               if q.leq(k, X.hom[i][j]))
-
-
-def ball_functor_criterion(mapping, alpha_x: VFunctor, alpha_y: VFunctor) -> dict:
-    """A map between tensored categories is a functor exactly when it is
-    monotone and f(x) ⊕ r ≤ f(x ⊕ r)."""
-    from .vcat import is_functor
-    X, Y = alpha_x.cod, alpha_y.cod
-    q = X.quantale
-    mapping = tuple(mapping)
-    idy = _pair_index(alpha_y.dom)
-    lax = all(
-        q.leq(q.unit, Y.hom[alpha_y(idy[(mapping[i], r)])][mapping[alpha_x(j)]])
-        for j, (i, r) in enumerate(alpha_x.dom.pairs))
-    criterion = monotone_map(X, Y, mapping) and lax
-    return {"criterion": criterion,
-            "functor": is_functor(X, Y, mapping),
-            "agree": criterion == is_functor(X, Y, mapping)}
-
-
-def ball_morphism_check(f: VFunctor, alpha_x: VFunctor, alpha_y: VFunctor) -> dict:
-    """Algebra morphisms: the lax inequality f(x) ⊕ r ≤ f(x ⊕ r) holds
-    for every functor; being a morphism asks for equality."""
-    if alpha_x.dom.extended != alpha_y.dom.extended:
-        raise ShapeMismatch("mixed ball variants")
-    X, Y = f.dom, f.cod
-    q = X.quantale
-    idy = _pair_index(alpha_y.dom)
-    lax_w = None
-    strict_w = None
-    for j, (i, r) in enumerate(alpha_x.dom.pairs):
-        through_x = f(alpha_x(j))
-        through_y = alpha_y(idy[(f(i), r)])
-        if lax_w is None and not q.leq(q.unit, Y.hom[through_y][through_x]):
-            lax_w = alpha_x.dom.objects[j]
-        if strict_w is None and through_x != through_y:
-            strict_w = alpha_x.dom.objects[j]
-    return {"functor": f.name,
-            "lax": {"ok": lax_w is None, "witness": lax_w},
-            "strict": {"ok": strict_w is None, "witness": strict_w},
-            "morphism": strict_w is None}
 
 
 # -------------------------------------------------------------- cancellation

@@ -86,6 +86,10 @@ PROPERTIES = ("separated", "fully-faithful", "fully-dense", "adjunction",
 CONSTRUCTIONS = ("presheaf", "ball", "submonad", "colimit", "algebra",
                  "lawvere-completion", "cauchy-pair")
 
+# the record flags of check/compute, in the order a check name lists them
+_TARGETS = ("quantale", "category", "functor", "adjoint", "relation",
+            "square", "spec", "weight", "diagram", "sequence")
+
 _SECTIONS = ("quantales", "categories", "functors", "relations", "squares",
              "submonad_specs", "sequences")
 
@@ -774,9 +778,7 @@ def _exit_code(checks):
 
 
 def _target_tokens(args):
-    order = ("quantale", "category", "functor", "adjoint", "relation",
-             "square", "spec", "weight", "diagram", "sequence")
-    parts = [getattr(args, a) for a in order if getattr(args, a, None)]
+    parts = [getattr(args, a) for a in _TARGETS if getattr(args, a, None)]
     if getattr(args, "plain", False):
         parts.append("plain")
     return ",".join(parts)
@@ -837,8 +839,7 @@ def _parser():
                         help="seed for sampled law checks")
 
     def targets(sp):
-        for flag in ("quantale", "category", "functor", "adjoint", "relation",
-                     "square", "spec", "weight", "diagram", "sequence"):
+        for flag in _TARGETS:
             sp.add_argument(f"--{flag}")
         sp.add_argument("--plain", action="store_true",
                         help="plain ball variant (radii above bottom)")

@@ -103,21 +103,6 @@ def is_distributor(r: VRelation) -> bool:
         return False
 
 
-def functor_criterion(r: VRelation) -> bool:
-    """Distributor test in functor form: a(x',x) ⊗ b(y,y') <= hom(r(x,y), r(x',y'))
-    for all pairs — r as a map X^op ⊗ Y -> (V, hom)."""
-    q = r.dom.quantale
-    a, b, m = r.dom.hom, r.cod.hom, r.matrix
-    for i in range(len(r.dom.objects)):
-        for i2 in range(len(r.dom.objects)):
-            for j in range(len(r.cod.objects)):
-                for j2 in range(len(r.cod.objects)):
-                    if not q.leq(q.tensor(a[i2][i], b[j][j2]),
-                                 q.hom(m[i][j], m[i2][j2])):
-                        return False
-    return True
-
-
 def star_lower(f: VFunctor) -> VRelation:
     """f_*: X ⇸ Y with f_*(x,y) = Y(f x, y)."""
     Y = f.cod

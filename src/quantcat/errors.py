@@ -99,11 +99,7 @@ class NotCommuting(QuantcatError):
     pass
 
 
-# --- ball module preconditions ---
-
-class NotIntegral(QuantcatError):
-    """Check requires the unit to be the top element."""
-
+# --- preconditions ---
 
 class PreconditionFail(QuantcatError):
     """A named precondition of the check does not hold; says which."""

@@ -9,8 +9,7 @@ elsewhere; the two routes agreeing is part of the test suite.
 from dataclasses import dataclass
 
 from .dist import VRelation, column, enumerate_distributors, point_column, point_row
-from .errors import (BudgetExceeded, InternalError, NotEventuallyConstant, NotIntegral,
-                     PreconditionFail)
+from .errors import BudgetExceeded, InternalError, NotEventuallyConstant, PreconditionFail
 from .presheaf import (DEFAULT_BUDGET, candidate_count, extension_row, find_representatives,
                        full_subcategory, member_functor, presheaf_category, representables)
 from .vcat import VCategory, is_fully_faithful, unit_category
@@ -133,11 +132,3 @@ def cauchy_pair(X: VCategory, seq: CauchySequenceSpec):
         raise InternalError("the stable point must represent its own weight")
     return pair, X.objects[lim]
 
-
-def l_dense_point_check(X: VCategory, label: str) -> bool:
-    """Over an integral quantale: the point is below every other one."""
-    q = X.quantale
-    if q.unit != q.top:
-        raise NotIntegral(f"{q.name} has unit below top")
-    y = X.index(label)
-    return all(q.leq(q.unit, X.hom[y][x]) for x in range(len(X.objects)))

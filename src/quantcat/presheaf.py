@@ -33,6 +33,8 @@ class PresheafCategory(VCategory):
     base: VCategory = None
     presheaves: tuple = ()  # value tuples, aligned with .objects
 
+    __hash__ = VCategory.__hash__  # else @dataclass writes a field-wise, unmemoised one
+
 
 def presheaf_label(values) -> str:
     return "[" + ",".join(show_value(e.value) for e in values) + "]"
@@ -133,20 +135,16 @@ def member_functor(name: str, dom: VCategory, T: PresheafCategory, images,
     return VFunctor(name, dom, T, tuple(mapping))
 
 
-def yoneda(X: VCategory, PX: PresheafCategory = None) -> VFunctor:
+def yoneda(X: VCategory, PX: PresheafCategory) -> VFunctor:
     """x ↦ x^* = a(−,x).  Fully faithful, checked."""
-    PX = PX or presheaf_category(X)
     y = member_functor(f"y_{X.name}", X, PX, representables(X))
     if not is_fully_faithful(y)[0]:
         raise InternalError(f"{y.name} is not fully faithful")
     return y
 
 
-def presheaf_map(f: VFunctor, PX=None, PY=None) -> VFunctor:
+def presheaf_map(f: VFunctor, PX: PresheafCategory, PY: PresheafCategory) -> VFunctor:
     """Pf: PX → PY, φ ↦ φ·f^*, i.e. y ↦ ⋁_x Y(y, f x) ⊗ φ(x)."""
-    X, Y = f.dom, f.cod
-    PX = PX or presheaf_category(X)
-    PY = PY or presheaf_category(Y)
     return member_functor(f"P({f.name})", PX, PY,
                           (map_values(f, vals) for vals in PX.presheaves))
 
@@ -165,25 +163,24 @@ def mult_values(PX: PresheafCategory, gamma):
                  for i in range(len(PX.base.objects)))
 
 
-def multiplication(X: VCategory, PX=None, PPX=None,
-                   budget: int = DEFAULT_BUDGET) -> VFunctor:
+def multiplication(X: VCategory, budget: int = DEFAULT_BUDGET) -> VFunctor:
     """m_X: PPX → PX by sup-of-tensor evaluation."""
-    PX = PX or presheaf_category(X, budget)
-    PPX = PPX or presheaf_category(PX, budget)
+    PX = presheaf_category(X, budget)
+    PPX = presheaf_category(PX, budget)
     return member_functor(f"m_{X.name}", PPX, PX,
                           (mult_values(PX, g) for g in PPX.presheaves))
 
 
-def _sample_theta(PPX: PresheafCategory, rng: random.Random, kind: int):
+def _sample_theta(PPX: PresheafCategory, y: VFunctor, rng: random.Random, kind: int):
     """A presheaf on PPX from one of three always-lawful sources:
-    representables, images of the mapped Yoneda embedding, down-closures."""
+    representables, images of the mapped Yoneda embedding y: PX → PPX,
+    down-closures."""
     q = PPX.quantale
     npp = len(PPX.objects)
     if kind == 0:
         g = rng.randrange(npp)
         return tuple(PPX.hom[i][g] for i in range(npp))
     if kind == 1:
-        y = member_functor("y", PPX.base, PPX, representables(PPX.base))
         return map_values(y, PPX.presheaves[rng.randrange(npp)])
     g = [rng.choice(q.carrier) for _ in range(npp)]
     return tuple(q.join_tensor(row, g) for row in PPX.hom)
@@ -239,7 +236,9 @@ def verify_monad_laws(X: VCategory, budget: int = DEFAULT_BUDGET,
         else:
             assoc["mode"] = "sampled"
             rng = random.Random(seed)
-            thetas = (_sample_theta(PPX, rng, t % 3) for t in range(DEFAULT_SAMPLES))
+            y_px = member_functor("y", PX, PPX, representables(PX))
+            thetas = (_sample_theta(PPX, y_px, rng, t % 3)
+                      for t in range(DEFAULT_SAMPLES))
         for theta in thetas:
             assoc["checked"] += 1
             if not routes_agree(theta):

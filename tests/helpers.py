@@ -1,4 +1,4 @@
-"""Shared builders for small test categories."""
+"""Shared builders for small test categories, and test oracles."""
 
 from fractions import Fraction
 
@@ -52,3 +52,19 @@ def luk2_sym():
 def point(X, label):
     """The point E → X picking out `label`."""
     return VFunctor(f"pt_{label}", unit_category(X.quantale), X, (X.index(label),))
+
+
+def functor_criterion(r) -> bool:
+    """Distributor test in functor form: a(x',x) ⊗ b(y,y') <= hom(r(x,y), r(x',y'))
+    for all pairs — r as a map X^op ⊗ Y -> (V, hom).  An oracle for
+    `dist.is_distributor`, which checks the two actions instead."""
+    q = r.dom.quantale
+    a, b, m = r.dom.hom, r.cod.hom, r.matrix
+    for i in range(len(r.dom.objects)):
+        for i2 in range(len(r.dom.objects)):
+            for j in range(len(r.cod.objects)):
+                for j2 in range(len(r.cod.objects)):
+                    if not q.leq(q.tensor(a[i2][i], b[j][j2]),
+                                 q.hom(m[i][j], m[i2][j2])):
+                        return False
+    return True

@@ -1,12 +1,19 @@
-"""Every public library function is reached from the library itself.
+"""The package holds only what a CLI command or the battery runs.
 
-A public module-level function of `src/quantcat` must be named (called,
-passed or imported) somewhere in the package, or be listed in KEEP with
-the reason it stays although nothing in the package uses it.  A function
-that only its own unit tests call fails this scan: wire it in or delete it.
+Reachability is by name, over the abstract syntax trees of
+`src/quantcat`.  The roots are the functions of `cli.py`, every name in
+a module's top-level statements other than its definitions (so
+`selftest.CRITERIA`, and through it the battery, is a root), and KEEP.
+A top-level function or class is reached when a reached definition or
+a root names it (calls it, passes it, raises it or subclasses it).  A
+definition that only tests, or only other unreached definitions, name
+fails the scan: wire it in or delete it.  Test oracles live in
+`tests/helpers.py`.  KEEP holds what stays although nothing in the
+package names it yet, each with its reason.
 
-The package also holds no `assert` statement: `python -O` strips them, so
-an invariant the library relies on raises `InternalError` instead.
+Every import in the package and in the tests is used, and the package
+holds no `assert` statement: `python -O` strips them, so an invariant
+the library relies on raises `InternalError` instead.
 """
 
 import ast
@@ -15,23 +22,17 @@ from pathlib import Path
 import quantcat
 
 SRC = Path(quantcat.__file__).parent
+TESTS = Path(__file__).parent
 
 KEEP = {
-    "functor_criterion":
-        "tests/test_dist.py checks is_distributor against it",
     "monad_morphism_check":
         "the comparison σ: T → P of a submonad into the presheaf monad",
-    "ball_functor_criterion":
-        "functors between ball algebras, a paper result",
-    "ball_morphism_check":
-        "morphisms of ball algebras, a paper result",
-    "l_dense_point_check":
-        "L-dense points over an integral quantale, a paper result",
 }
 
 
 def _trees():
-    return [ast.parse(path.read_text(), str(path)) for path in SRC.glob("*.py")]
+    return {path.stem: ast.parse(path.read_text(), str(path))
+            for path in SRC.glob("*.py")}
 
 
 def _public_functions(trees):
@@ -51,8 +52,55 @@ def _named(trees):
 
 
 def test_orphans_are_exactly_the_kept_functions():
-    trees = _trees()
+    trees = _trees().values()
     assert _public_functions(trees) - _named(trees) == set(KEEP)
+
+
+def test_every_definition_is_reached_from_the_cli_or_the_battery():
+    trees = _trees()
+    defined = {}  # name -> the modules that define it at top level
+    uses = {}     # name -> every name its definitions mention
+    roots = set(KEEP)
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, []).append(module)
+                uses.setdefault(node.name, set()).update(_named([node]))
+                if module == "cli":
+                    roots.add(node.name)
+            else:
+                roots |= _named([node])
+    reached = set()
+    todo = [name for name in roots if name in defined]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(uses[name] & defined.keys())
+    unreached = sorted(f"{module}.{name}" for name in defined.keys() - reached
+                       for module in defined[name])
+    assert unreached == []
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items()
+            if name not in used]
+
+
+def test_no_unused_imports():
+    found = [entry for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+             for entry in _unused_imports(path)]
+    assert found == []
 
 
 def test_no_assert_statements():

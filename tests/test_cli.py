@@ -501,6 +501,32 @@ def test_colimit_success_and_failure(ws_path, tmp_path, capsys):
     assert "nothing in D2 represents" in out
 
 
+def test_colimit_compares_quantales_by_structure(tmp_path, capsys):
+    # Y lives over a second boolean2 record: the same quantale under
+    # another name, as functor and relation records already accept
+    def doc(y_quantale):
+        return {"quantales": [{"name": "B1", "kind": "boolean2"},
+                              {"name": "B2", "kind": "boolean2"}],
+                "categories": [{"name": name, "quantale": q, "objects": ["p", "q"],
+                                "hom": [[1, 1], [0, 1]]}
+                               for name, q in (("X", "B1"), ("Y", y_quantale))],
+                "functors": [{"name": "f", "dom": "X", "cod": "Y",
+                              "mapping": {"p": "p", "q": "q"}}],
+                "relations": [{"name": "w", "dom": "X", "cod": "X",
+                               "matrix": [[1, 1], [0, 1]]}]}
+
+    reports = []
+    for y_quantale in ("B2", "B1"):
+        path = write(tmp_path, doc(y_quantale), f"{y_quantale}.json")
+        code, out, err = run(["compute", "colimit", "--weight", "w", "--diagram", "f",
+                              "--format", "json", "--workspace", path], capsys)
+        assert code in (0, 1) and err == ""
+        report = json.loads(out)
+        reports.append((code, [c["verdict"] for c in report["checks"]],
+                        report["outputs"]))
+    assert reports[0] == reports[1]
+
+
 def _fail(*args):
     raise InternalError("boom")
 

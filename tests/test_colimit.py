@@ -121,19 +121,6 @@ def test_discrete_pair_is_not_cocomplete_for_all_weights():
     assert cocompleteness_check(DISC2, RA)["cocomplete"] is True
 
 
-def test_cocompleteness_diagram_crosscheck():
-    V = hom_self_category(BOOL)
-    d = weighted_diagram(point_column(CHAIN2, "x"),
-                         raw_functor("pick", CHAIN2, V, {"x": "0", "y": "1"}))
-    rep = cocompleteness_check(V, ALL, diagrams=(d,))
-    assert rep["diagrams"] == (
-        {"diagram": "pick", "exists": True, "via_identity_weight": True,
-         "agree": True},)
-    assert rep["cocomplete"] is True
-    with pytest.raises(ShapeMismatch, match="does not land in"):
-        cocompleteness_check(CHAIN3, ALL, diagrams=(d,))
-
-
 @pytest.mark.parametrize("q", [BOOL, GO3, LUK3], ids=lambda q: q.name)
 def test_extracted_algebra_is_the_weighted_join(q):
     V = hom_self_category(q)

@@ -10,7 +10,6 @@ from quantcat.dist import (
     compose,
     enumerate_distributors,
     first_violation,
-    functor_criterion,
     identity_distributor,
     is_distributor,
     point_column,
@@ -46,6 +45,7 @@ from .helpers import (
     bool_discrete,
     bool_indiscrete2,
     cat,
+    functor_criterion,
     luk2_asym,
     luk2_sym,
     point,

@@ -9,7 +9,6 @@ from quantcat.dist import check_adjoint_pair, point_row
 from quantcat.errors import (
     NotEnumerable,
     NotEventuallyConstant,
-    NotIntegral,
     PreconditionFail,
 )
 from quantcat.lawvere import (
@@ -17,7 +16,6 @@ from quantcat.lawvere import (
     cauchy_sequence,
     enumerate_L,
     is_L_complete,
-    l_dense_point_check,
     lawvere_completion,
 )
 from quantcat.monadkit import submonad_category, submonad_right_adjoints
@@ -31,7 +29,7 @@ from quantcat.vcat import (
     validate_category,
 )
 
-from .helpers import BOOL, LUK2, bool_chain2, bool_indiscrete2, cat, luk2_asym, luk2_sym
+from .helpers import BOOL, LUK2, bool_chain2, cat, luk2_asym, luk2_sym
 
 LUK4 = builtin("lukasiewicz_chain", 4)
 GO3 = builtin("goedel_chain", 3)
@@ -162,60 +160,6 @@ def test_cauchy_sequence_guards():
         cauchy_sequence(("a", "b"), 2)
     with pytest.raises(PreconditionFail, match="ext_real_plus only"):
         cauchy_pair(CHAIN2, cauchy_sequence(("x",), 0))
-
-
-def test_l_dense_points_are_the_global_lower_bounds():
-    assert l_dense_point_check(CHAIN2, "x") is True
-    assert l_dense_point_check(CHAIN2, "y") is False
-    ind2 = bool_indiscrete2()
-    assert l_dense_point_check(ind2, "p") is True
-    assert l_dense_point_check(ind2, "q") is True
-    X = metric("three", [[0, 0, 0], [1, 0, 1], [1, 1, 0]])
-    assert l_dense_point_check(X, "a") is True
-    assert l_dense_point_check(X, "b") is False
-    three = make_finite_quantale(
-        "three", ["b", "k", "t"],
-        [("b", "k"), ("k", "t")],
-        [["b", "b", "b"], ["b", "k", "t"], ["b", "t", "t"]],
-        "k")
-    pt = cat("pt", three, ["*"], [["k"]])
-    with pytest.raises(NotIntegral):
-        l_dense_point_check(pt, "*")
-
-
-def test_l_density_agrees_with_the_adjoint_search():
-    # y is dense iff some χ certifies χ ⊣ y_*
-    for X in (CHAIN2, LSYM, bool_indiscrete2(), hom_self_category(GO3)):
-        q = X.quantale
-        n = len(X.objects)
-        for y in range(n):
-            found = False
-            for chi in itertools.product(q.carrier, repeat=n):
-                counit = q.leq(
-                    q.join(q.tensor(X.hom[y][x], chi[x]) for x in range(n)),
-                    q.unit)
-                unit = all(
-                    q.leq(X.hom[x][x2], q.tensor(chi[x], X.hom[y][x2]))
-                    for x in range(n) for x2 in range(n))
-                if counit and unit:
-                    found = True
-                    break
-            assert found == l_dense_point_check(X, X.objects[y]), \
-                (X.name, X.objects[y])
-
-
-def test_fully_dense_points_are_l_dense_but_not_conversely():
-    # on a chain the bottom is dense in the weaker sense only
-    def fully_dense(X, y):
-        q = X.quantale
-        i = X.index(y)
-        return all(q.leq(q.unit, q.tensor(X.hom[i][x], X.hom[x][i]))
-                   for x in range(len(X.objects)))
-
-    assert fully_dense(bool_indiscrete2(), "p") is True
-    assert l_dense_point_check(bool_indiscrete2(), "p") is True
-    assert fully_dense(CHAIN2, "x") is False
-    assert l_dense_point_check(CHAIN2, "x") is True
 
 
 def _per_phi_search(X):

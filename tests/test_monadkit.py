@@ -45,12 +45,9 @@ from quantcat.monadkit import (
 )
 from quantcat.presheaf import (
     mult_values,
-    multiplication,
     presheaf_category,
     presheaf_label,
-    presheaf_map,
     representables,
-    yoneda,
 )
 from quantcat.quantale import builtin
 from quantcat.vcat import (
@@ -183,14 +180,13 @@ def test_transpose_witness():
 
 @pytest.mark.parametrize("f", [EMB, CONST_X], ids=lambda f: f.name)
 def test_yoneda_naturality_square_passes(f):
-    sq = square(yoneda(f.dom), f, yoneda(f.cod), P.map(f))
+    sq = square(P.unit(f.dom), f, P.unit(f.cod), P.map(f))
     assert bc_star_square_check(sq) == (True, None)
 
 
 def test_mult_naturality_square_passes():
-    ppf = presheaf_map(presheaf_map(EMB))
-    sq = square(multiplication(CHAIN2), ppf,
-                multiplication(CHAIN3), P.map(EMB))
+    ppf = P.map(P.map(EMB))
+    sq = square(P.mult(CHAIN2), ppf, P.mult(CHAIN3), P.map(EMB))
     assert bc_star_square_check(sq) == (True, None)
 
 
@@ -254,7 +250,7 @@ def test_right_adjoint_members_are_representables():
     assert submonad_category(ra, DISC2).objects == ("[0,1]", "[1,0]")
     # both points of the indiscrete pair present the same member
     assert submonad_category(ra, INDISC2).objects == ("[1,1]",)
-    y = yoneda(CHAIN2)
+    y = P.unit(CHAIN2)
     images = {y.cod.objects[y(i)] for i in range(2)}
     assert images == set(submonad_category(ra, CHAIN2).objects)
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from quantcat.errors import BudgetExceeded, NotEnumerable
+from quantcat.monadkit import presheaf_monad
 from quantcat.presheaf import (
     _sample_theta,
     is_presheaf,
@@ -38,6 +39,7 @@ from .helpers import (
 )
 
 GO3 = builtin("goedel_chain", 3)
+P = presheaf_monad()
 
 
 def test_presheaves_on_the_two_chain_form_a_three_chain():
@@ -89,15 +91,15 @@ def test_evaluation_against_representables(mk):
 
 
 def test_yoneda_labels_on_the_two_chain():
-    y = yoneda(bool_chain2())
+    y = P.unit(bool_chain2())
     assert y.on_label("x") == "[1,0]"
     assert y.on_label("y") == "[1,1]"
 
 
 def test_presheaf_map_sends_representables_to_representables():
     f = validate_functor("j", bool_chain2(), bool_chain3(), {"x": "x", "y": "z"})
-    pf = presheaf_map(f)
-    yx, yy = yoneda(f.dom), yoneda(f.cod)
+    pf = P.map(f)
+    yx, yy = P.unit(f.dom), P.unit(f.cod)
     for i in range(len(f.dom.objects)):
         assert pf(yx(i)) == yy(f(i))
     assert pf.on_label("[1,0]") == "[1,0,0]"
@@ -108,12 +110,11 @@ def test_presheaf_map_is_functorial():
     f = validate_functor("f", X, Y, {"x": "x", "y": "z"})
     g = validate_functor("g", Y, X, {"x": "x", "y": "x", "z": "y"})
     gf = VFunctor("g∘f", X, X, tuple(g(i) for i in f.mapping))
-    pg, pf = presheaf_map(g), presheaf_map(f)
-    assert presheaf_map(gf).mapping == tuple(pg(i) for i in pf.mapping)
-    assert presheaf_map(identity_functor(X)).mapping == \
+    pg, pf = P.map(g), P.map(f)
+    assert P.map(gf).mapping == tuple(pg(i) for i in pf.mapping)
+    assert P.map(identity_functor(X)).mapping == \
         identity_functor(presheaf_category(X)).mapping
     # independent (C) check of one instance
-    pf = presheaf_map(f)
     validate_functor("chk", pf.dom, pf.cod, pf.mapping)
 
 
@@ -121,7 +122,7 @@ def test_multiplication_unit_triangles_as_functors():
     X = bool_chain2()
     PX = presheaf_category(X)
     PPX = presheaf_category(PX)
-    m = multiplication(X, PX, PPX)
+    m = multiplication(X)
     ident = identity_functor(PX).mapping
     assert tuple(m(i) for i in presheaf_map(yoneda(X, PX), PX, PPX).mapping) == ident
     assert tuple(m(i) for i in yoneda(PX, PPX).mapping) == ident
@@ -174,12 +175,14 @@ def test_budget_gates():
 
 
 def test_sampler_yields_lawful_presheaves_deterministically():
-    PPX = presheaf_category(presheaf_category(bool_chain2()))
+    PX = presheaf_category(bool_chain2())
+    PPX = presheaf_category(PX)
+    y = yoneda(PX, PPX)
     for kind in (0, 1, 2):
         rng = random.Random(7)
-        run1 = [_sample_theta(PPX, rng, kind) for _ in range(5)]
+        run1 = [_sample_theta(PPX, y, rng, kind) for _ in range(5)]
         rng = random.Random(7)
-        run2 = [_sample_theta(PPX, rng, kind) for _ in range(5)]
+        run2 = [_sample_theta(PPX, y, rng, kind) for _ in range(5)]
         assert run1 == run2
         for theta in run1:
             assert is_presheaf(PPX, theta)
