@@ -1,6 +1,7 @@
 """Workspace parsing, report rendering, and exit codes of the CLI."""
 
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -720,6 +721,70 @@ def test_rational_report_matches_golden(tmp_path, capsys, case):
     golden = json.loads(GOLDEN_REPORTS.read_text())[case]
     assert code == golden["exit"]
     assert report == golden["report"]
+
+
+# Reports built from an enumerated PX: the presheaf search and PX's hom.
+PRESHEAF_WS = {
+    "quantales": [
+        {"name": "B", "kind": "boolean2"},
+        {"name": "G2", "kind": "goedel_chain", "n": 2},
+        # the non-chain quantale of the `cli` docstring
+        {"name": "D", "carrier": ["o", "a", "b", "i"],
+         "leq": [["o", "a"], ["o", "b"], ["a", "i"], ["b", "i"]],
+         "tensor": [["o", "o", "o", "o"], ["o", "a", "o", "a"],
+                    ["o", "o", "b", "b"], ["o", "a", "b", "i"]],
+         "unit": "i"},
+    ],
+    "categories": [
+        {"name": "G2chain3", "quantale": "G2", "objects": ["a", "b", "c"],
+         "hom": [[1, 1, 1], [0, 1, 1], [0, 0, 1]]},
+        {"name": "Dcat", "quantale": "D", "objects": ["x", "y", "z"],
+         "hom": [["i", "o", "o"], ["o", "i", "o"], ["a", "b", "i"]]},
+        {"name": "G2disc3", "quantale": "G2", "objects": ["u", "v", "w"],
+         "hom": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+        {"name": "Bchain5", "quantale": "B", "objects": ["p", "q", "r", "s", "t"],
+         "hom": [[1 if i <= j else 0 for j in range(5)] for i in range(5)]},
+        # the shapes of the benchmark's two large `compute presheaf` requests
+        {"name": "G2chain8", "quantale": "G2", "objects": [f"c{i}" for i in range(8)],
+         "hom": [[1 if i <= j else 0 for j in range(8)] for i in range(8)]},
+        {"name": "Bdisc7", "quantale": "B", "objects": [f"d{i}" for i in range(7)],
+         "hom": [[1 if i == j else 0 for j in range(7)] for i in range(7)]},
+    ],
+}
+
+PRESHEAF_CASES = {
+    "presheaf-goedel-chain": ["compute", "presheaf", "--category", "G2chain3"],
+    "presheaf-non-chain": ["compute", "presheaf", "--category", "Dcat"],
+    "lawvere-discrete": ["complete", "lawvere", "--category", "G2disc3"],
+    "l-complete-discrete": ["check", "l-complete", "--category", "G2disc3"],
+    "lax-idempotent-chain": ["check", "lax-idempotent", "--category", "Bchain5"],
+}
+
+# too large to keep in full: pinned by the SHA-256 of the JSON report's
+# bytes, with the workspace path blanked out
+PRESHEAF_DIGEST_CASES = {
+    "presheaf-chain8-digest": ["compute", "presheaf", "--category", "G2chain8"],
+    "presheaf-disc7-digest": ["compute", "presheaf", "--category", "Bdisc7"],
+}
+
+
+@pytest.mark.parametrize("case", list(PRESHEAF_CASES))
+def test_presheaf_report_matches_golden(tmp_path, capsys, case):
+    path = write(tmp_path, PRESHEAF_WS)
+    code, report = handler_report(PRESHEAF_CASES[case], path, capsys)
+    golden = json.loads(GOLDEN_REPORTS.read_text())[case]
+    assert code == golden["exit"]
+    assert report == golden["report"]
+
+
+@pytest.mark.parametrize("case", list(PRESHEAF_DIGEST_CASES))
+def test_large_presheaf_report_matches_digest(tmp_path, capsys, case):
+    path = write(tmp_path, PRESHEAF_WS)
+    code, out, _ = run(PRESHEAF_DIGEST_CASES[case] + ["--format", "json",
+                                                      "--workspace", path], capsys)
+    golden = json.loads(GOLDEN_REPORTS.read_text())[case]
+    assert code == golden["exit"]
+    assert hashlib.sha256(out.replace(path, "WS").encode()).hexdigest() == golden["sha256"]
 
 
 def test_boolean2_rejects_a_parameter(tmp_path, capsys):
