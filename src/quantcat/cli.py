@@ -539,9 +539,9 @@ def _run_check(ws, args, cname):
         funs = list(ws.sections["functors"].values())
         if args.quantale:
             q = ws.quantale(args.quantale)
-            cats = [X for X in cats if X.quantale is q]
-            funs = [f for f in funs if f.dom.quantale is q]
-        elif len({id(X.quantale) for X in cats}) > 1:
+            cats = [X for X in cats if X.quantale == q]
+            funs = [f for f in funs if f.dom.quantale == q]
+        elif len({X.quantale for X in cats}) > 1:
             raise ValidationError(
                 "the workspace spans several quantales; pick the test "
                 "universe with --quantale")
@@ -599,7 +599,7 @@ def _run_check(ws, args, cname):
 
         q = ws.quantale(args.quantale)
         cats = (ws.category(args.category),) if args.category else ()
-        if any(X.quantale is not q for X in cats):
+        if any(X.quantale != q for X in cats):
             raise ValidationError(
                 f"{cats[0].name} is not enriched in {ws.alias_of(q)}")
         rep = cancellation_report(q, cats)

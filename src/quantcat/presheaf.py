@@ -2,21 +2,22 @@
 
 A presheaf on X is a distributor X ⇸ E, stored as a tuple of values
 indexed by the objects of X; the law is a(x,x') ⊗ φ(x') <= φ(x).  PX
-carries the hom ã(φ,ψ) = ⋀_x hom(φ x, ψ x) and is built by exhaustive
-enumeration, so every constructor here is budget-gated.  The unit is the
-Yoneda embedding x ↦ a(−,x) and the multiplication is sup-of-tensor
-evaluation; law checking degrades from exhaustive to sampled to
-unchecked as the towers grow.  Every inf-hom entry (ã, `presheaf_hom`)
-is one `Quantale.meet_hom` call and every sup-tensor entry (`map_values`,
-`mult_values`, the sampled θ) one `Quantale.join_tensor` call.
+carries the hom ã(φ,ψ) = ⋀_x hom(φ x, ψ x); its objects come from a
+depth-first search gated by the |V|^n candidate count, so every
+constructor here is budget-gated.  The unit is the Yoneda embedding
+x ↦ a(−,x) and the multiplication is sup-of-tensor evaluation; law
+checking degrades from exhaustive to sampled to unchecked as the towers
+grow.  Each ã matrix is one `inf_hom`
+call on carrier codes (`Quantale.coded`), and every sup-tensor entry
+(`map_values`, `mult_values`, the sampled θ) one `Quantale.join_tensor` call.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_, getitem
 
 from .errors import BudgetExceeded, InternalError, NotEnumerable
 from .quantale import show_value
@@ -71,17 +72,37 @@ def candidate_count(X: VCategory, budget: int = DEFAULT_BUDGET) -> int:
 
 def presheaves(X: VCategory, budget: int = DEFAULT_BUDGET):
     """Every presheaf on X as a value tuple, in carrier-product order.
-    The |V|^n budget gate is checked at once; the candidates are then
-    filtered lazily, so a caller that stops early tests no more.  This is
-    the library's one filter over carrier products: distributors X ⇸ Y
-    (`dist.enumerate_distributors`) are the presheaves on X ⊗ Y^op, and
-    the candidate left adjoints of `lawvere.enumerate_L` are distributors."""
+    The |V|^n budget gate is checked at once; then a lazy depth-first
+    search gives object i each carrier index in turn, pruned on
+    a(i,j)⊗φ(j) ≤ φ(i) and a(j,i)⊗φ(i) ≤ φ(j) for j ≤ i.  Distributors
+    X ⇸ Y (`dist.enumerate_distributors`) are the presheaves on X ⊗ Y^op,
+    and the candidate left adjoints of `lawvere.enumerate_L` are distributors."""
     candidate_count(X, budget)
-    n = len(X.objects)
-    if n == 0:
+    if not X.objects:
         return iter(((),))
-    return (vals for vals in itertools.product(X.quantale.carrier, repeat=n)
-            if is_presheaf(X, vals))
+    return _search(X.quantale, X.hom)
+
+
+def _search(q, hom):
+    leq, tens, carrier = q._leq, q._tensor, q.carrier
+    a = [[e.index for e in row] for row in q.coded(hom).codes[0]]
+    n, V = len(a), range(len(carrier))
+    # bitmasks of the v that φ(i) may take: own[i] with a(i,i)⊗v ≤ v, and
+    # fit[i][j][w], j < i, with a(i,j)⊗w ≤ v and a(j,i)⊗v ≤ w at φ(j) = w
+    own = [sum(1 << v for v in V if leq[tens[a[i][i]][v]][v]) for i in range(n)]
+    fit = [[[sum(1 << v for v in V if leq[tens[a[i][j]][w]][v] and leq[tens[a[j][i]][v]][w])
+             for w in V] for j in range(i)] for i in range(n)]
+
+    def extend(phi):
+        i = len(phi)
+        if i == n:
+            yield tuple(map(carrier.__getitem__, phi))
+            return
+        fits = reduce(and_, map(getitem, fit[i], phi), own[i])
+        for v in V:  # in carrier order, so the order is the carrier product's
+            if fits >> v & 1:
+                yield from extend(phi + [v])
+    return extend([])
 
 
 def representables(X: VCategory) -> tuple:
@@ -113,7 +134,8 @@ def full_subcategory(name: str, X: VCategory, members) -> PresheafCategory:
     q = X.quantale
     members = tuple(members)
     objects = tuple(presheaf_label(v) for v in members)
-    hom = tuple(tuple(presheaf_hom(q, u, w) for w in members) for u in members)
+    # over an infinite V only the empty category has presheaves: ã((),()) = ⊤
+    hom = q.coded(members).inf_hom(0, 0) if q.enumerable else ((q.top,),) * len(members)
     return PresheafCategory(name, q, objects, hom, X, members)
 
 
@@ -222,7 +244,7 @@ def verify_monad_laws(X: VCategory, budget: int = DEFAULT_BUDGET,
         PPX = presheaf_category(PX, budget)
         npp = len(PPX.objects)
         mg = [mult_values(PX, g) for g in PPX.presheaves]
-        amg = [[presheaf_hom(q, vals, m) for m in mg] for vals in PX.presheaves]
+        amg = q.coded(PX.presheaves, mg).inf_hom(0, 1)
 
         def routes_agree(theta):
             # m_X ∘ m_PX vs m_X ∘ P(m_X)

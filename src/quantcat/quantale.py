@@ -498,8 +498,9 @@ class Coded:
 
 class _FiniteCoded(Coded):
     """The code of a carrier element is its index `QElem.index`, read
-    inside each test, so coding copies nothing; order, tensor and join
-    are the tables.  `sup_tensor` looks up each row's tensor rows once."""
+    inside each test, so coding copies nothing; order, tensor, hom, join
+    and meet are the tables.  `sup_tensor` and its dual `inf_hom` look up
+    each row's tensor or hom rows once and fold over the distinct codes."""
 
     def _code(self, matrices):
         if None in map(_INDEX, chain.from_iterable(chain.from_iterable(matrices))):
@@ -518,16 +519,23 @@ class _FiniteCoded(Coded):
             q._tensor[p.index].__getitem__, map(_INDEX, row_q))), map(_INDEX, row_r)))
 
     def sup_tensor(self, a, b):
-        q = self.q
-        join, carrier = q._join_t, q.carrier
+        return self._fold(a, b, self.q._tensor, self.q._join_t, self.q._bottom_i)
+
+    def inf_hom(self, a, b):
+        """⋀ᵧ hom(a[x][y], b[z][y]): `meet_hom` of every pair of rows at once."""
+        return self._fold(a, b, self.q._hom_t, self.q._meet_t, self.q._top_i)
+
+    def _fold(self, a, b, op, lattice, start):
+        carrier = self.q.carrier
+        rows_b = [tuple(map(_INDEX, rb)) for rb in self.codes[b]]
         out = []
         for ra in self.codes[a]:
-            rows = tuple(map(q._tensor.__getitem__, map(_INDEX, ra)))
+            rows = tuple(map(op.__getitem__, map(_INDEX, ra)))
             out_row = []
-            for rb in self.codes[b]:
-                c = q._bottom_i
-                for t in set(map(getitem, rows, map(_INDEX, rb))):
-                    c = join[c][t]
+            for rb in rows_b:
+                c = start
+                for t in set(map(getitem, rows, rb)):
+                    c = lattice[c][t]
                 out_row.append(carrier[c])
             out.append(tuple(out_row))
         return tuple(out)

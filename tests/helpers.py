@@ -1,12 +1,24 @@
 """Shared builders for small test categories, and test oracles."""
 
+import itertools
 from fractions import Fraction
 
-from quantcat.quantale import builtin
+from quantcat.dist import VRelation, is_distributor
+from quantcat.presheaf import is_presheaf
+from quantcat.quantale import builtin, make_finite_quantale
 from quantcat.vcat import VFunctor, unit_category, validate_category
 
 BOOL = builtin("boolean2")
 LUK2 = builtin("lukasiewicz_chain", 2)
+# the non-chain quantale of the `cli` docstring
+DIAMOND = make_finite_quantale(
+    "diamond", ["o", "a", "b", "i"], [("o", "a"), ("o", "b"), ("a", "i"), ("b", "i")],
+    [["o", "o", "o", "o"], ["o", "a", "o", "a"], ["o", "o", "b", "b"],
+     ["o", "a", "b", "i"]], "i")
+# the chain 0 < k < t with unit k below the top, so a(x,x) ⊗ v ≤ v can fail
+NON_INTEGRAL = make_finite_quantale(
+    "non_integral", ["0", "k", "t"], [("0", "k"), ("k", "t")],
+    [["0", "0", "0"], ["0", "k", "t"], ["0", "t", "t"]], "k")
 
 
 def F(a, b=1):
@@ -68,3 +80,22 @@ def functor_criterion(r) -> bool:
                                  q.hom(m[i][j], m[i2][j2])):
                         return False
     return True
+
+
+def presheaves_by_filter(X):
+    """Every presheaf on X by testing each candidate of the carrier
+    product in order: an oracle for the depth-first `presheaf.presheaves`."""
+    return [vals for vals in itertools.product(X.quantale.carrier, repeat=len(X.objects))
+            if is_presheaf(X, vals)]
+
+
+def distributors_by_filter(X, Y):
+    """Every distributor X ⇸ Y by testing each carrier matrix, row-major:
+    an oracle for `dist.enumerate_distributors`."""
+    n, m = len(X.objects), len(Y.objects)
+    found = []
+    for flat in itertools.product(X.quantale.carrier, repeat=n * m):
+        matrix = tuple(flat[i * m:(i + 1) * m] for i in range(n))
+        if is_distributor(VRelation(X, Y, matrix)):
+            found.append(matrix)
+    return found

@@ -410,6 +410,46 @@ def test_cancellative_category_must_match(ws_path, capsys):
     assert code == 0
 
 
+# Two records of one builtin quantale name the same quantale: the handlers
+# compare quantales structurally (`==`), not by record.
+TWIN_WS = {
+    "quantales": [{"name": "B1", "kind": "boolean2"},
+                  {"name": "B2", "kind": "boolean2"}],
+    "categories": [
+        {"name": "X", "quantale": "B1", "objects": ["p", "q"],
+         "hom": [[1, 1], [0, 1]]},
+        {"name": "Y", "quantale": "B2", "objects": ["p", "q"],
+         "hom": [[1, 1], [0, 1]]},
+        {"name": "Z", "quantale": "B2", "objects": ["u", "v", "w"],
+         "hom": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+    ],
+    "submonad_specs": [{"name": "all", "kind": "all"}],
+}
+
+
+def test_admissible_treats_twin_quantale_records_as_one(tmp_path, capsys):
+    path = write(tmp_path, TWIN_WS)
+    code, out, _ = run(["check", "admissible", "--spec", "all",
+                        "--workspace", path], capsys)
+    assert code == 0 and "PASS      admissible[all]" in out
+
+
+def test_admissible_quantale_filter_keeps_twin_records(tmp_path, capsys):
+    # Z, over B2, is in the B1 universe: its 2^9 distributors Z ⇸ Z blow
+    # a budget that X and Y alone fit
+    code, out, _ = run(["check", "admissible", "--spec", "all", "--quantale",
+                        "B1", "--budget", "100", "--workspace",
+                        write(tmp_path, TWIN_WS)], capsys)
+    assert code == 3 and "512 candidate matrices over budget 100" in out
+
+
+def test_cancellative_accepts_a_twin_quantale_record(tmp_path, capsys):
+    code, out, _ = run(["check", "cancellative", "--quantale", "B1",
+                        "--category", "Y", "--workspace",
+                        write(tmp_path, TWIN_WS)], capsys)
+    assert code == 0 and "PASS      cancellative[B1,Y]" in out
+
+
 def test_homomorphism_demands_algebras(ws_path, capsys):
     # S carries a right-adjoint algebra, so this actually runs
     code, _, _ = run(

@@ -3,9 +3,10 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quantcat.dist import (
-    VRelation,
     check_adjoint_pair,
     compose,
     enumerate_distributors,
@@ -45,11 +46,13 @@ from .helpers import (
     bool_discrete,
     bool_indiscrete2,
     cat,
+    distributors_by_filter,
     functor_criterion,
     luk2_asym,
     luk2_sym,
     point,
 )
+from .test_presheaf import FINITE, PROPERTY, finite_categories
 
 EXT = builtin("ext_real_plus")
 GO3 = builtin("goedel_chain", 3)
@@ -304,17 +307,6 @@ def test_first_violation_scan_order():
     assert first_violation(s, r) is None
 
 
-def _matrix_filter(X, Y):
-    """Every distributor X ⇸ Y by testing each carrier matrix, row-major."""
-    n, m = len(X.objects), len(Y.objects)
-    found = []
-    for flat in itertools.product(X.quantale.carrier, repeat=n * m):
-        matrix = tuple(flat[i * m:(i + 1) * m] for i in range(n))
-        if is_distributor(VRelation(X, Y, matrix)):
-            found.append(matrix)
-    return found
-
-
 _BOOL_CATS = [bool_chain2(), bool_discrete(2), bool_indiscrete2(),
               unit_category(BOOL), cat("empty", BOOL, [], [])]
 _LUK_CATS = [luk2_sym(), luk2_asym(), unit_category(LUK2)]
@@ -326,5 +318,14 @@ _PAIRS = [(X, Y) for cats in (_BOOL_CATS, _LUK_CATS) for X in cats for Y in cats
     ids=[f"{X.name}-{Y.name}-{X.quantale.name}" for X, Y in _PAIRS])
 def test_enumerate_distributors_matches_the_matrix_filter(X, Y):
     found = enumerate_distributors(X, Y)
-    assert [r.matrix for r in found] == _matrix_filter(X, Y)
+    assert [r.matrix for r in found] == distributors_by_filter(X, Y)
     assert all(r.dom is X and r.cod is Y for r in found)
+
+
+@PROPERTY
+@given(st.sampled_from(FINITE).flatmap(lambda q: st.tuples(
+    finite_categories(q, max_objects=2, closed=True),
+    finite_categories(q, max_objects=2, closed=True))))
+def test_enumerate_distributors_matches_the_matrix_filter_at_random(XY):
+    X, Y = XY
+    assert [r.matrix for r in enumerate_distributors(X, Y)] == distributors_by_filter(X, Y)

@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
 
 from quantcat.dist import check_adjoint_pair, point_row
 from quantcat.errors import (
@@ -19,7 +20,6 @@ from quantcat.lawvere import (
     lawvere_completion,
 )
 from quantcat.monadkit import submonad_category, submonad_right_adjoints
-from quantcat.presheaf import presheaf_category, presheaves
 from quantcat.quantale import builtin, make_finite_quantale
 from quantcat.vcat import (
     VCategory,
@@ -29,7 +29,9 @@ from quantcat.vcat import (
     validate_category,
 )
 
-from .helpers import BOOL, LUK2, bool_chain2, cat, luk2_asym, luk2_sym
+from .helpers import (BOOL, LUK2, bool_chain2, cat, luk2_asym, luk2_sym,
+                      presheaves_by_filter)
+from .test_presheaf import PROPERTY, finite_categories
 
 LUK4 = builtin("lukasiewicz_chain", 4)
 GO3 = builtin("goedel_chain", 3)
@@ -170,8 +172,8 @@ def _per_phi_search(X):
     n = len(X.objects)
     Xop = VCategory(f"{X.name}^op", q, X.objects, tuple(zip(*X.hom)))
     found = []
-    for phi in presheaf_category(X).presheaves:
-        for psi in presheaves(Xop):
+    for phi in presheaves_by_filter(X):
+        for psi in presheaves_by_filter(Xop):
             counit = all(q.leq(q.tensor(phi[x], psi[y]), X.hom[x][y])
                          for x in range(n) for y in range(n))
             u = q.bottom
@@ -189,6 +191,16 @@ _C11_BATTERY = [CHAIN2, LSYM, luk2_asym(), hom_self_category(BOOL),
 
 @pytest.mark.parametrize("X", _C11_BATTERY, ids=lambda X: X.name)
 def test_enumerate_L_matches_the_per_phi_search(X):
+    _check_enumerate_L(X)
+
+
+@PROPERTY
+@given(finite_categories(max_objects=2, closed=True))
+def test_enumerate_L_matches_the_per_phi_search_at_random(X):
+    _check_enumerate_L(X)
+
+
+def _check_enumerate_L(X):
     LX, pairs = enumerate_L(X)
     E = unit_category(X.quantale)
     expected = _per_phi_search(X)

@@ -1,22 +1,28 @@
 """Presheaf categories, Yoneda, Pf, and the monad laws."""
 
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quantcat.errors import BudgetExceeded, NotEnumerable
+from quantcat.errors import BudgetExceeded, ForeignElement, NotEnumerable
 from quantcat.monadkit import presheaf_monad
 from quantcat.presheaf import (
     _sample_theta,
+    full_subcategory,
     is_presheaf,
     multiplication,
     presheaf_category,
     presheaf_map,
+    presheaves,
     verify_monad_laws,
     yoneda,
 )
-from quantcat.quantale import builtin
+from quantcat.quantale import QElem, Quantale, builtin, make_finite_quantale
 from quantcat.vcat import (
+    VCategory,
     VFunctor,
     hom_self_category,
     identity_functor,
@@ -28,7 +34,9 @@ from quantcat.vcat import (
 
 from .helpers import (
     BOOL,
+    DIAMOND,
     LUK2,
+    NON_INTEGRAL,
     bool_chain2,
     bool_chain3,
     bool_discrete,
@@ -36,7 +44,9 @@ from .helpers import (
     cat,
     luk2_asym,
     luk2_sym,
+    presheaves_by_filter,
 )
+from .test_quantale import FOREIGN, _closure
 
 GO3 = builtin("goedel_chain", 3)
 P = presheaf_monad()
@@ -186,3 +196,89 @@ def test_sampler_yields_lawful_presheaves_deterministically():
         assert run1 == run2
         for theta in run1:
             assert is_presheaf(PPX, theta)
+
+
+# ------------------------------------- the depth-first search and its oracle
+
+# the diamond with its carrier listed top first, so index 0 is not ⊥
+DIAMOND_TOP_FIRST = make_finite_quantale(
+    "diamond_top_first", ["i", "b", "a", "o"],
+    [("o", "a"), ("o", "b"), ("a", "i"), ("b", "i")],
+    [["i", "b", "a", "o"], ["b", "b", "o", "o"], ["a", "o", "a", "o"],
+     ["o", "o", "o", "o"]], "i")
+FINITE = [BOOL, *(builtin(kind, n) for kind in ("goedel_chain", "lukasiewicz_chain")
+                  for n in (1, 2, 3)), DIAMOND, DIAMOND_TOP_FIRST, NON_INTEGRAL]
+PROPERTY = settings(max_examples=200, derandomize=True, deadline=None)
+
+
+@st.composite
+def finite_categories(draw, q=None, max_objects=4, closed=None):
+    """A category over a finite quantale, some of whose hom entries are
+    hand-built elements (index None).  Closed, its hom is the least
+    V-category above a random matrix; else the random matrix itself,
+    which need be neither reflexive nor transitive."""
+    q = q or draw(st.sampled_from(FINITE))
+    n = draw(st.integers(0, max_objects))
+    hom = [draw(st.lists(st.sampled_from(q.carrier), min_size=n, max_size=n))
+           for _ in range(n)]
+    if draw(st.booleans()) if closed is None else closed:
+        hom = _closure(q, hom)
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    for i, j in draw(st.sets(st.sampled_from(cells))) if cells else ():
+        hom[i][j] = QElem(q.key, hom[i][j].value)
+    return VCategory(f"X{n}", q, tuple(f"o{i}" for i in range(n)),
+                     tuple(map(tuple, hom)))
+
+
+@PROPERTY
+@given(finite_categories())
+def test_presheaves_match_the_product_filter(X):
+    assert list(presheaves(X)) == presheaves_by_filter(X)
+
+
+@PROPERTY
+@given(finite_categories(), st.data())
+def test_a_foreign_hom_entry_raises(X, data):
+    if not X.objects:
+        return
+    n = len(X.objects)
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    hom = [list(row) for row in X.hom]
+    hom[i][j] = FOREIGN
+    bad = VCategory(X.name, X.quantale, X.objects, tuple(map(tuple, hom)))
+    with pytest.raises(ForeignElement):
+        list(presheaves(bad))
+    with pytest.raises(ForeignElement):
+        presheaves_by_filter(bad)
+
+
+@PROPERTY
+@given(finite_categories(), st.data())
+def test_full_subcategory_hom_is_the_meet_hom_matrix(X, data):
+    q = X.quantale
+    found = presheaves_by_filter(X)
+    members = data.draw(st.lists(st.sampled_from(found), max_size=12))
+    # a hand-built copy of a member's entries, index None
+    members = [tuple(QElem(q.key, e.value) for e in vals) if data.draw(st.booleans())
+               else vals for vals in members]
+    T = full_subcategory("T", X, members)
+    assert T.presheaves == tuple(members)
+    assert T.hom == tuple(tuple(q.meet_hom(u, w) for w in members) for u in members)
+    assert all(e is q.carrier[e.index] for row in T.hom for e in row)
+
+
+def test_presheaves_and_their_hom_make_no_per_element_op_calls(monkeypatch):
+    # the 8-chain over goedel_chain(2), as in the benchmark's presheaf-chain
+    G2 = builtin("goedel_chain", 2)
+    X = cat("chain8", G2, [f"c{i}" for i in range(8)],
+            [[1 if i <= j else 0 for j in range(8)] for i in range(8)])
+    calls = Counter()
+    for name in ("leq", "tensor", "hom", "join2", "meet2", "meet_hom"):
+        def counted(self, *args, _op=getattr(Quantale, name), _name=name):
+            calls[_name] += 1
+            return _op(self, *args)
+        monkeypatch.setattr(Quantale, name, counted)
+    members = list(presheaves(X))
+    assert len(members) == 45 and not calls
+    full_subcategory("P(chain8)", X, members)
+    assert not calls

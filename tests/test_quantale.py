@@ -16,6 +16,8 @@ from quantcat.errors import (
 )
 from quantcat.quantale import INF, QElem, builtin, make_finite_quantale
 
+from .helpers import DIAMOND
+
 
 def F(a, b=1):
     return Fraction(a, b)
@@ -387,10 +389,6 @@ def test_every_op_rejects_a_foreign_element(q, x):
 # ---- the coded matrix kernel against the per-element ops ----
 
 # a lattice that is not a chain, so a coded join is not a max
-DIAMOND = make_finite_quantale(
-    "diamond", ["o", "a", "b", "i"], [("o", "a"), ("o", "b"), ("a", "i"), ("b", "i")],
-    [["o", "o", "o", "o"], ["o", "a", "o", "a"], ["o", "o", "b", "b"],
-     ["o", "a", "b", "i"]], "i")
 CODED_QUANTALES = KERNEL_QUANTALES + [DIAMOND]
 
 
