@@ -7,9 +7,9 @@ depth-first search gated by the |V|^n candidate count, so every
 constructor here is budget-gated.  The unit is the Yoneda embedding
 x ↦ a(−,x) and the multiplication is sup-of-tensor evaluation; law
 checking degrades from exhaustive to sampled to unchecked as the towers
-grow.  Each ã matrix is one `inf_hom`
-call on carrier codes (`Quantale.coded`), and every sup-tensor entry
-(`map_values`, `mult_values`, the sampled θ) one `Quantale.join_tensor` call.
+grow.  Each ã matrix is one `inf_hom` call on carrier codes
+(`Quantale.coded`), and every sup-tensor entry (`map_values`,
+`mult_values`, the sampled θ) one `Quantale.join_tensor` call.
 """
 
 from __future__ import annotations
