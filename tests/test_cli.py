@@ -817,14 +817,45 @@ def test_presheaf_report_matches_golden(tmp_path, capsys, case):
     assert report == golden["report"]
 
 
-@pytest.mark.parametrize("case", list(PRESHEAF_DIGEST_CASES))
-def test_large_presheaf_report_matches_digest(tmp_path, capsys, case):
-    path = write(tmp_path, PRESHEAF_WS)
-    code, out, _ = run(PRESHEAF_DIGEST_CASES[case] + ["--format", "json",
-                                                      "--workspace", path], capsys)
+def assert_digest_matches_golden(tmp_path, capsys, doc, argv, case):
+    path = write(tmp_path, doc)
+    code, out, _ = run(argv + ["--format", "json", "--workspace", path], capsys)
     golden = json.loads(GOLDEN_REPORTS.read_text())[case]
     assert code == golden["exit"]
     assert hashlib.sha256(out.replace(path, "WS").encode()).hexdigest() == golden["sha256"]
+
+
+@pytest.mark.parametrize("case", list(PRESHEAF_DIGEST_CASES))
+def test_large_presheaf_report_matches_digest(tmp_path, capsys, case):
+    assert_digest_matches_golden(tmp_path, capsys, PRESHEAF_WS,
+                                 PRESHEAF_DIGEST_CASES[case], case)
+
+
+# Ball categories: the shape of the benchmark's `compute ball` request, a
+# 16-chain over lukasiewicz_chain(4), and a category over the non-chain D
+BALL_WS = {
+    "quantales": [{"name": "L4", "kind": "lukasiewicz_chain", "n": 4},
+                  PRESHEAF_WS["quantales"][2]],
+    "categories": [
+        {"name": "L4chain16", "quantale": "L4", "objects": [f"c{i}" for i in range(16)],
+         "hom": [[1 if i <= j else 0 for j in range(16)] for i in range(16)]},
+        PRESHEAF_WS["categories"][1],
+    ],
+}
+
+BALL_DIGEST_CASES = {
+    "ball-chain16-digest": ["compute", "ball", "--category", "L4chain16"],
+    "ball-chain16-plain-digest": ["compute", "ball", "--category", "L4chain16",
+                                  "--plain"],
+    "ball-non-chain-digest": ["compute", "ball", "--category", "Dcat"],
+    "ball-non-chain-plain-digest": ["compute", "ball", "--category", "Dcat",
+                                    "--plain"],
+}
+
+
+@pytest.mark.parametrize("case", list(BALL_DIGEST_CASES))
+def test_ball_report_matches_digest(tmp_path, capsys, case):
+    assert_digest_matches_golden(tmp_path, capsys, BALL_WS, BALL_DIGEST_CASES[case], case)
 
 
 def test_boolean2_rejects_a_parameter(tmp_path, capsys):
