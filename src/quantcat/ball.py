@@ -19,7 +19,6 @@ from .errors import (
     NotEnumerable,
     PreconditionFail,
 )
-from .monadkit import MonadInstance
 from .presheaf import extension_row, find_representatives
 from .quantale import QElem, Quantale, show_value
 from .vcat import (
@@ -53,11 +52,14 @@ def ball_category(X: VCategory, extended: bool = True) -> BallCategory:
     radii = tuple(r for r in q.carrier if extended or r != q.bottom)
     pairs = tuple((i, r) for i in range(len(X.objects)) for r in radii)
     objects = tuple(ball_label(X.objects[i], r) for i, r in pairs)
-    hom = tuple(
-        tuple(q.hom(r, q.tensor(X.hom[i][j], s)) for j, s in pairs)
-        for i, r in pairs)
+    # hom((x,r),(y,s)) = hom(r, X(x,y) ⊗ s), on carrier indices
+    hom = []
+    for row in q.coded(X.hom).codes[0]:
+        tensored = [q._tensor[row[j].index][s.index] for j, s in pairs]
+        hom += (tuple(map(q.carrier.__getitem__, map(q._hom_t[r.index].__getitem__, tensored)))
+                for r in radii)
     name = f"{'Bb' if extended else 'B'}({X.name})"
-    return BallCategory(name, q, objects, hom, X, pairs, extended)
+    return BallCategory(name, q, objects, tuple(hom), X, pairs, extended)
 
 
 @lru_cache(maxsize=None)
@@ -96,7 +98,9 @@ def ball_mult(X: VCategory, BX: BallCategory,
     return VFunctor(f"mult_{X.name}", BBX, BX, tuple(mapping))
 
 
-def ball_monad(extended: bool = True) -> MonadInstance:
+def ball_monad(extended: bool = True):
+    from .monadkit import MonadInstance  # loaded only by the commands that need it
+
     def apply(X):
         return ball_category(X, extended)
 

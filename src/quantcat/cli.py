@@ -37,10 +37,11 @@ supplying one is rejected outright.
 Commands: `validate`, `check <property>`, `compute <construction>`,
 `complete lawvere`, `selftest`.  Reports echo the command, budget, and
 seed, then list one verdict per check: pass, fail (with witness), or
-unchecked (with reason — only a blown budget produces this).  Exit
-codes: 0 all pass, 1 some check failed, 2 bad input or usage, 3 budget
-exceeded with items left unchecked, 4 an internal invariant failed (a
-bug in quantcat, reported as `InternalError` without a traceback).
+unchecked (with reason: a blown budget, or a table spec in `check
+admissible` that lists no members for a derived category).  Exit codes:
+0 all pass, 1 some check failed, 2 bad input or usage, 3 items left
+unchecked, 4 an internal invariant failed (a bug in quantcat, reported
+as `InternalError` without a traceback).
 Output is deterministic for fixed inputs, budget, and seed.
 """
 
@@ -436,9 +437,14 @@ def _quantale_record(ws, q: Quantale):
 
 
 def _category_record(ws, X):
-    return {"name": X.name, "quantale": ws.alias_of(X.quantale),
-            "objects": list(X.objects),
-            "hom": [[show_value(v.value) for v in row] for row in X.hom]}
+    q = X.quantale
+    if q.enumerable:  # one label per carrier element, looked up by index
+        labels = [show_value(e.value) for e in q.carrier]
+        hom = [[labels[v.index] for v in row] for row in q.coded(X.hom).codes[0]]
+    else:
+        hom = [[show_value(v.value) for v in row] for row in X.hom]
+    return {"name": X.name, "quantale": ws.alias_of(q),
+            "objects": list(X.objects), "hom": hom}
 
 
 def _functor_record(f: VFunctor):
@@ -546,15 +552,18 @@ def _run_check(ws, args, cname):
                 "the workspace spans several quantales; pick the test "
                 "universe with --quantale")
         rep = admissible_class_check(spec, cats, funs, budget)
-        skipped = rep["multiplication"]["unchecked"]
         if not rep["admissible"]:
             w = next((rep[k]["witness"] for k in
                       ("conjoints", "composites", "columnwise", "multiplication")
                       if not rep[k]["ok"]), None)
             return [_check(cname, False, w, detail=rep)], {}, None
-        if skipped:
-            return [_unchecked(cname, "budget left categories unchecked: "
-                               + ", ".join(skipped))], {}, None
+        skipped, unlisted = rep["multiplication"]["unchecked"], rep["multiplication"]["unlisted"]
+        reasons = ["budget left categories unchecked: " + ", ".join(skipped)] if skipped else []
+        if unlisted:
+            reasons.append("the multiplication condition needs membership tables for "
+                           + ", ".join(unlisted))
+        if reasons:
+            return [_unchecked(cname, "; ".join(reasons))], {}, None
         return [_check(cname, True, detail=rep)], {}, None
     if prop == "t-embedding":
         from .monadkit import t_embedding_check

@@ -1,17 +1,21 @@
-"""Right-adjoint presheaves by brute force: enumeration, completeness,
-completion, and eventually constant Cauchy data over ext_real_plus.
+"""Right-adjoint presheaves: enumeration, completeness, completion, and
+eventually constant Cauchy data over ext_real_plus.
 
-Membership here is decided by searching every distributor E ⇸ X for a
-certifying left adjoint, independently of the extension shortcut used
-elsewhere; the two routes agreeing is part of the test suite.
+A presheaf φ is a member when it has a left adjoint ψ: E ⇸ X.  Left
+adjoints are unique, and φ has one exactly when ψ = [φ, 1_X] is one
+(Lawvere, "Metric spaces, generalized logic and closed categories",
+1973), so each φ is decided by certifying that one row entry by entry.
+`monadkit.is_right_adjoint_distributor` decides the same class through
+the distributor calculus; the two routes agreeing is part of the test
+suite, which also keeps the search over every distributor as an oracle.
 """
 
 from dataclasses import dataclass
 
-from .dist import VRelation, column, enumerate_distributors, point_column, point_row
+from .dist import VRelation, column, point_column, point_row
 from .errors import BudgetExceeded, InternalError, NotEventuallyConstant, PreconditionFail
 from .presheaf import (DEFAULT_BUDGET, candidate_count, extension_row, find_representatives,
-                       full_subcategory, member_functor, presheaf_category, representables)
+                       full_subcategory, member_functor, presheaves, representables)
 from .vcat import VCategory, is_fully_faithful, unit_category
 
 
@@ -36,11 +40,12 @@ def _certifies(X, phi, psi):
 def enumerate_L(X: VCategory, budget: int = DEFAULT_BUDGET):
     """LX with one certified AdjointPair per member.
 
-    Tries every distributor ψ: E ⇸ X as a candidate left adjoint;
-    adjoints are unique among distributors in the thin setting, so the
-    certifying ψ kept for each member is canonical.  The search is gated
-    on its (|V|^n)² candidate (presheaf, left adjoint) pairs, after the
-    |V|^n gate of PX and before PX is built.
+    The candidate left adjoint of each presheaf φ is ψ = [φ, 1_X], the
+    row `extension_row(X, φ)`, here for every φ in one `inf_hom` call;
+    φ is a member when `_certifies` passes it.  The |V|^n gate of the
+    presheaves and the gate on (|V|^n)² (presheaf, left adjoint) pairs,
+    the candidates of a search over every distributor, are checked
+    before any presheaf is built.
     """
     count = candidate_count(X, budget)
     if not X.objects:
@@ -50,16 +55,15 @@ def enumerate_L(X: VCategory, budget: int = DEFAULT_BUDGET):
         raise BudgetExceeded(
             f"{count * count} candidate (presheaf, left adjoint) pairs on {X.name} "
             f"exceed the budget {budget}")
-    PX = presheaf_category(X, budget)
-    psis = enumerate_distributors(unit_category(X.quantale), X, budget)
+    phis = tuple(presheaves(X, budget))  # PX's hom is not needed
+    E = unit_category(X.quantale)
+    rows = X.quantale.coded(phis, representables(X)).inf_hom(0, 1)
     members, pairs = [], []
-    for vals in PX.presheaves:
-        for psi in psis:
-            u = _certifies(X, vals, psi.matrix[0])
-            if u is not None:
-                members.append(vals)
-                pairs.append(AdjointPair(column(X, vals), psi, u))
-                break
+    for vals, psi in zip(phis, rows):
+        u = _certifies(X, vals, psi)
+        if u is not None:
+            members.append(vals)
+            pairs.append(AdjointPair(column(X, vals), VRelation(E, X, (psi,)), u))
     return full_subcategory(f"L({X.name})", X, members), tuple(pairs)
 
 

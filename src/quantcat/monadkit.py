@@ -260,7 +260,10 @@ def admissible_class_check(spec: SubmonadSpec, categories, functors,
     finite test universe: conjoints of functors belong; composition with
     conjoints on either side stays in the class; membership is decided
     columnwise; multiplication of a presheaf on PX whose restriction to
-    the member subcategory belongs lands on a member.
+    the member subcategory belongs lands on a member.  The last is left
+    unchecked on each X whose PPX the budget refuses (`unchecked`) and on
+    each member category TX the spec cannot decide membership on, as a
+    table spec that lists only the universe's categories (`unlisted`).
 
     Each condition is one search that stops at its first witness.  Within
     a call each distributor list X ⇸ Y is enumerated once and each
@@ -300,7 +303,7 @@ def admissible_class_check(spec: SubmonadSpec, categories, functors,
                                     for y in Y.objects):
                         yield f"{_rel_desc(phi)} ({'in' if whole else 'out'} as a whole)"
 
-    unchecked = []
+    unchecked, unlisted = [], []
 
     def multiplication():
         for X in categories:
@@ -314,8 +317,13 @@ def admissible_class_check(spec: SubmonadSpec, categories, functors,
             # the positions in PX of the members, via the inclusion TX ↪ PX
             keep = member_functor("incl", TX, PX, TX.presheaves).mapping
             for gamma in PPX.presheaves:
-                if spec.member(TX, tuple(gamma[i] for i in keep)) and \
-                        not spec.member(X, mult_values(PX, gamma)):
+                try:
+                    restricted = spec.member(TX, tuple(gamma[i] for i in keep))
+                except SpecMismatch:
+                    # a table lists the universe's categories, not TX
+                    unlisted.append(TX.name)
+                    break
+                if restricted and not spec.member(X, mult_values(PX, gamma)):
                     yield f"{presheaf_label(gamma)} on P({X.name})"
 
     def first(search, **extra):
@@ -327,7 +335,8 @@ def admissible_class_check(spec: SubmonadSpec, categories, functors,
               "composites": first(composites),
               "columnwise": first(columnwise,
                                   independent=spec.dist_member is not None),
-              "multiplication": first(multiplication, unchecked=unchecked)}
+              "multiplication": first(multiplication, unchecked=unchecked,
+                                      unlisted=unlisted)}
     report["admissible"] = all(report[k]["ok"] for k in
                                ("conjoints", "composites", "columnwise",
                                 "multiplication"))

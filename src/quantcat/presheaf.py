@@ -76,7 +76,7 @@ def presheaves(X: VCategory, budget: int = DEFAULT_BUDGET):
     search gives object i each carrier index in turn, pruned on
     a(i,j)⊗φ(j) ≤ φ(i) and a(j,i)⊗φ(i) ≤ φ(j) for j ≤ i.  Distributors
     X ⇸ Y (`dist.enumerate_distributors`) are the presheaves on X ⊗ Y^op,
-    and the candidate left adjoints of `lawvere.enumerate_L` are distributors."""
+    and `lawvere.enumerate_L` certifies each presheaf on X it yields."""
     candidate_count(X, budget)
     if not X.objects:
         return iter(((),))

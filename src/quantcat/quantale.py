@@ -20,16 +20,17 @@ tables indexed by it.  Ownership is checked by comparing the element's
 
 `Quantale.coded` is the matrix kernel: it codes a family of matrices as
 integers (carrier indices, or the values over one common denominator) and
-runs the transitivity, order and sup-tensor checks on the codes.
+runs the transitivity, order, sup-tensor and (finite) inf-hom kernels on them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from functools import reduce
+from itertools import chain, count
 from math import lcm
-from operator import add, attrgetter, getitem, gt, lt, mul, sub
+from operator import add, attrgetter, getitem, gt, lshift, lt, mul, sub
 
 from .errors import (
     BadParameter,
@@ -200,7 +201,6 @@ class Quantale:
         for m in range(n):
             bot = meet_t[bot][m]
             top = join_t[top][m]
-        self._bottom_i, self._top_i = bot, top
 
         for i in range(n):
             for j in range(i + 1, n):
@@ -386,17 +386,11 @@ class Quantale:
 
     def join(self, elems) -> QElem:
         """Join of a finite family; the empty join is the bottom element."""
-        out = self.bottom
-        for e in elems:
-            out = self.join2(out, e)
-        return out
+        return reduce(self.join2, elems, self.bottom)
 
     def meet(self, elems) -> QElem:
         """Meet of a finite family; the empty meet is the top element."""
-        out = self.top
-        for e in elems:
-            out = self.meet2(out, e)
-        return out
+        return reduce(self.meet2, elems, self.top)
 
     def join_tensor(self, us, vs) -> QElem:
         """⋁ᵢ uᵢ ⊗ vᵢ over two paired families: the sup-tensor kernel of
@@ -498,9 +492,8 @@ class Coded:
 
 class _FiniteCoded(Coded):
     """The code of a carrier element is its index `QElem.index`, read
-    inside each test, so coding copies nothing; order, tensor, hom, join
-    and meet are the tables.  `sup_tensor` and its dual `inf_hom` look up
-    each row's tensor or hom rows once and fold over the distinct codes."""
+    inside each test, so coding copies nothing.  `sup_tensor` folds the
+    join table; `inf_hom` tests residuation on down-set bitmasks."""
 
     def _code(self, matrices):
         if None in map(_INDEX, chain.from_iterable(chain.from_iterable(matrices))):
@@ -519,26 +512,38 @@ class _FiniteCoded(Coded):
             q._tensor[p.index].__getitem__, map(_INDEX, row_q))), map(_INDEX, row_r)))
 
     def sup_tensor(self, a, b):
-        return self._fold(a, b, self.q._tensor, self.q._join_t, self.q._bottom_i)
-
-    def inf_hom(self, a, b):
-        """⋀ᵧ hom(a[x][y], b[z][y]): `meet_hom` of every pair of rows at once."""
-        return self._fold(a, b, self.q._hom_t, self.q._meet_t, self.q._top_i)
-
-    def _fold(self, a, b, op, lattice, start):
-        carrier = self.q.carrier
+        carrier, join, bot = self.q.carrier, self.q._join_t, self.q.bottom.index
         rows_b = [tuple(map(_INDEX, rb)) for rb in self.codes[b]]
         out = []
         for ra in self.codes[a]:
-            rows = tuple(map(op.__getitem__, map(_INDEX, ra)))
+            rows = tuple(map(self.q._tensor.__getitem__, map(_INDEX, ra)))
             out_row = []
             for rb in rows_b:
-                c = start
+                c = bot
                 for t in set(map(getitem, rows, rb)):
-                    c = lattice[c][t]
+                    c = join[c][t]
                 out_row.append(carrier[c])
             out.append(tuple(out_row))
         return tuple(out)
+
+    def inf_hom(self, a, b):
+        """⋀ᵧ hom(a[x][y], b[z][y]) by residuation: c ≤ ã(x,z) iff
+        a[x][y]⊗c ≤ b[z][y] for every y, and u ≤ v iff ↓u ⊆ ↓v.  So each
+        b row is one integer of down-set masks, each pair costs one AND
+        per c ≠ ⊥, and ã(x,z) is the h with ↓h the set of c that pass."""
+        q, V = self.q, range(len(self.q.carrier))
+        down = [sum(1 << u for u in V if q._leq[u][v]) for v in V]
+        cs = [c for c in V if c != q.bottom.index]  # a⊗⊥ = ⊥ always passes
+        by_passed = {tuple(q._leq[c][h] for c in cs): e for h, e in enumerate(q.carrier)}
+
+        def packed(codes):  # the down-sets of a row, |V| bits per entry
+            return sum(map(lshift, map(down.__getitem__, codes), count(0, len(V))))
+
+        rows_b = [packed(map(_INDEX, rb)) for rb in self.codes[b]]
+        tests = ([packed(map(q._tensor[c].__getitem__, map(_INDEX, ra))) for c in cs]
+                 for ra in self.codes[a])
+        return tuple(tuple(map(by_passed.__getitem__, zip(*(
+            map(t.__eq__, map(t.__and__, rows_b)) for t in ts)))) for ts in tests)
 
 
 class _RationalCoded(Coded):
@@ -616,16 +621,9 @@ _CODED = {"ext_real_plus": _ExtRealCoded, "unit_interval_product": _ProductCoded
 
 def _close_order(n, pairs):
     """Reflexive-transitive closure of index pairs, as a frozenset."""
-    leq = {(i, i) for i in range(n)}
-    leq.update(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for (i, j) in list(leq):
-            for (j2, m) in list(leq):
-                if j == j2 and (i, m) not in leq:
-                    leq.add((i, m))
-                    changed = True
+    leq = {(i, i) for i in range(n)} | set(pairs)
+    for k in range(n):  # Warshall: paths through 0..k
+        leq |= {(i, m) for i, j in leq if j == k for j2, m in leq if j2 == k}
     return frozenset(leq)
 
 

@@ -657,9 +657,11 @@ _C10_LABEL = "extraction, cocompleteness, minima, and injectivity agree"
 # ------------------------------------------------ C11 right-adjoint closure
 
 def criterion_11(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
-    """Brute-force adjoint enumeration matches the membership route;
-    completion is complete, fully faithful, and idempotent; eventually
-    constant sequences land on their stabilization point."""
+    """`enumerate_L`, which certifies the closed-form left adjoint [φ, 1_X]
+    of each presheaf entry by entry, matches the membership route through
+    the distributor calculus; completion is complete, fully faithful, and
+    idempotent; eventually constant sequences land on their stabilization
+    point."""
     chain2 = _chain_cat(BOOL, 2, "chain2")
     pair = _diamond_pair()
     ra = submonad_right_adjoints()

@@ -42,12 +42,13 @@ class VCategory:
                 and self.hom == other.hom)
 
     def __hash__(self):
-        """The dataclass hash of the fields, computed once per instance:
-        a memo keyed by a relation or category hashes it on every lookup."""
+        """The hash of the name, quantale and object labels, computed once
+        per instance: a memo keyed by a category hashes it on every lookup,
+        and equal categories agree on these fields, so no hom entry is read."""
         try:
             return self._hash
         except AttributeError:
-            h = hash((self.name, self.quantale, self.objects, self.hom))
+            h = hash((self.name, self.quantale, self.objects))
             object.__setattr__(self, "_hash", h)
             return h
 

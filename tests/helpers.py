@@ -21,6 +21,17 @@ NON_INTEGRAL = make_finite_quantale(
     [["0", "0", "0"], ["0", "k", "t"], ["0", "t", "t"]], "k")
 
 
+class CountedHash:
+    """A label or hom entry that counts how often it is hashed."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __hash__(self):
+        self.calls += 1
+        return 7
+
+
 def F(a, b=1):
     return Fraction(a, b)
 

@@ -3,6 +3,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quantcat.ball import (
     b_embedding_check,
@@ -36,7 +38,9 @@ from quantcat.vcat import (
     validate_category,
 )
 
-from .helpers import BOOL, bool_chain2, bool_chain3, bool_discrete, bool_indiscrete2
+from .helpers import (BOOL, CountedHash, bool_chain2, bool_chain3, bool_discrete,
+                      bool_indiscrete2)
+from .test_presheaf import PROPERTY, finite_categories
 
 GO2 = builtin("goedel_chain", 2)
 GO3 = builtin("goedel_chain", 3)
@@ -68,6 +72,21 @@ def test_derived_categories_hash_once(build):
     assert twin == C and twin is not C and "_hash" not in twin.__dict__
     assert hash(twin) == h
     assert twin != dataclasses.replace(C, name="other")
+    # the hash reads no hom entry, however large the derived category
+    entry = CountedHash()
+    hash(dataclasses.replace(C, hom=tuple((entry,) * len(C.objects) for _ in C.objects)))
+    assert entry.calls == 0
+
+
+@PROPERTY
+@given(finite_categories(max_objects=3), st.booleans())
+def test_ball_hom_is_the_per_entry_formula(X, extended):
+    # hom((x,r),(y,s)) = hom(r, X(x,y) ⊗ s), one quantale op per entry
+    q = X.quantale
+    BX = ball_category(X, extended)
+    assert BX.hom == tuple(tuple(q.hom(r, q.tensor(X.hom[i][j], s)) for j, s in BX.pairs)
+                           for i, r in BX.pairs)
+    assert all(e is q.carrier[e.index] for row in BX.hom for e in row)
 
 
 def test_ball_category_frozen_shape():

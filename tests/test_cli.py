@@ -399,6 +399,30 @@ def test_admissible_wants_one_quantale(ws_path, capsys):
     assert code == 0 and "PASS" in out
 
 
+def _table_ws(members):
+    return dict(BASIC, submonad_specs=[{"name": "tbl", "kind": "table",
+                                        "members": members}])
+
+
+def test_admissible_table_decides_the_multiplication_when_it_lists_tx(tmp_path, capsys):
+    representables = ["[1,0]", "[1,1]"]
+    path = write(tmp_path, _table_ws({"C2": representables, "tbl(C2)": representables}))
+    code, out, _ = run(["check", "admissible", "--spec", "tbl", "--quantale", "B",
+                        "--format", "json", "--workspace", path], capsys)
+    check = json.loads(out)["checks"][0]
+    assert code == 0 and check["verdict"] == "pass"
+    assert check["detail"]["multiplication"] == {"ok": True, "witness": None,
+                                                 "unchecked": [], "unlisted": []}
+
+
+def test_admissible_table_must_list_every_category_of_the_universe(tmp_path, capsys):
+    path = write(tmp_path, _table_ws({"S": ["[1,1/2]"]}))
+    code, _, err = run(["check", "admissible", "--spec", "tbl", "--quantale", "B",
+                        "--workspace", path], capsys)
+    assert code == 2
+    assert "SpecMismatch: no membership table for category C2" in err
+
+
 def test_cancellative_category_must_match(ws_path, capsys):
     code, _, err = run(
         ["check", "cancellative", "--quantale", "L2", "--category", "C2",
@@ -661,7 +685,8 @@ HANDLER_CASES = {
                           "--spec", "adjoints"],
     "homomorphism-fail": ["check", "homomorphism", "--functor", "crush",
                           "--spec", "everything"],
-    # the only CLI route into a table spec's membership in `check admissible`
+    # the only CLI route into a table spec's membership in `check admissible`;
+    # the table does not list tbl(C2), so the multiplication is unchecked
     "admissible-table": ["check", "admissible", "--spec", "tbl",
                          "--quantale", "B"],
 }
@@ -926,10 +951,11 @@ def test_a_cheap_check_loads_only_its_layers(tmp_path):
 
 
 def test_compute_ball_loads_no_colimit_or_lawvere(tmp_path):
+    # nor monadkit and dist: only `ball_monad` needs MonadInstance
     doc = {"quantales": BASIC["quantales"], "categories": BASIC["categories"]}
     modules, _ = loaded_after(CLI_MAIN, "compute", "ball", "--category", "C2",
                               "--workspace", write(tmp_path, doc))
-    assert "ball" in modules and not modules & {"colimit", "lawvere"}
+    assert modules == {"cli", "errors", "quantale", "vcat", "presheaf", "ball"}
 
 
 def test_module_entry_point(ws_path):

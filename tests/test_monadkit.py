@@ -338,6 +338,7 @@ def test_admissible_classes_on_small_universe():
         assert rep["admissible"] is True
         assert rep["columnwise"]["independent"] is True
         assert rep["multiplication"]["unchecked"] == []
+        assert rep["multiplication"]["unlisted"] == []
 
 
 def test_broken_class_fails_columnwise_only():
@@ -409,7 +410,7 @@ def _nested_admissible_class_check(spec, categories, functors, budget):
                             "independent": spec.dist_member is not None}
 
     w = None
-    unchecked = []
+    unchecked, unlisted = [], []
     for X in categories:
         try:
             PX = presheaf_category(X, budget)
@@ -421,14 +422,18 @@ def _nested_admissible_class_check(spec, categories, functors, budget):
         keep = [i for i, v in enumerate(PX.presheaves) if spec.member(X, v)]
         for gamma in PPX.presheaves:
             restriction = tuple(gamma[i] for i in keep)
-            if spec.member(TX, restriction) and \
-                    not spec.member(X, mult_values(PX, gamma)):
+            try:
+                restricted = spec.member(TX, restriction)
+            except SpecMismatch:
+                unlisted.append(TX.name)
+                break
+            if restricted and not spec.member(X, mult_values(PX, gamma)):
                 w = f"{presheaf_label(gamma)} on P({X.name})"
                 break
         if w is not None:
             break
     report["multiplication"] = {"ok": w is None, "witness": w,
-                                "unchecked": unchecked}
+                                "unchecked": unchecked, "unlisted": unlisted}
 
     report["admissible"] = all(report[k]["ok"] for k in
                                ("conjoints", "composites", "columnwise",
@@ -517,6 +522,17 @@ def test_admissibility_enumerates_and_decides_once(monkeypatch, spec_name):
     assert set(enumerated) == {(X, Y) for X in cats for Y in cats}
     assert max(enumerated.values()) == 1
     assert max(decided.values()) == 1
+
+
+def test_a_table_that_lists_no_tx_leaves_the_multiplication_unchecked():
+    cats, _ = _UNIVERSES["bool2"]
+    rep = admissible_class_check(_table_spec(cats, False), cats, all_functors(cats))
+    assert rep["multiplication"] == {"ok": True, "witness": None, "unchecked": [],
+                                     "unlisted": ["tbl(chain2)", "tbl(disc2)"]}
+    # a table that lacks a category of the universe itself is a bad spec
+    only_chain2 = submonad_user_table("tbl", {"chain2": {"[1,0]", "[1,1]"}})
+    with pytest.raises(SpecMismatch, match="for category disc2"):
+        admissible_class_check(only_chain2, cats, all_functors(cats))
 
 
 def test_t_embedding_checks():

@@ -16,7 +16,7 @@ from quantcat.errors import (
 )
 from quantcat.quantale import INF, QElem, builtin, make_finite_quantale
 
-from .helpers import DIAMOND
+from .helpers import DIAMOND, NON_INTEGRAL
 
 
 def F(a, b=1):
@@ -520,6 +520,34 @@ def test_coded_sup_tensor_is_join_tensor(q, rows, inner, cols, data):
         [[(type(e.value), str(e)) for e in row] for row in want]
     if q.enumerable:
         assert all(e is q.carrier[e.index] for row in got for e in row)
+
+
+# every finite builtin, a lattice that is not a chain, and a chain whose
+# unit is below the top
+INF_HOM_QUANTALES = FINITE_BUILTINS + [DIAMOND, NON_INTEGRAL]
+
+
+@CODED
+@given(st.sampled_from(INF_HOM_QUANTALES), st.integers(0, 4), st.integers(0, 4),
+       st.integers(0, 4), st.data())
+def test_coded_inf_hom_is_the_per_pair_meet_hom(q, rows, inner, cols, data):
+    a = data.draw(_matrix(q, rows, inner))
+    b = data.draw(_matrix(q, cols, inner))
+    if inner and rows and data.draw(st.booleans()):
+        a[0][0] = QElem(q.key, a[0][0].value)  # hand-built: no carrier index
+    if inner and cols and data.draw(st.booleans()):
+        b[-1][-1] = QElem(q.key, b[-1][-1].value)
+    got = q.coded(a, b).inf_hom(0, 1)
+    assert got == tuple(tuple(q.meet_hom(ra, rb) for rb in b) for ra in a)
+    assert all(e is q.carrier[e.index] for row in got for e in row)
+
+
+@pytest.mark.parametrize("q", INF_HOM_QUANTALES, ids=lambda q: q.name)
+def test_coded_inf_hom_rejects_foreign_elements(q):
+    assert q.coded([[]], [[], []]).inf_hom(0, 1) == ((q.top, q.top),)
+    for a, b in (([[FOREIGN]], [[q.unit]]), ([[q.unit]], [[q.top], [FOREIGN]])):
+        with pytest.raises(ForeignElement):
+            q.coded(a, b).inf_hom(0, 1)
 
 
 def test_a_sum_of_finite_codes_never_reaches_inf():

@@ -29,6 +29,7 @@ from quantcat.vcat import (
 from .helpers import (
     BOOL,
     LUK2,
+    CountedHash,
     F,
     bool_chain2,
     bool_chain3,
@@ -157,24 +158,16 @@ def test_functors_is_the_object_map_filter(A):
     assert list(functors(asym, asym)) == [(0, 0), (0, 1), (1, 1)]
 
 
-class _CountedHash:
-    calls = 0
-
-    def __hash__(self):
-        _CountedHash.calls += 1
-        return 7
-
-
-def test_category_hash_is_the_dataclass_hash_computed_once():
+def test_category_hash_is_computed_once_and_reads_no_hom_entry():
     X = luk2_asym()
-    plain = dataclasses.make_dataclass(
-        "Plain", [f.name for f in dataclasses.fields(VCategory)], frozen=True)
-    assert hash(X) == hash(plain(X.name, X.quantale, X.objects, X.hom))
     twin = VCategory(X.name, X.quantale, X.objects, X.hom)
     assert twin == X and hash(twin) == hash(X) and len({X, twin}) == 1
-    counted = VCategory("C", BOOL, ("x",), ((_CountedHash(),),))
+    copy = dataclasses.replace(X)
+    assert copy == X and copy is not X and hash(copy) == hash(X)
+    label, entry = CountedHash(), CountedHash()
+    counted = VCategory("C", BOOL, (label,), ((entry,),))
     hash(counted), hash(counted), hash(counted)
-    assert _CountedHash.calls == 1
+    assert (label.calls, entry.calls) == (1, 0)
 
 
 # the rational kinds and two finite ones, one of them not a chain
