@@ -883,6 +883,66 @@ def test_ball_report_matches_digest(tmp_path, capsys, case):
     assert_digest_matches_golden(tmp_path, capsys, BALL_WS, BALL_DIGEST_CASES[case], case)
 
 
+# Branches of the CLI that no case above reaches, each pinned as a report
+BRANCH_CASES = {
+    # a class that lacks the representable [1,0] fails at the conjoint of idc
+    "admissible-fail": (
+        dict(HANDLER_WS, submonad_specs=[
+            {"name": "top_only", "kind": "table", "members": {"C2": ["[1,1]"]}}]),
+        ["check", "admissible", "--spec", "top_only", "--quantale", "B"]),
+    "lax-idempotent-ball": (
+        HANDLER_WS, ["check", "lax-idempotent", "--category", "C2", "--monad", "ball"]),
+    "lax-idempotent-ball-plain": (
+        HANDLER_WS, ["check", "lax-idempotent", "--category", "C2", "--monad",
+                     "ball-plain"]),
+    "validate-empty": ({}, ["validate"]),
+    "validate-functor-to-a-non-object": (
+        {"quantales": BASIC["quantales"][:1], "categories": BASIC["categories"][:1],
+         "functors": [{"name": "stray", "dom": "C2", "cod": "C2",
+                       "mapping": {"p": "p", "q": "z"}}]},
+        ["validate"]),
+    # an action on the extended ball category of C2, as `compute ball`
+    # emits it, that lands in a one-object category instead of C2
+    "ball-algebra-foreign-codomain": (
+        {"quantales": BASIC["quantales"][:1],
+         "categories": BASIC["categories"][:1] + [
+             {"name": "Bb(C2)", "quantale": "B",
+              "objects": ["(p,0)", "(p,1)", "(q,0)", "(q,1)"],
+              "hom": [[1, 1, 1, 1], [0, 1, 0, 1], [1, 1, 1, 1], [0, 0, 0, 1]]},
+             {"name": "pt", "quantale": "B", "objects": ["t"], "hom": [[1]]}],
+         "functors": [{"name": "to_pt", "dom": "Bb(C2)", "cod": "pt",
+                       "mapping": {"(p,0)": "t", "(p,1)": "t", "(q,0)": "t",
+                                   "(q,1)": "t"}}]},
+        ["check", "ball-algebra", "--functor", "to_pt", "--category", "C2"]),
+    # a fragment over ext_real_plus, whose carrier is not enumerable
+    "colimit-ext-real": (
+        {"quantales": BASIC["quantales"][2:], "categories": BASIC["categories"][2:],
+         "functors": [{"name": "idm", "dom": "M", "cod": "M",
+                       "mapping": {"u": "u", "v": "v", "w": "w"}}],
+         "relations": [{"name": "wm", "dom": "M", "cod": "M",
+                        "matrix": [[0, 1, 3], [1, 0, 2], [3, 2, 0]]}]},
+        ["compute", "colimit", "--weight", "wm", "--diagram", "idm"]),
+}
+
+
+@pytest.mark.parametrize("case", list(BRANCH_CASES))
+def test_branch_report_matches_golden(tmp_path, capsys, case):
+    doc, argv = BRANCH_CASES[case]
+    path = write(tmp_path, doc)
+    code, out, _ = run(argv + ["--format", "json", "--workspace", path], capsys)
+    golden = json.loads(GOLDEN_REPORTS.read_text())[case]
+    assert code == golden["exit"]
+    # the path also appears in the witness of a record that failed validation
+    assert json.loads(out.replace(path, "WS")) == golden["report"]
+
+
+def test_selftest_report_matches_digest(capsys):
+    code, out, _ = run(["selftest", "--format", "json"], capsys)
+    golden = json.loads(GOLDEN_REPORTS.read_text())["selftest-digest"]
+    assert code == golden["exit"]
+    assert hashlib.sha256(out.encode()).hexdigest() == golden["sha256"]
+
+
 def test_boolean2_rejects_a_parameter(tmp_path, capsys):
     doc = {"quantales": [{"name": "B", "kind": "boolean2", "n": 5}]}
     code, out, _ = run(["validate", "--workspace", write(tmp_path, doc)], capsys)

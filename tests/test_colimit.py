@@ -40,7 +40,7 @@ from quantcat.presheaf import extension_row
 from quantcat.quantale import builtin, show_value
 from quantcat.vcat import hom_self_category, identity_functor, raw_functor
 
-from .helpers import BOOL, bool_chain2, bool_chain3, bool_discrete, cat
+from .helpers import BOOL, bool_chain2, bool_chain3, bool_discrete, bool_indiscrete2, cat
 
 GO3 = builtin("goedel_chain", 3)
 LUK3 = builtin("lukasiewicz_chain", 3)
@@ -146,6 +146,20 @@ def test_extraction_failures_are_reported():
                    "failures": ("[0,0]", "[1,1]"), "ambiguous": (),
                    "unit_section": None, "adjoint_to_unit": None, "ok": False}
     assert algebra_extract(DISC2, RA)["ok"] is True
+
+
+@pytest.mark.parametrize("spec, ambiguous, mapping", [
+    (ALL, ("[0,0]", "[1,1]"), (0, 0)),
+    (RA, ("[1,1]",), (0,)),
+], ids=["all", "right_adjoints"])
+def test_ties_between_isomorphic_representatives_go_to_the_least_index(
+        spec, ambiguous, mapping):
+    # p ≅ q, so every member that has a representative has both
+    rep = algebra_extract(bool_indiscrete2(), spec)
+    assert rep["ambiguous"] == ambiguous
+    assert rep["algebra"].alpha.mapping == mapping
+    # not separated, so no section of the unit exists
+    assert (rep["ok"], rep["unit_section"], rep["adjoint_to_unit"]) == (False, False, True)
 
 
 def test_representable_members_extract_to_identity():
