@@ -68,7 +68,7 @@ from .errors import (
     ValidationError,
 )
 from .presheaf import DEFAULT_BUDGET, presheaf_category, yoneda
-from .quantale import INF, QElem, Quantale, builtin, make_finite_quantale, show_value
+from .quantale import INF, Quantale, builtin, make_finite_quantale, show_value
 from .vcat import (
     VFunctor,
     check_adjunction,
@@ -91,8 +91,10 @@ CONSTRUCTIONS = ("presheaf", "ball", "submonad", "colimit", "algebra",
 _TARGETS = ("quantale", "category", "functor", "adjoint", "relation",
             "square", "spec", "weight", "diagram", "sequence")
 
-_SECTIONS = ("quantales", "categories", "functors", "relations", "squares",
-             "submonad_specs", "sequences")
+# record kind -> the workspace section that lists it, in the order parsed
+_SECTIONS = {"quantale": "quantales", "category": "categories",
+             "functor": "functors", "relation": "relations", "square": "squares",
+             "spec": "submonad_specs", "sequence": "sequences"}
 
 
 # ------------------------------------------------------------ value parsing
@@ -163,47 +165,28 @@ def _reject_floats(text):
 # --------------------------------------------------------------- workspaces
 
 class Workspace:
-    """Parsed records by section and name, plus per-record failures."""
+    """Parsed records by kind and name, plus per-record failures."""
 
     def __init__(self):
-        self.sections = {s: {} for s in _SECTIONS}
-        self.failures = {}     # (section, name) -> message
-        self.order = []        # (section, name) in declaration order
+        self.records = {kind: {} for kind in _SECTIONS}
+        self.failures = {}     # (kind, name) -> message
+        self.order = []        # (kind, name) in declaration order
         self.quantale_alias = {}   # id(Quantale) -> workspace name
 
-    def _get(self, section, name, what):
+    def get(self, kind, name, what=None):
+        """The record `name` of `kind`; `what` names it in errors."""
+        what = what or kind
         if name is None:
             raise UsageError(f"this command needs --{what}")
         if not isinstance(name, str):
             raise ParseError(f"{what} reference {name!r} is not a name")
-        if (section, name) in self.failures:
+        if (kind, name) in self.failures:
             raise ValidationError(
                 f"{what} {name!r} failed validation: "
-                f"{self.failures[(section, name)]}")
-        if name not in self.sections[section]:
+                f"{self.failures[(kind, name)]}")
+        if name not in self.records[kind]:
             raise UnresolvedReference(f"{what} {name!r} is not declared")
-        return self.sections[section][name]
-
-    def quantale(self, name) -> Quantale:
-        return self._get("quantales", name, "quantale")
-
-    def category(self, name):
-        return self._get("categories", name, "category")
-
-    def functor(self, name, what="functor"):
-        return self._get("functors", name, what)
-
-    def relation(self, name):
-        return self._get("relations", name, "relation")
-
-    def square(self, name):
-        return self._get("squares", name, "square")
-
-    def spec(self, name):
-        return self._get("submonad_specs", name, "spec")
-
-    def sequence(self, name):
-        return self._get("sequences", name, "sequence")
+        return self.records[kind][name]
 
     def alias_of(self, q: Quantale) -> str:
         return self.quantale_alias.get(id(q), q.name)
@@ -293,21 +276,21 @@ def parse_workspace(path) -> Workspace:
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: the top level is an object")
     for section in doc:
-        if section not in _SECTIONS:
+        if section not in _SECTIONS.values():
             raise ValidationError(f"{path}: unknown section {section!r}")
         if not isinstance(doc[section], list):
             raise ParseError(f"{path}: section {section!r} is a list")
 
-    def records(section):
-        for i, rec in enumerate(doc.get(section, ())):
-            where = f"{path}:{section}[{i}]"
+    def records(kind):
+        for i, rec in enumerate(doc.get(_SECTIONS[kind], ())):
+            where = f"{path}:{_SECTIONS[kind]}[{i}]"
             if not isinstance(rec, dict) or not isinstance(rec.get("name"), str) \
                     or not rec["name"]:
                 raise ParseError(f"{where}: records need a nonempty name")
             name = rec["name"]
-            if name in ws.sections[section]:
+            if name in ws.records[kind]:
                 raise ValidationError(f"{where}: duplicate name {name!r}")
-            ws.order.append((section, name))
+            ws.order.append((kind, name))
             yield rec, name, f"{where} ({name})"
 
     elements = {}  # (type, raw, quantale key) -> element: a value is read once
@@ -319,26 +302,26 @@ def parse_workspace(path) -> Workspace:
             e = elements[key] = _record_value(raw, q, where)
         return e
 
-    def keep(section, name, builder):
+    def keep(kind, name, builder):
         try:
-            ws.sections[section][name] = builder()
-            return ws.sections[section][name]
+            ws.records[kind][name] = builder()
+            return ws.records[kind][name]
         except (ParseError, UnresolvedReference, InternalError):
             raise
         except QuantcatError as e:
-            ws.failures[(section, name)] = str(e)
+            ws.failures[(kind, name)] = str(e)
             return None
 
-    for rec, name, where in records("quantales"):
-        q = keep("quantales", name, lambda: _build_quantale(rec, where))
+    for rec, name, where in records("quantale"):
+        q = keep("quantale", name, lambda: _build_quantale(rec, where))
         if q is not None:
             ws.quantale_alias[id(q)] = name
 
-    for rec, name, where in records("categories"):
+    for rec, name, where in records("category"):
         alias, objects, hom = _take(rec, where, ("quantale", "objects", "hom"))
 
         def build():
-            q = ws.quantale(alias)
+            q = ws.get("quantale", alias)
             if not isinstance(objects, list) or \
                     any(not isinstance(o, str) for o in objects):
                 raise ParseError(f"{where}: objects are strings")
@@ -346,13 +329,13 @@ def parse_workspace(path) -> Workspace:
                     for row in _grid(hom, where, "hom")]
             return validate_category(name, q, objects, rows)
 
-        keep("categories", name, build)
+        keep("category", name, build)
 
-    for rec, name, where in records("functors"):
+    for rec, name, where in records("functor"):
         dom, cod, mapping = _take(rec, where, ("dom", "cod", "mapping"))
 
         def build():
-            X, Y = ws.category(dom), ws.category(cod)
+            X, Y = ws.get("category", dom), ws.get("category", cod)
             if not isinstance(mapping, dict) or \
                     set(mapping) != set(X.objects):
                 raise ValidationError(
@@ -364,41 +347,41 @@ def parse_workspace(path) -> Workspace:
                 raise ValidationError(f"{where}: {e.args[0]}")
             return validate_functor(name, X, Y, mp)
 
-        keep("functors", name, build)
+        keep("functor", name, build)
 
-    for rec, name, where in records("relations"):
+    for rec, name, where in records("relation"):
         from .dist import relation
 
         dom, cod, matrix = _take(rec, where, ("dom", "cod", "matrix"))
 
         def build():
-            X, Y = ws.category(dom), ws.category(cod)
+            X, Y = ws.get("category", dom), ws.get("category", cod)
             rows = [[value(v, X.quantale, where) for v in row]
                     for row in _grid(matrix, where, "matrix")]
             return relation(X, Y, rows)
 
-        keep("relations", name, build)
+        keep("relation", name, build)
 
-    for rec, name, where in records("squares"):
+    for rec, name, where in records("square"):
         from .monadkit import square
 
         top, left, bottom, right = _take(
             rec, where, ("top", "left", "bottom", "right"))
-        keep("squares", name,
-             lambda: square(ws.functor(top), ws.functor(left),
-                            ws.functor(bottom), ws.functor(right)))
+        keep("square", name,
+             lambda: square(ws.get("functor", top), ws.get("functor", left),
+                            ws.get("functor", bottom), ws.get("functor", right)))
 
-    for rec, name, where in records("submonad_specs"):
-        keep("submonad_specs", name, lambda: _build_spec(rec, where))
+    for rec, name, where in records("spec"):
+        keep("spec", name, lambda: _build_spec(rec, where))
 
-    for rec, name, where in records("sequences"):
+    for rec, name, where in records("sequence"):
         from .lawvere import cauchy_sequence
 
         alias, points, stable = _take(
             rec, where, ("category", "points", "stable_from"))
 
         def build():
-            X = ws.category(alias)
+            X = ws.get("category", alias)
             if not isinstance(points, list):
                 raise ParseError(f"{where}: points is a list of objects")
             for p in points:
@@ -409,7 +392,7 @@ def parse_workspace(path) -> Workspace:
                 raise ParseError(f"{where}: stable_from is an integer")
             return (X, cauchy_sequence(points, stable))
 
-        keep("sequences", name, build)
+        keep("sequence", name, build)
 
     return ws
 
@@ -464,25 +447,19 @@ def _fragment(ws, categories, functors):
 
 
 def _jsonable(v):
-    if isinstance(v, QElem):
-        return str(v)
-    if isinstance(v, Fraction):
-        return show_value(v)
-    if v is INF:
-        return "inf"
     if isinstance(v, dict):
         return {str(k): _jsonable(u) for k, u in v.items()}
     if isinstance(v, (list, tuple)):
         return [_jsonable(u) for u in v]
     if isinstance(v, (bool, int, str)) or v is None:
         return v
-    return str(v)
+    return str(v)  # a QElem, Fraction or INF prints as show_value does
 
 
-def _check(name, ok, witness=None, reason=None, detail=None):
+def _check(name, ok, witness=None, detail=None):
     return {"name": name, "verdict": "pass" if ok else "fail",
             "witness": None if witness is None else str(witness),
-            "reason": reason, "detail": _jsonable(detail) or None}
+            "reason": None, "detail": _jsonable(detail) or None}
 
 
 def _unchecked(name, reason):
@@ -496,37 +473,32 @@ def _run_check(ws, args, cname):
     prop = args.property
     budget = args.budget
     if prop == "separated":
-        ok, w = is_separated(ws.category(args.category))
-        return [_check(cname, ok, w)], {}, None
+        return _check(cname, *is_separated(ws.get("category", args.category)))
     if prop == "fully-faithful":
-        ok, w = is_fully_faithful(ws.functor(args.functor))
-        return [_check(cname, ok, w)], {}, None
+        return _check(cname, *is_fully_faithful(ws.get("functor", args.functor)))
     if prop == "fully-dense":
-        ok, w = is_fully_dense(ws.functor(args.functor))
-        return [_check(cname, ok, w)], {}, None
+        return _check(cname, *is_fully_dense(ws.get("functor", args.functor)))
     if prop == "adjunction":
-        f = ws.functor(args.functor)
-        g = ws.functor(args.adjoint, "adjoint")
-        ok, w = check_adjunction(f, g)
-        return [_check(cname, ok, w)], {}, None
+        f = ws.get("functor", args.functor)
+        g = ws.get("functor", args.adjoint, "adjoint")
+        return _check(cname, *check_adjunction(f, g))
     if prop == "distributor":
         from .dist import validate_distributor
 
-        r = ws.relation(args.relation)
+        r = ws.get("relation", args.relation)
         try:
             validate_distributor(r)
-            return [_check(cname, True)], {}, None
+            return _check(cname, True)
         except QuantcatError as e:
-            return [_check(cname, False, str(e))], {}, None
+            return _check(cname, False, str(e))
     if prop == "bc-square":
         from .monadkit import bc_star_square_check
 
-        ok, w = bc_star_square_check(ws.square(args.square))
-        return [_check(cname, ok, w)], {}, None
+        return _check(cname, *bc_star_square_check(ws.get("square", args.square)))
     if prop == "lax-idempotent":
         from .monadkit import lax_idempotency_report, presheaf_monad
 
-        X = ws.category(args.category)
+        X = ws.get("category", args.category)
         monad = args.monad or "presheaf"
         if monad == "presheaf":
             T = presheaf_monad(budget)
@@ -536,15 +508,15 @@ def _run_check(ws, args, cname):
             T = ball_monad(monad == "ball")
         rep = lax_idempotency_report(T, X)
         ok = rep["lax_idempotent"] and rep["routes_agree"]
-        return [_check(cname, ok, detail=rep)], {}, None
+        return _check(cname, ok, detail=rep)
     if prop == "admissible":
         from .monadkit import admissible_class_check
 
-        spec = ws.spec(args.spec)
-        cats = list(ws.sections["categories"].values())
-        funs = list(ws.sections["functors"].values())
+        spec = ws.get("spec", args.spec)
+        cats = list(ws.records["category"].values())
+        funs = list(ws.records["functor"].values())
         if args.quantale:
-            q = ws.quantale(args.quantale)
+            q = ws.get("quantale", args.quantale)
             cats = [X for X in cats if X.quantale == q]
             funs = [f for f in funs if f.dom.quantale == q]
         elif len({X.quantale for X in cats}) > 1:
@@ -556,72 +528,71 @@ def _run_check(ws, args, cname):
             w = next((rep[k]["witness"] for k in
                       ("conjoints", "composites", "columnwise", "multiplication")
                       if not rep[k]["ok"]), None)
-            return [_check(cname, False, w, detail=rep)], {}, None
+            return _check(cname, False, w, detail=rep)
         skipped, unlisted = rep["multiplication"]["unchecked"], rep["multiplication"]["unlisted"]
         reasons = ["budget left categories unchecked: " + ", ".join(skipped)] if skipped else []
         if unlisted:
             reasons.append("the multiplication condition needs membership tables for "
                            + ", ".join(unlisted))
         if reasons:
-            return [_unchecked(cname, "; ".join(reasons))], {}, None
-        return [_check(cname, True, detail=rep)], {}, None
+            return _unchecked(cname, "; ".join(reasons))
+        return _check(cname, True, detail=rep)
     if prop == "t-embedding":
         from .monadkit import t_embedding_check
 
-        rep = t_embedding_check(ws.spec(args.spec), ws.functor(args.functor))
-        return [_check(cname, rep["t_embedding"], rep["witness"], detail=rep)], {}, None
+        rep = t_embedding_check(ws.get("spec", args.spec), ws.get("functor", args.functor))
+        return _check(cname, rep["t_embedding"], rep["witness"], detail=rep)
     if prop == "b-embedding":
         from .ball import b_embedding_check
 
-        rep = b_embedding_check(ws.functor(args.functor))
+        rep = b_embedding_check(ws.get("functor", args.functor))
         w = rep["ff_witness"] or rep["pointing"]["witness"] \
             or rep["scalar_identity"]["witness"]
-        return [_check(cname, rep["b_embedding"],
-                       None if rep["b_embedding"] else w, detail=rep)], {}, None
+        return _check(cname, rep["b_embedding"],
+                      None if rep["b_embedding"] else w, detail=rep)
     if prop == "tensored":
         from .ball import tensored_check
 
-        rep = tensored_check(ws.category(args.category), not args.plain)
+        rep = tensored_check(ws.get("category", args.category), not args.plain)
         detail = dict(rep, algebra=None if rep["algebra"] is None
                       else _functor_record(rep["algebra"]))
-        return [_check(cname, rep["tensored"], rep["witness"], detail=detail)], {}, None
+        return _check(cname, rep["tensored"], rep["witness"], detail=detail)
     if prop == "ball-algebra":
         return _check_ball_algebra(ws, args, cname)
     if prop == "algebra":
         from .colimit import algebra_extract
 
-        rep = algebra_extract(ws.category(args.category),
-                              ws.spec(args.spec), budget)
+        rep = algebra_extract(ws.get("category", args.category),
+                              ws.get("spec", args.spec), budget)
         w = ", ".join(rep["failures"]) or None
         detail = dict(rep, algebra=None if rep["algebra"] is None
                       else _functor_record(rep["algebra"].alpha))
-        return [_check(cname, rep["ok"], w, detail=detail)], {}, None
+        return _check(cname, rep["ok"], w, detail=detail)
     if prop == "homomorphism":
         return _check_homomorphism(ws, args, cname)
     if prop == "l-complete":
         from .lawvere import is_L_complete
 
-        ok, w = is_L_complete(ws.category(args.category), budget)
-        return [_check(cname, ok, w)], {}, None
+        return _check(cname, *is_L_complete(ws.get("category", args.category), budget))
     if prop == "cancellative":
         from .ball import cancellation_report
 
-        q = ws.quantale(args.quantale)
-        cats = (ws.category(args.category),) if args.category else ()
+        q = ws.get("quantale", args.quantale)
+        cats = (ws.get("category", args.category),) if args.category else ()
         if any(X.quantale != q for X in cats):
             raise ValidationError(
                 f"{cats[0].name} is not enriched in {ws.alias_of(q)}")
         rep = cancellation_report(q, cats)
-        return [_check(cname, rep["cancellative"]["ok"],
-                       rep["cancellative"]["witness"], detail=rep)], {}, None
+        return _check(cname, rep["cancellative"]["ok"],
+                      rep["cancellative"]["witness"], detail=rep)
     raise UsageError(f"unknown property {prop!r}")
 
 
 def _check_ball_algebra(ws, args, cname):
     from .ball import ball_algebra_check, ball_category
 
-    f = ws.functor(args.functor)
-    X = ws.category(args.category)
+    f = ws.get("functor", args.functor)
+    X = ws.get("category", args.category)
     BX = ball_category(X, not args.plain)
     variant = "ball" if args.plain else "extended ball"
     if f.dom.objects != BX.objects or f.dom.hom != BX.hom:
@@ -635,14 +606,14 @@ def _check_ball_algebra(ws, args, cname):
     ok = rep["algebra"] and rep["agree"]
     w = rep["unit_pointing"]["witness"] or rep["associativity"]["witness"] \
         or rep["expansion"]["witness"] or rep["monad_laws"]["witness"]
-    return [_check(cname, ok, None if ok else w, detail=rep)], {}, None
+    return _check(cname, ok, None if ok else w, detail=rep)
 
 
 def _check_homomorphism(ws, args, cname):
     from .colimit import algebra_extract, t_homomorphism_check
 
-    f = ws.functor(args.functor)
-    spec = ws.spec(args.spec)
+    f = ws.get("functor", args.functor)
+    spec = ws.get("spec", args.spec)
     algebras = []
     for X in (f.dom, f.cod):
         rep = algebra_extract(X, spec, args.budget)
@@ -651,47 +622,45 @@ def _check_homomorphism(ws, args, cname):
                 f"{X.name} does not carry a {spec.name} algebra")
         algebras.append(rep["algebra"])
     rep = t_homomorphism_check(f, *algebras, budget=args.budget)
-    return [_check(cname, rep["homomorphism"], rep["strict"]["witness"],
-                   detail=rep)], {}, None
+    return _check(cname, rep["homomorphism"], rep["strict"]["witness"], detail=rep)
 
 
 # --------------------------------------------------------- compute handlers
+
+def _built(ws, cname, X, TX, unit):
+    """(check, outputs, fragment) of a category TX built on X, with its
+    unit X → TX."""
+    return (_check(cname, True, detail={"objects": len(TX.objects)}),
+            {"category": TX.name, "unit": unit.name},
+            _fragment(ws, [X, TX], [unit]))
+
 
 def _run_compute(ws, args, cname):
     con = args.construction
     budget = args.budget
     if con == "presheaf":
-        X = ws.category(args.category)
+        X = ws.get("category", args.category)
         PX = presheaf_category(X, budget)
-        y = yoneda(X, PX)
-        return ([_check(cname, True, detail={"objects": len(PX.objects)})],
-                {"category": PX.name, "unit": y.name},
-                _fragment(ws, [X, PX], [y]))
+        return _built(ws, cname, X, PX, yoneda(X, PX))
     if con == "ball":
         from .ball import ball_category, ball_unit
 
-        X = ws.category(args.category)
+        X = ws.get("category", args.category)
         BX = ball_category(X, not args.plain)
-        unit = ball_unit(X, BX)
-        return ([_check(cname, True, detail={"objects": len(BX.objects)})],
-                {"category": BX.name, "unit": unit.name},
-                _fragment(ws, [X, BX], [unit]))
+        return _built(ws, cname, X, BX, ball_unit(X, BX))
     if con == "submonad":
         from .monadkit import submonad_category, submonad_monad
 
-        X = ws.category(args.category)
-        spec = ws.spec(args.spec)
+        X = ws.get("category", args.category)
+        spec = ws.get("spec", args.spec)
         TX = submonad_category(spec, X, budget)
-        unit = submonad_monad(spec, budget).unit(X)
-        return ([_check(cname, True, detail={"objects": len(TX.objects)})],
-                {"category": TX.name, "unit": unit.name},
-                _fragment(ws, [X, TX], [unit]))
+        return _built(ws, cname, X, TX, submonad_monad(spec, budget).unit(X))
     if con == "colimit":
         from .colimit import weighted_colimit, weighted_diagram
         from .dist import validate_distributor
 
-        w = ws.relation(args.weight)
-        f = ws.functor(args.diagram)
+        w = ws.get("relation", args.weight)
+        f = ws.get("functor", args.diagram)
         try:
             validate_distributor(w)
         except QuantcatError as e:
@@ -703,37 +672,32 @@ def _run_compute(ws, args, cname):
         except InternalError:
             raise
         except QuantcatError as e:
-            return [_check(cname, False, str(e))], {}, None
-        return ([_check(cname, True)],
-                {"functor": g.name},
-                _fragment(ws, [g.dom, g.cod], [g]))
+            return _check(cname, False, str(e)), {}, None
+        return _check(cname, True), {"functor": g.name}, _fragment(ws, [g.dom, g.cod], [g])
     if con == "algebra":
         from .colimit import algebra_extract
 
-        X = ws.category(args.category)
-        spec = ws.spec(args.spec)
+        X = ws.get("category", args.category)
+        spec = ws.get("spec", args.spec)
         rep = algebra_extract(X, spec, budget)
         if not rep["ok"]:
             w = ", ".join(rep["failures"]) or "unit laws failed"
-            return [_check(cname, False, w, detail=dict(rep, algebra=None))], {}, None
+            return _check(cname, False, w, detail=dict(rep, algebra=None)), {}, None
         alpha = rep["algebra"].alpha
-        return ([_check(cname, True, detail={"ambiguous": rep["ambiguous"]})],
+        return (_check(cname, True, detail={"ambiguous": rep["ambiguous"]}),
                 {"functor": alpha.name},
                 _fragment(ws, [alpha.dom, X], [alpha]))
     if con == "lawvere-completion":
         from .lawvere import lawvere_completion
 
-        X = ws.category(args.category)
-        LX, unit = lawvere_completion(X, budget)
-        return ([_check(cname, True, detail={"objects": len(LX.objects)})],
-                {"category": LX.name, "unit": unit.name},
-                _fragment(ws, [X, LX], [unit]))
+        X = ws.get("category", args.category)
+        return _built(ws, cname, X, *lawvere_completion(X, budget))
     if con == "cauchy-pair":
         from .lawvere import cauchy_pair
 
-        X, seq = ws.sequence(args.sequence)
+        X, seq = ws.get("sequence", args.sequence)
         pair, label = cauchy_pair(X, seq)
-        return ([_check(cname, True, detail={"representative": label})],
+        return (_check(cname, True, detail={"representative": label}),
                 {"representative": label,
                  "unit": str(pair.unit),
                  "phi": [str(row[0]) for row in pair.phi.matrix],
@@ -742,20 +706,11 @@ def _run_compute(ws, args, cname):
     raise UsageError(f"unknown construction {con!r}")
 
 
-_SINGULAR = {"quantales": "quantale", "categories": "category",
-             "functors": "functor", "relations": "relation",
-             "squares": "square", "submonad_specs": "spec",
-             "sequences": "sequence"}
-
-
 def _run_validate(ws):
-    checks = []
-    for section, name in ws.order:
-        msg = ws.failures.get((section, name))
-        checks.append(_check(f"{_SINGULAR[section]}:{name}", msg is None, msg))
-    if not checks:
-        checks.append(_check("workspace", True, detail={"records": 0}))
-    return checks, {}, None
+    checks = [_check(f"{kind}:{name}", (kind, name) not in ws.failures,
+                     ws.failures.get((kind, name)))
+              for kind, name in ws.order]
+    return checks or [_check("workspace", True, detail={"records": 0})]
 
 
 # ------------------------------------------------------------------ reports
@@ -810,18 +765,19 @@ def run(args, argv):
             raise UsageError(f"{args.command} needs --workspace")
         ws = parse_workspace(args.workspace)
         if args.command == "validate":
-            checks, outputs, fragment = _run_validate(ws)
+            checks = _run_validate(ws)
         else:
-            if args.command == "check":
-                cname = f"{args.property}[{_target_tokens(args)}]"
-                handler = lambda: _run_check(ws, args, cname)
-            else:
-                cname = f"{args.construction}[{_target_tokens(args)}]"
-                handler = lambda: _run_compute(ws, args, cname)
+            checking = args.command == "check"
+            cname = (f"{args.property if checking else args.construction}"
+                     f"[{_target_tokens(args)}]")
             try:
-                checks, outputs, fragment = handler()
+                if checking:
+                    check = _run_check(ws, args, cname)
+                else:
+                    check, outputs, fragment = _run_compute(ws, args, cname)
             except BudgetExceeded as e:
-                checks = [_unchecked(cname, str(e))]
+                check = _unchecked(cname, str(e))
+            checks = [check]
     report["checks"] = checks
     if outputs:
         report["outputs"] = _jsonable(outputs)

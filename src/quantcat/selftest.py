@@ -1,9 +1,10 @@
 """Built-in verification battery behind `quantcat selftest`.
 
 Twelve numbered checks (C1-C12) over fixed, deterministic universes of
-small quantales and categories.  Each returns a result dict with a
-pass/fail verdict, a witness on failure, and counters describing how
-much ground was covered.  `run_selftest` runs them in order.
+small quantales and categories.  Each is one function that returns the
+counters describing how much ground it covered on a pass, or its
+witness on a fail; `_criterion` makes that a result dict with the
+check's name, label and verdict.  `run_selftest` runs them in order.
 
 Everything here is exact: verdicts come from `==` on QElem values,
 never from tolerances.
@@ -93,24 +94,24 @@ def _indisc2(q, name):
     return validate_category(name, q, ["p", "q"], [[k, k], [k, k]])
 
 
-def _vee(name="vee"):
-    return _cat(name, BOOL, ["d0", "d1", "t"],
+def _vee():
+    return _cat("vee", BOOL, ["d0", "d1", "t"],
                 [[1, 0, 1], [0, 1, 1], [0, 0, 1]])
 
 
-def _lat4(name="lat4"):
+def _lat4():
     # the four-element Boolean lattice o < a, b < t as an ordered set
-    return _cat(name, BOOL, ["o", "a", "b", "t"],
+    return _cat("lat4", BOOL, ["o", "a", "b", "t"],
                 [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]])
 
 
-def _luk_sym(name="luk_sym"):
-    return _cat(name, LUK2, ["p", "q"],
+def _luk_sym():
+    return _cat("luk_sym", LUK2, ["p", "q"],
                 [[1, Fraction(1, 2)], [Fraction(1, 2), 1]])
 
 
-def _luk_asym(name="luk_asym"):
-    return _cat(name, LUK2, ["p", "q"], [[1, Fraction(1, 2)], [0, 1]])
+def _luk_asym():
+    return _cat("luk_asym", LUK2, ["p", "q"], [[1, Fraction(1, 2)], [0, 1]])
 
 
 def _diamond_pair():
@@ -156,16 +157,26 @@ def _all_squares(functors):
     return out
 
 
-def _result(name, label, ok, witness=None, **detail):
-    return {"name": name, "label": label,
-            "verdict": "pass" if ok else "fail",
-            "witness": None if witness is None else str(witness),
-            "detail": detail}
+def _criterion(name, label):
+    """Make `check(budget, seed)`, which returns its detail dict on a pass
+    and its witness on a fail, into a criterion returning a result dict."""
+    def wrap(check):
+        @functools.wraps(check)
+        def criterion(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
+            out = check(budget, seed)
+            ok = isinstance(out, dict)
+            return {"name": name, "label": label,
+                    "verdict": "pass" if ok else "fail",
+                    "witness": None if ok else str(out),
+                    "detail": out if ok else {}}
+        return criterion
+    return wrap
 
 
 # -------------------------------------------------------------- C1 quantales
 
-def criterion_1(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
+@_criterion("C1", "builtin quantale axioms, exhaustively")
+def criterion_1(budget, seed):
     """Lattice, tensor, and residuation axioms on every finite builtin."""
     qs = [builtin("boolean2")]
     for kind in ("goedel_chain", "lukasiewicz_chain"):
@@ -180,42 +191,35 @@ def criterion_1(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
             j, m = q.join(s), q.meet(s)
             if any(not q.leq(u, j) for u in s) or \
                     any(not q.leq(m, u) for u in s):
-                return _result("C1", _C1_LABEL, False, f"{q.name}: bound")
+                return f"{q.name}: bound"
             for u in c:  # least upper / greatest lower, not just bounds
                 if all(q.leq(v, u) for v in s) and not q.leq(j, u):
-                    return _result("C1", _C1_LABEL, False, f"{q.name}: lub")
+                    return f"{q.name}: lub"
                 if all(q.leq(u, v) for v in s) and not q.leq(u, m):
-                    return _result("C1", _C1_LABEL, False, f"{q.name}: glb")
+                    return f"{q.name}: glb"
             for u in c:  # tensor distributes over arbitrary joins
                 if q.tensor(u, j) != q.join(q.tensor(u, v) for v in s):
-                    return _result("C1", _C1_LABEL, False,
-                                   f"{q.name}: {u} over a join")
+                    return f"{q.name}: {u} over a join"
             checked += len(subsets)
         for u in c:
             if q.tensor(u, q.unit) != u:
-                return _result("C1", _C1_LABEL, False, f"{q.name}: unit {u}")
+                return f"{q.name}: unit {u}"
             for v in c:
                 if q.tensor(u, v) != q.tensor(v, u):
-                    return _result("C1", _C1_LABEL, False,
-                                   f"{q.name}: {u}⊗{v} not symmetric")
+                    return f"{q.name}: {u}⊗{v} not symmetric"
                 for w in c:
                     if q.tensor(q.tensor(u, v), w) != q.tensor(u, q.tensor(v, w)):
-                        return _result("C1", _C1_LABEL, False,
-                                       f"{q.name}: assoc at ({u},{v},{w})")
+                        return f"{q.name}: assoc at ({u},{v},{w})"
                     if q.leq(q.tensor(u, v), w) != q.leq(v, q.hom(u, w)):
-                        return _result("C1", _C1_LABEL, False,
-                                       f"{q.name}: residuation at ({u},{v},{w})")
+                        return f"{q.name}: residuation at ({u},{v},{w})"
                     checked += 2
-    return _result("C1", _C1_LABEL, True,
-                   quantales=len(qs), comparisons=checked)
-
-
-_C1_LABEL = "builtin quantale axioms, exhaustively"
+    return dict(quantales=len(qs), comparisons=checked)
 
 
 # ------------------------------------------------------------ C2 monad laws
 
-def criterion_2(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
+@_criterion("C2", "presheaf monad laws, sampling where enumeration is too big")
+def criterion_2(budget, seed):
     """Presheaf unit and associativity laws; sampling kicks in exactly
     where enumerating presheaves on PPX would blow the budget."""
     cats = [_chain_cat(BOOL, 2, "chain2"), _chain_cat(BOOL, 3, "chain3"),
@@ -230,17 +234,10 @@ def criterion_2(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
         if assoc["mode"] == "sampled":
             sampled += 1
         if not (rep["unit_mapped"]["ok"] and rep["unit_pointed"]["ok"]):
-            return _result("C2", _C2_LABEL, False, f"{X.name}: unit law")
+            return f"{X.name}: unit law"
         if assoc["mode"] == "unchecked" or not assoc["ok"]:
-            return _result("C2", _C2_LABEL, False,
-                           f"{X.name}: associativity {assoc['mode']}, "
-                           f"witness {assoc['witness']}")
-    return _result("C2", _C2_LABEL, True,
-                   categories=len(cats), sampled_instances=sampled,
-                   modes=modes)
-
-
-_C2_LABEL = "presheaf monad laws, sampling where enumeration is too big"
+            return f"{X.name}: associativity {assoc['mode']}, witness {assoc['witness']}"
+    return dict(categories=len(cats), sampled_instances=sampled, modes=modes)
 
 
 # ---------------------------------------------------------------- C3 squares
@@ -254,7 +251,8 @@ def _square_family(tag):
     return _all_functors(cats)
 
 
-def criterion_3(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
+@_criterion("C3", "square transfer and unit/multiplication naturality")
+def criterion_3(budget, seed):
     """Square transfer: passing squares keep passing under the presheaf
     map, unit and multiplication squares are natural, and at least one
     square genuinely fails (with no requirement on its image)."""
@@ -279,13 +277,11 @@ def criterion_3(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
                 image = square(pmap[id(sq.top)], pmap[id(sq.left)],
                                pmap[id(sq.bottom)], pmap[id(sq.right)])
             except NotCommuting as e:
-                return _result("C3", _C3_LABEL, False, f"{tag}: {e}")
+                return f"{tag}: {e}"
             iok, iw = bc_star_square_check(image)
             if not iok:
-                return _result(
-                    "C3", _C3_LABEL, False,
-                    f"{tag}: image of ({sq.top.name},{sq.left.name},"
-                    f"{sq.bottom.name},{sq.right.name}) fails at {iw}")
+                return (f"{tag}: image of ({sq.top.name},{sq.left.name},"
+                        f"{sq.bottom.name},{sq.right.name}) fails at {iw}")
         naturality = 0
         for f in fs:
             try:
@@ -294,25 +290,22 @@ def criterion_3(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
                 square(P.mult(f.dom), P.map(pmap[id(f)]),
                        P.mult(f.cod), pmap[id(f)])
             except NotCommuting as e:
-                return _result("C3", _C3_LABEL, False, f"{tag}: {f.name}: {e}")
+                return f"{tag}: {f.name}: {e}"
             naturality += 2
         if len(sqs) < 20 or failing == 0 or identity_squares < len(fs):
-            return _result("C3", _C3_LABEL, False,
-                           f"{tag}: family too thin ({len(sqs)} squares, "
-                           f"{failing} failing, {identity_squares} identity)")
+            return (f"{tag}: family too thin ({len(sqs)} squares, "
+                    f"{failing} failing, {identity_squares} identity)")
         detail[tag] = {"functors": len(fs), "squares": len(sqs),
                        "passing": passing, "failing": failing,
                        "identity_squares": identity_squares,
                        "naturality_squares": naturality}
-    return _result("C3", _C3_LABEL, True, **detail)
-
-
-_C3_LABEL = "square transfer and unit/multiplication naturality"
+    return detail
 
 
 # --------------------------------------------------- C4 fully faithful squares
 
-def criterion_4(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
+@_criterion("C4", "fully faithful = identity square passes")
+def criterion_4(budget, seed):
     """Fully faithful coincides with the identity square passing."""
     agree = 0
     for tag in ("boolean2", "lukasiewicz_chain(2)"):
@@ -321,17 +314,15 @@ def criterion_4(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
             ff = is_fully_faithful(f)[0]
             bc = bc_star_square_check(square(one, one, f, f))[0]
             if ff != bc:
-                return _result("C4", _C4_LABEL, False, f.name)
+                return f.name
             agree += 1
-    return _result("C4", _C4_LABEL, True, functors=agree)
-
-
-_C4_LABEL = "fully faithful = identity square passes"
+    return dict(functors=agree)
 
 
 # ------------------------------------------------------- C5 lax idempotency
 
-def criterion_5(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
+@_criterion("C5", "lax idempotency: square and adjunction routes coincide")
+def criterion_5(budget, seed):
     """The square route and both adjunction routes give one verdict,
     for the presheaf monad and for both ball monads."""
     chain2 = _chain_cat(BOOL, 2, "chain2")
@@ -346,18 +337,15 @@ def criterion_5(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
     for T, X in instances:
         rep = lax_idempotency_report(T, X)
         if not rep["routes_agree"]:
-            return _result("C5", _C5_LABEL, False, f"{T.name} on {X.name}")
+            return f"{T.name} on {X.name}"
         flags[f"{T.name}({X.name})"] = rep["lax_idempotent"]
-    return _result("C5", _C5_LABEL, True, instances=len(instances),
-                   lax_idempotent=flags)
-
-
-_C5_LABEL = "lax idempotency: square and adjunction routes coincide"
+    return dict(instances=len(instances), lax_idempotent=flags)
 
 
 # --------------------------------------------------------- C6 admissibility
 
-def criterion_6(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
+@_criterion("C6", "admissibility closure holds; a non-columnwise class fails")
+def criterion_6(budget, seed):
     """Closure conditions hold for both distinguished classes and break
     columnwise for a class defined on whole distributors only."""
     chain2 = _chain_cat(BOOL, 2, "chain2")
@@ -366,31 +354,26 @@ def criterion_6(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
     for spec in (submonad_all(), submonad_right_adjoints()):
         rep = admissible_class_check(spec, cats, funcs, budget)
         if not rep["admissible"]:
-            return _result("C6", _C6_LABEL, False, f"{spec.name}")
+            return spec.name
         if rep["multiplication"]["unchecked"]:
-            return _result("C6", _C6_LABEL, False,
-                           f"{spec.name}: unexpectedly over budget")
+            return f"{spec.name}: unexpectedly over budget"
     broken = SubmonadSpec("whole_only",
                           member=lambda X, values: True,
                           dist_member=lambda phi: len(phi.cod.objects) != 1)
     rep = admissible_class_check(broken, [chain2], [identity_functor(chain2)],
                                  budget)
     if rep["columnwise"]["ok"] or rep["columnwise"]["witness"] is None:
-        return _result("C6", _C6_LABEL, False,
-                       "whole-distributor class slipped through columnwise")
+        return "whole-distributor class slipped through columnwise"
     if rep["admissible"]:
-        return _result("C6", _C6_LABEL, False, "broken class marked admissible")
-    return _result("C6", _C6_LABEL, True,
-                   specs=("all", "right_adjoints"), functors=len(funcs),
-                   broken_witness=rep["columnwise"]["witness"])
-
-
-_C6_LABEL = "admissibility closure holds; a non-columnwise class fails"
+        return "broken class marked admissible"
+    return dict(specs=("all", "right_adjoints"), functors=len(funcs),
+                broken_witness=rep["columnwise"]["witness"])
 
 
 # ---------------------------------------------------------- C7 cancellation
 
-def criterion_7(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
+@_criterion("C7", "cancellation equivalences on lukasiewicz and goedel chains")
+def criterion_7(budget, seed):
     """Cancellation, separation of the ball category of V, and
     preservation of separation stand or fall together."""
     outcomes = {}
@@ -401,15 +384,11 @@ def criterion_7(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
         q = builtin(kind, n)
         rep = cancellation_report(q, cats=(_chain_cat(q, 2, f"two({q.name})"),))
         if not rep["equivalent"]:
-            return _result("C7", _C7_LABEL, False, f"{q.name}: routes split")
+            return f"{q.name}: routes split"
         if rep["cancellative"]["ok"] is not expected:
-            return _result("C7", _C7_LABEL, False,
-                           f"{q.name}: cancellative={rep['cancellative']['ok']}")
+            return f"{q.name}: cancellative={rep['cancellative']['ok']}"
         outcomes[q.name] = rep["cancellative"]["ok"]
-    return _result("C7", _C7_LABEL, True, outcomes=outcomes)
-
-
-_C7_LABEL = "cancellation equivalences on lukasiewicz and goedel chains"
+    return dict(outcomes=outcomes)
 
 
 # ------------------------------------------------------------- C8 tensoring
@@ -460,7 +439,8 @@ def _no_action_exists(X, BX):
     return True
 
 
-def criterion_8(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
+@_criterion("C8", "tensored two ways; ball algebras four ways")
+def criterion_8(budget, seed):
     """Tensored-ness found two ways; algebras verified four ways; on
     hom-categories the action is the tensor itself; non-tensored
     categories admit no algebra at all."""
@@ -471,48 +451,37 @@ def criterion_8(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
         by_search = tensored_check(X, ext, via="search")
         by_ext = tensored_check(X, ext, via="extension")
         if by_search["tensored"] != by_ext["tensored"]:
-            return _result("C8", _C8_LABEL, False, f"{X.name}: routes split")
+            return f"{X.name}: routes split"
         if by_search["tensored"]:
             tensored_count += 1
             alpha = by_search["algebra"]
             if alpha.mapping != by_ext["algebra"].mapping:
-                return _result("C8", _C8_LABEL, False,
-                               f"{X.name}: representatives differ")
+                return f"{X.name}: representatives differ"
             rep = ball_algebra_check(alpha)
             if not (rep["algebra"] and rep["agree"]):
-                return _result("C8", _C8_LABEL, False,
-                               f"{X.name}: algebra conditions split")
+                return f"{X.name}: algebra conditions split"
             cons = tensor_consequences(X, alpha)
             bad = next((k for k, v in cons.items()
                         if isinstance(v, dict) and v.get("ok") is False), None)
             if bad is not None:
-                return _result("C8", _C8_LABEL, False, f"{X.name}: {bad}")
+                return f"{X.name}: {bad}"
             if homself:
                 # on V itself the action must be x ⊕ r = x ⊗ r
                 BX = alpha.dom
                 for j, (i, r) in enumerate(BX.pairs):
                     if alpha(j) != q.tensor(q.carrier[i], r).index:
-                        return _result("C8", _C8_LABEL, False,
-                                       f"{X.name}: action is not ⊗ at "
-                                       f"{BX.objects[j]}")
+                        return f"{X.name}: action is not ⊗ at {BX.objects[j]}"
         else:
             non_tensored += 1
             BX = ball_category(X, ext)
             if len(X.objects) ** len(BX.objects) > 20000:
-                return _result("C8", _C8_LABEL, False,
-                               f"{X.name}: counterexample search too big")
+                return f"{X.name}: counterexample search too big"
             if not _no_action_exists(X, BX):
-                return _result("C8", _C8_LABEL, False,
-                               f"{X.name}: not tensored yet an action exists")
+                return f"{X.name}: not tensored yet an action exists"
     if len(instances) < 50 or non_tensored == 0:
-        return _result("C8", _C8_LABEL, False,
-                       f"battery too thin: {len(instances)} instances, "
-                       f"{non_tensored} non-tensored")
-    return _result("C8", _C8_LABEL, True, instances=len(instances),
-                   tensored=tensored_count, non_tensored=non_tensored)
-
-
-_C8_LABEL = "tensored two ways; ball algebras four ways"
+        return f"battery too thin: {len(instances)} instances, {non_tensored} non-tensored"
+    return dict(instances=len(instances), tensored=tensored_count,
+                non_tensored=non_tensored)
 
 
 # ----------------------------------------------------------- C9 b-embeddings
@@ -562,7 +531,8 @@ def _sharp_identities(h, escapes):
     return None
 
 
-def criterion_9(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
+@_criterion("C9", "interval sub-chains embed, with the adjoint-value identities")
+def criterion_9(budget, seed):
     """Interval sub-chains of the lukasiewicz four-chain embed; a gappy
     one does not; every passing embedding satisfies the adjoint-value
     identities."""
@@ -574,25 +544,22 @@ def criterion_9(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
         sub, h = _full_subchain(V, labels, name)
         rep = b_embedding_check(h)
         if not rep["b_embedding"]:
-            return _result("C9", _C9_LABEL, False, f"{name}: {rep}")
+            return f"{name}: {rep}"
         w = _sharp_identities(h, rep["escapes"])
         if w is not None:
-            return _result("C9", _C9_LABEL, False, f"{name}: {w}")
+            return f"{name}: {w}"
         passing.append(name)
     _, gappy = _full_subchain(V, ["0", "1"], "gappy")
     rep = b_embedding_check(gappy)
     if rep["b_embedding"]:
-        return _result("C9", _C9_LABEL, False, "gappy chain embeds")
-    return _result("C9", _C9_LABEL, True, passing=passing,
-                   gappy_witness=str(rep["pointing"]["witness"]))
-
-
-_C9_LABEL = "interval sub-chains embed, with the adjoint-value identities"
+        return "gappy chain embeds"
+    return dict(passing=passing, gappy_witness=str(rep["pointing"]["witness"]))
 
 
 # ----------------------------------------------- C10 algebras three ways
 
-def criterion_10(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
+@_criterion("C10", "extraction, cocompleteness, minima, and injectivity agree")
+def criterion_10(budget, seed):
     """Algebra extraction, cocompleteness, and the minimum description
     agree instance by instance; algebras are injective along the
     generated embeddings."""
@@ -610,19 +577,15 @@ def criterion_10(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
             c = cocompleteness_check(X, spec, budget=budget)
             m = min_characterization(X, spec, budget)
             if not (a["ok"] == c["cocomplete"] == m["ok"]):
-                return _result("C10", _C10_LABEL, False,
-                               f"{spec.name} on {X.name}: verdicts split")
+                return f"{spec.name} on {X.name}: verdicts split"
             if set(a["failures"]) != set(c["failures"]):
-                return _result("C10", _C10_LABEL, False,
-                               f"{spec.name} on {X.name}: failure sets differ")
+                return f"{spec.name} on {X.name}: failure sets differ"
             if a["ok"]:
                 algebra_names[spec.name].add(id(X))
                 alpha = a["algebra"].alpha
                 for i, lab in enumerate(m["x_phi"]):
                     if X.hom[alpha(i)] != X.hom[X.objects.index(lab)]:
-                        return _result("C10", _C10_LABEL, False,
-                                       f"{spec.name} on {X.name}: "
-                                       f"actions differ at {lab}")
+                        return f"{spec.name} on {X.name}: actions differ at {lab}"
             agreements += 1
     # injectivity along every generated embedding, per quantale
     emb_checked = 0
@@ -641,22 +604,18 @@ def criterion_10(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
                     except BudgetExceeded:
                         continue
                     if not rep["ok"]:
-                        return _result("C10", _C10_LABEL, False,
-                                       f"{spec.name}: {X.name} not injective "
-                                       f"along {h.name} at {rep['witness']}")
+                        return (f"{spec.name}: {X.name} not injective "
+                                f"along {h.name} at {rep['witness']}")
                     emb_checked += 1
     if emb_checked == 0:
-        return _result("C10", _C10_LABEL, False, "no embeddings generated")
-    return _result("C10", _C10_LABEL, True, instances=agreements,
-                   injectivity_instances=emb_checked)
-
-
-_C10_LABEL = "extraction, cocompleteness, minima, and injectivity agree"
+        return "no embeddings generated"
+    return dict(instances=agreements, injectivity_instances=emb_checked)
 
 
 # ------------------------------------------------ C11 right-adjoint closure
 
-def criterion_11(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
+@_criterion("C11", "adjoint enumeration, completion, and stabilization")
+def criterion_11(budget, seed):
     """`enumerate_L`, which certifies the closed-form left adjoint [φ, 1_X]
     of each presheaf entry by entry, matches the membership route through
     the distributor calculus; completion is complete, fully faithful, and
@@ -671,20 +630,18 @@ def criterion_11(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
         LX, pairs = enumerate_L(X, budget)
         SX = submonad_category(ra, X, budget)
         if LX.objects != SX.objects:
-            return _result("C11", _C11_LABEL, False, f"{X.name}: routes split")
+            return f"{X.name}: routes split"
         for p in pairs:
             if not check_adjoint_pair(p.psi, p.phi)[0]:
-                return _result("C11", _C11_LABEL, False,
-                               f"{X.name}: uncertified pair")
+                return f"{X.name}: uncertified pair"
     completions = {}
     for X in (chain2, pair, _luk_asym()):
         LX, unit = lawvere_completion(X, budget)
         if not is_fully_faithful(unit)[0] or not is_L_complete(LX, budget)[0]:
-            return _result("C11", _C11_LABEL, False, f"{X.name}: completion")
+            return f"{X.name}: completion"
         _, unit2 = lawvere_completion(LX, budget)
         if sorted(unit2.mapping) != list(range(len(LX.objects))):
-            return _result("C11", _C11_LABEL, False,
-                           f"{X.name}: completing twice moved things")
+            return f"{X.name}: completing twice moved things"
         completions[X.name] = len(LX.objects)
     erp = builtin("ext_real_plus")
 
@@ -706,22 +663,17 @@ def criterion_11(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
             for seq in seqs:
                 _, rep_label = cauchy_pair(M, seq)
                 if rep_label != seq.points[seq.stable_from]:
-                    return _result("C11", _C11_LABEL, False,
-                                   f"{M.name}: landed on {rep_label}")
+                    return f"{M.name}: landed on {rep_label}"
                 sequences += 1
     if sequences < 10:
-        return _result("C11", _C11_LABEL, False,
-                       f"only {sequences} sequences generated")
-    return _result("C11", _C11_LABEL, True, categories=len(battery),
-                   completions=completions, sequences=sequences)
-
-
-_C11_LABEL = "adjoint enumeration, completion, and stabilization"
+        return f"only {sequences} sequences generated"
+    return dict(categories=len(battery), completions=completions, sequences=sequences)
 
 
 # -------------------------------------------------------- C12 homomorphisms
 
-def criterion_12(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
+@_criterion("C12", "lax always holds; strictness classifies curated maps")
+def criterion_12(budget, seed):
     """Between extracted algebras the lax inequality never fails and the
     two strictness routes agree; curated maps classify correctly."""
     spec = submonad_all()
@@ -733,14 +685,14 @@ def criterion_12(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
     algs = {id(X): algebra_extract(X, spec, budget)["algebra"]
             for X in carriers}
     if any(a is None for a in algs.values()):
-        return _result("C12", _C12_LABEL, False, "carrier failed to extract")
+        return "carrier failed to extract"
     fam = _all_functors([chain2, chain3, lat4])
     if len(fam) < 20:
-        return _result("C12", _C12_LABEL, False, f"only {len(fam)} functors")
+        return f"only {len(fam)} functors"
     for f in fam:
         rep = t_homomorphism_check(f, algs[id(f.dom)], algs[id(f.cod)], budget)
         if rep["lax"] is not True or not rep["agree"]:
-            return _result("C12", _C12_LABEL, False, f.name)
+            return f.name
     curated = {}
     expect = {}
     curated["identity"] = identity_functor(chain3)
@@ -757,19 +709,13 @@ def criterion_12(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
         rep = t_homomorphism_check(f, algs[id(f.dom)], algs[id(f.cod)], budget)
         strictness[tag] = rep["strict"]["ok"]
         if rep["strict"]["ok"] is not expect[tag]:
-            return _result("C12", _C12_LABEL, False,
-                           f"{tag}: strict={rep['strict']['ok']}")
+            return f"{tag}: strict={rep['strict']['ok']}"
     if strictness["crush"] is False:
         rep = t_homomorphism_check(curated["crush"], algs[id(lat4)],
                                    algs[id(chain2)], budget)
         if rep["strict"]["witness"] != "[1,1,1,0]":
-            return _result("C12", _C12_LABEL, False,
-                           f"crush witness moved: {rep['strict']['witness']}")
-    return _result("C12", _C12_LABEL, True, functors=len(fam),
-                   strictness=strictness)
-
-
-_C12_LABEL = "lax always holds; strictness classifies curated maps"
+            return f"crush witness moved: {rep['strict']['witness']}"
+    return dict(functors=len(fam), strictness=strictness)
 
 
 # -------------------------------------------------------------------- runner

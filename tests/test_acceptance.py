@@ -84,10 +84,10 @@ def test_c13_cli_round_trip(tmp_path):
         frag_path.write_text(json.dumps(fragment))
         back = parse_workspace(str(frag_path))
         ok = ok and not back.failures
-        orig = parse_workspace(str(ws)).category("C2")
-        PX = back.category("P(C2)")
-        y = back.functor("y_C2")
-        ok = ok and back.category("C2").same_shape(orig)
+        orig = parse_workspace(str(ws)).get("category", "C2")
+        PX = back.get("category", "P(C2)")
+        y = back.get("functor", "y_C2")
+        ok = ok and back.get("category", "C2").same_shape(orig)
         ok = ok and PX.objects == ("[0,0]", "[1,0]", "[1,1]")
         ok = ok and y.dom.same_shape(orig) and y.cod.same_shape(PX)
         ok = ok and [y.on_label(x) for x in orig.objects] == ["[1,0]", "[1,1]"]

@@ -303,11 +303,11 @@ def test_rationals_past_the_digit_limit_are_parse_errors(tmp_path, capsys, value
 def test_parse_workspace_direct(ws_path):
     ws = cli.parse_workspace(ws_path)
     assert not ws.failures
-    S = ws.category("S")
+    S = ws.get("category", "S")
     assert S.objects == ("x", "y")
     assert str(S.hom[0][1]) == "1/2"
     with pytest.raises(UnresolvedReference):
-        ws.category("missing")
+        ws.get("category", "missing")
 
 
 def test_missing_file(tmp_path):
@@ -504,11 +504,11 @@ def test_presheaf_fragment_round_trips(ws_path, tmp_path, capsys):
                           [[BOOL.elem(1), BOOL.elem(1)],
                            [BOOL.elem(0), BOOL.elem(1)]])
     PX = presheaf_category(X)
-    got = ws.category("P(C2)")
+    got = ws.get("category", "P(C2)")
     assert got.objects == PX.objects
     assert [[str(v) for v in row] for row in got.hom] == \
         [[str(v) for v in row] for row in PX.hom]
-    assert ws.functor("y_C2").on_label("p") == "[1,0]"
+    assert ws.get("functor", "y_C2").on_label("p") == "[1,0]"
 
 
 def test_ball_algebra_over_emitted_category(ws_path, tmp_path, capsys):
