@@ -81,10 +81,9 @@ def ball_unit(X: VCategory, BX: BallCategory) -> VFunctor:
     return VFunctor(f"unit_{X.name}", X, BX, mapping)
 
 
-def ball_mult(X: VCategory, BX: BallCategory,
-              BBX: BallCategory = None) -> VFunctor:
+def ball_mult(X: VCategory, BX: BallCategory) -> VFunctor:
     q = X.quantale
-    BBX = BBX or ball_category(BX, BX.extended)
+    BBX = ball_category(BX, BX.extended)
     idx = _pair_index(BX)
     mapping = []
     for bi, s in BBX.pairs:
@@ -232,10 +231,9 @@ def ball_algebra_check(alpha: VFunctor) -> dict:
 
     try:
         BBX = ball_category(BX, BX.extended)
-        mu = ball_mult(X, BX, BBX)
-        bidx = _pair_index(BX)
+        mu = ball_mult(X, BX)
         balpha = VFunctor(f"B({alpha.name})", BBX, BX,
-                          tuple(bidx[(alpha(bi), s)] for bi, s in BBX.pairs))
+                          tuple(idx[(alpha(bi), s)] for bi, s in BBX.pairs))
         law_w = next((BBX.objects[g] for g in range(len(BBX.objects))
                       if alpha(balpha(g)) != alpha(mu(g))), None)
         monad_laws = {"ok": law_w is None and unit_w is None, "witness": law_w or unit_w}

@@ -21,8 +21,7 @@ from .errors import (
     SpecMismatch,
 )
 from .monadkit import SubmonadSpec, submonad_category, submonad_monad
-from .presheaf import (DEFAULT_BUDGET, extension_row, find_representatives, presheaf_label,
-                       representables)
+from .presheaf import DEFAULT_BUDGET, extension_row, find_representatives, presheaf_label
 from .vcat import VCategory, VFunctor, check_adjunction, functors, is_functor
 
 DEFAULT_EXTENSION_BUDGET = 10 ** 5
@@ -92,14 +91,14 @@ def algebra_extract(X: VCategory, spec: SubmonadSpec,
                     budget: int = DEFAULT_BUDGET) -> dict:
     """α(φ) := the representative of [φ, (1_X)_*], member by member.
 
-    Ties in a non-separated carrier go to an exact match of φ with a
-    lower companion column first, then to the least index, so that
-    α(x^*) = x whenever possible.  On success the section and
-    adjunction laws for the unit are verified and reported.
+    Ties in a non-separated carrier go to the least index: two
+    representatives z₁, z₂ of one row have X(z₁,−) = X(z₂,−), so z₁ ≅ z₂
+    and, by (T), their columns agree too; no other choice tells them
+    apart.  On success the section and adjunction laws for the unit are
+    verified and reported.
     """
     TX = submonad_category(spec, X, budget)
     n = len(X.objects)
-    columns = representables(X)
     mapping, failures, ambiguous = [], [], []
     for i, vals in enumerate(TX.presheaves):
         reps = find_representatives(X, extension_row(X, vals))
@@ -108,8 +107,6 @@ def algebra_extract(X: VCategory, spec: SubmonadSpec,
             continue
         if len(reps) > 1:
             ambiguous.append(TX.objects[i])
-            exact = [z for z in reps if columns[z] == tuple(vals)]
-            reps = exact or reps
         mapping.append(reps[0])
     if failures:
         return {"category": X.name, "spec": spec.name, "algebra": None,

@@ -133,7 +133,7 @@ def validate_functor(name, dom, cod, mapping) -> VFunctor:
                 raise NotAFunctor(
                     f"{name}: a({dom.objects[i]},{dom.objects[j]}) = {dom.hom[i][j]} ≰ "
                     f"b({cod.objects[f(i)]},{cod.objects[f(j)]}) = {cod.hom[f(i)][f(j)]}")
-    return VFunctor(name, dom, cod, f.mapping)
+    return f
 
 
 def raw_functor(name, dom, cod, mapping) -> VFunctor:
