@@ -647,9 +647,11 @@ def test_cauchy_pair_outputs(ws_path, capsys):
 
 GOLDEN_REPORTS = Path(__file__).parent / "golden" / "cli_reports.json"
 
-# BASIC plus one table spec, so that `compute submonad` reads a table
+# BASIC plus two table specs: `compute submonad` reads the first, and the
+# second lacks the representable [1,0], so it fails admissibility at idc^*
 HANDLER_WS = dict(BASIC, submonad_specs=BASIC["submonad_specs"] + [
-    {"name": "tbl", "kind": "table", "members": {"C2": ["[1,0]", "[1,1]"]}}])
+    {"name": "tbl", "kind": "table", "members": {"C2": ["[1,0]", "[1,1]"]}},
+    {"name": "top_only", "kind": "table", "members": {"C2": ["[1,1]"]}}])
 
 # one pass case per handler, and a fail case wherever BASIC has one
 HANDLER_CASES = {
@@ -689,6 +691,11 @@ HANDLER_CASES = {
     # the table does not list tbl(C2), so the multiplication is unchecked
     "admissible-table": ["check", "admissible", "--spec", "tbl",
                          "--quantale", "B"],
+    "admissible-fail": ["check", "admissible", "--spec", "top_only", "--quantale", "B"],
+    "lax-idempotent-ball": ["check", "lax-idempotent", "--category", "C2",
+                            "--monad", "ball"],
+    "lax-idempotent-ball-plain": ["check", "lax-idempotent", "--category", "C2",
+                                  "--monad", "ball-plain"],
 }
 
 
@@ -883,18 +890,8 @@ def test_ball_report_matches_digest(tmp_path, capsys, case):
     assert_digest_matches_golden(tmp_path, capsys, BALL_WS, BALL_DIGEST_CASES[case], case)
 
 
-# Branches of the CLI that no case above reaches, each pinned as a report
+# Branches of the CLI that need a workspace of their own, each pinned as a report
 BRANCH_CASES = {
-    # a class that lacks the representable [1,0] fails at the conjoint of idc
-    "admissible-fail": (
-        dict(HANDLER_WS, submonad_specs=[
-            {"name": "top_only", "kind": "table", "members": {"C2": ["[1,1]"]}}]),
-        ["check", "admissible", "--spec", "top_only", "--quantale", "B"]),
-    "lax-idempotent-ball": (
-        HANDLER_WS, ["check", "lax-idempotent", "--category", "C2", "--monad", "ball"]),
-    "lax-idempotent-ball-plain": (
-        HANDLER_WS, ["check", "lax-idempotent", "--category", "C2", "--monad",
-                     "ball-plain"]),
     "validate-empty": ({}, ["validate"]),
     "validate-functor-to-a-non-object": (
         {"quantales": BASIC["quantales"][:1], "categories": BASIC["categories"][:1],
