@@ -436,6 +436,8 @@ def _functor_record(f: VFunctor):
 
 
 def _fragment(ws, categories, functors):
+    # once each: a colimit's weight and diagram may share their codomain
+    categories = list({id(X): X for X in categories}.values())
     qs, seen = [], set()
     for X in categories:
         if id(X.quantale) not in seen:
@@ -801,7 +803,7 @@ def _parser():
         sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="enumeration ceiling (default 10^6)")
         sp.add_argument("--seed", type=int, default=0,
-                        help="seed for sampled law checks")
+                        help="echoed in the report; no check reads it")
 
     def targets(sp):
         for flag in _TARGETS:

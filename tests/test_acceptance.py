@@ -40,6 +40,12 @@ def test_criterion(criterion, golden):
     assert _jsonable(result) == golden
 
 
+def test_the_seed_feeds_no_criterion():
+    # every verdict is decided and none is sampled, so the seed is only
+    # echoed in the report
+    assert selftest.run_selftest(seed=0) == selftest.run_selftest(seed=7)
+
+
 def _start(*argv, flags=()):
     return subprocess.Popen([sys.executable, *flags, "-m", "quantcat.cli", *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,

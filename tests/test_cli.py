@@ -511,6 +511,19 @@ def test_presheaf_fragment_round_trips(ws_path, tmp_path, capsys):
     assert ws.get("functor", "y_C2").on_label("p") == "[1,0]"
 
 
+def test_colimit_fragment_validates(ws_path, tmp_path, capsys):
+    # the weight wid and the diagram idc share their codomain C2, which
+    # the fragment must list once for its names to stay unique
+    code, out, _ = run(
+        ["compute", "colimit", "--weight", "wid", "--diagram", "idc", "--format", "json",
+         "--workspace", ws_path], capsys)
+    assert code == 0
+    frag = json.loads(out)["workspace"]
+    assert [c["name"] for c in frag["categories"]] == ["C2"]
+    code, _, _ = run(["validate", "--workspace", write(tmp_path, frag, "frag.json")], capsys)
+    assert code == 0
+
+
 def test_ball_algebra_over_emitted_category(ws_path, tmp_path, capsys):
     code, out, _ = run(
         ["compute", "ball", "--category", "C2", "--format", "json",

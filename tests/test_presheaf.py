@@ -1,22 +1,25 @@
 """Presheaf categories, Yoneda, Pf, and the monad laws."""
 
-import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quantcat import presheaf
 from quantcat.errors import BudgetExceeded, ForeignElement, NotEnumerable
 from quantcat.monadkit import presheaf_monad
 from quantcat.presheaf import (
-    _sample_theta,
     full_subcategory,
-    is_presheaf,
+    map_values,
+    mult_values,
     multiplication,
     presheaf_category,
+    presheaf_label,
     presheaf_map,
     presheaves,
+    representables,
     verify_monad_laws,
     yoneda,
 )
@@ -142,17 +145,17 @@ def test_monad_laws_exhaustive_on_the_two_chain():
     report = verify_monad_laws(bool_chain2())
     assert report["unit_mapped"]["ok"] and report["unit_pointed"]["ok"]
     assert report["associativity"] == \
-        {"mode": "exhaustive", "checked": 5, "ok": True, "witness": None}
+        {"mode": "representables", "checked": 4, "ok": True, "witness": None}
 
 
-def test_monad_laws_sampled_on_the_discrete_three_point():
-    # 2^20 candidate maps on PPX blow the default budget
-    report = verify_monad_laws(bool_discrete(3), seed=11)
+def test_monad_laws_decided_on_the_representables_of_the_discrete_three_point():
+    # 2^20 candidate maps on PPX would blow the default budget; its 20
+    # representables decide associativity all the same
+    report = verify_monad_laws(bool_discrete(3))
     assert report["presheaf_count"] == 8
     assert report["unit_mapped"]["ok"] and report["unit_pointed"]["ok"]
-    assert report["associativity"]["mode"] == "sampled"
-    assert report["associativity"]["checked"] == 200
-    assert report["associativity"]["ok"]
+    assert report["associativity"] == \
+        {"mode": "representables", "checked": 20, "ok": True, "witness": None}
 
 
 def test_monad_laws_over_lukasiewicz():
@@ -160,7 +163,7 @@ def test_monad_laws_over_lukasiewicz():
     assert report["presheaf_count"] == 8
     assert report["unit_mapped"]["ok"] and report["unit_pointed"]["ok"]
     assert report["associativity"]["ok"]
-    assert report["associativity"]["mode"] in ("exhaustive", "sampled")
+    assert report["associativity"]["mode"] == "representables"
 
 
 def test_monad_laws_on_the_empty_category():
@@ -168,7 +171,7 @@ def test_monad_laws_on_the_empty_category():
     report = verify_monad_laws(X)
     assert report["presheaf_count"] == 1
     assert report["unit_mapped"]["ok"] and report["unit_pointed"]["ok"]
-    assert report["associativity"]["mode"] == "exhaustive"
+    assert report["associativity"]["mode"] == "representables"
 
 
 def test_budget_gates():
@@ -182,20 +185,6 @@ def test_budget_gates():
     assert report["associativity"] == \
         {"mode": "unchecked", "checked": 0, "ok": True, "witness": None}
     assert report["unit_mapped"]["ok"] and report["unit_pointed"]["ok"]
-
-
-def test_sampler_yields_lawful_presheaves_deterministically():
-    PX = presheaf_category(bool_chain2())
-    PPX = presheaf_category(PX)
-    y = yoneda(PX, PPX)
-    for kind in (0, 1, 2):
-        rng = random.Random(7)
-        run1 = [_sample_theta(PPX, y, rng, kind) for _ in range(5)]
-        rng = random.Random(7)
-        run2 = [_sample_theta(PPX, y, rng, kind) for _ in range(5)]
-        assert run1 == run2
-        for theta in run1:
-            assert is_presheaf(PPX, theta)
 
 
 # ------------------------------------- the depth-first search and its oracle
@@ -282,3 +271,96 @@ def test_presheaves_and_their_hom_make_no_per_element_op_calls(monkeypatch):
     assert len(members) == 45 and not calls
     full_subcategory("P(chain8)", X, members)
     assert not calls
+
+
+# ------------------- associativity on the representables, against every θ
+
+ORACLE_BUDGET = 10 ** 5  # |V|^|PPX| ceiling of the exhaustive θ loop
+
+
+def _join_scaled(q, scalars, tuples, n):
+    """⋁_g s_g ⊗ t_g entrywise, for value tuples t_g of length n."""
+    return tuple(q.join(q.tensor(s, t[i]) for s, t in zip(scalars, tuples))
+                 for i in range(n))
+
+
+def _assoc_failures(X, images, thetas):
+    """The θ among `thetas` (presheaves on PPX) where m_X ∘ m_PX and
+    m_X ∘ P(m_X) differ, each entry a join of tensors: P(m_X)(θ)(φ) =
+    ⋁_g ã(φ, m g) ⊗ θ(g), with m g = images[g].  Over every θ this is
+    the exhaustive loop that `verify_monad_laws` replaced."""
+    q = X.quantale
+    PX = presheaf_category(X)
+    PPX = presheaf_category(PX)
+    amg = [[q.meet_hom(phi, mg) for mg in images] for phi in PX.presheaves]
+
+    def m(members, gamma):  # ⋁_φ Γ(φ) ⊗ φ(−); members is never empty
+        return _join_scaled(q, gamma, members, len(members[0]))
+    return [theta for theta in thetas
+            if m(PX.presheaves, m(PPX.presheaves, theta))
+            != m(PX.presheaves, [q.join(map(q.tensor, row, theta)) for row in amg])]
+
+
+def _decided_as_every_theta(X, target, g):
+    """Mutate m_X to send object g of PPX to object `target` of PX; then
+    `verify_monad_laws` gives the verdict of the exhaustive loop, and as
+    its witness the first representable where the routes differ."""
+    PX = presheaf_category(X)
+    PPX = presheaf_category(PX)
+    m = multiplication(X)
+    mapping = m.mapping[:g] + (target,) + m.mapping[g + 1:]
+    mutant = VFunctor(m.name, PPX, PX, mapping)
+    with mock.patch.object(presheaf, "multiplication", lambda X, budget: mutant):
+        assoc = verify_monad_laws(X)["associativity"]
+    images = [PX.presheaves[i] for i in mapping]
+    assert assoc["mode"] == "representables"
+    assert assoc["ok"] == (not _assoc_failures(X, images, presheaves(PPX, ORACLE_BUDGET)))
+    first = _assoc_failures(X, images, representables(PPX))[:1]
+    assert assoc["witness"] == (presheaf_label(first[0]) if first else None)
+    return assoc["ok"]
+
+
+def _routes_are_linear(X):
+    """Each θ on PPX is ⋁_g θ(g) ⊗ PPX(−,g), and both routes, as
+    `verify_monad_laws` computes them, preserve that join."""
+    q = X.quantale
+    PX = presheaf_category(X)
+    PPX = presheaf_category(PX)
+    m = multiplication(X)
+    reps = representables(PPX)
+    routes = (lambda theta: mult_values(PX, mult_values(PPX, theta)),
+              lambda theta: mult_values(PX, map_values(m, theta)))
+    for theta in presheaves(PPX, ORACLE_BUDGET):
+        assert theta == _join_scaled(q, theta, reps, len(PPX.objects))
+        for route in routes:
+            assert route(theta) == \
+                _join_scaled(q, theta, [route(r) for r in reps], len(X.objects))
+
+
+@pytest.mark.parametrize("mk", [bool_chain2, bool_chain3, lambda: bool_discrete(2),
+                                bool_indiscrete2], ids=["chain2", "chain3", "disc2", "indisc2"])
+def test_associativity_on_the_representables_is_the_verdict_over_every_theta(mk):
+    X = mk()
+    PX = presheaf_category(X)
+    PPX = presheaf_category(PX)
+    verdicts = Counter(_decided_as_every_theta(X, target, g)
+                       for g in range(len(PPX.objects)) for target in range(len(PX.objects)))
+    # the unmutated m_X passes, and some mutants fail
+    assert verdicts[True] and verdicts[False]
+    _routes_are_linear(X)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(finite_categories(max_objects=3, closed=True), st.data())
+def test_associativity_oracle_on_drawn_categories(X, data):
+    q = X.quantale
+    PX = presheaf_category(X)
+    if len(q.carrier) ** len(PX.objects) > ORACLE_BUDGET:
+        return
+    PPX = presheaf_category(PX)
+    if len(q.carrier) ** len(PPX.objects) > ORACLE_BUDGET:
+        return
+    assert _decided_as_every_theta(X, multiplication(X).mapping[0], 0)
+    _decided_as_every_theta(X, data.draw(st.integers(0, len(PX.objects) - 1)),
+                            data.draw(st.integers(0, len(PPX.objects) - 1)))
+    _routes_are_linear(X)
