@@ -35,14 +35,14 @@ supplying one is rejected outright.
                      "points": ["x", "y", "y"], "stable_from": 1}]}
 
 Commands: `validate`, `check <property>`, `compute <construction>`,
-`complete lawvere`, `selftest`.  Reports echo the command, budget, and
-seed, then list one verdict per check: pass, fail (with witness), or
+`complete lawvere`, `selftest`.  Reports echo the command and budget,
+then list one verdict per check: pass, fail (with witness), or
 unchecked (with reason: a blown budget, or a table spec in `check
 admissible` that lists no members for a derived category).  Exit codes:
 0 all pass, 1 some check failed, 2 bad input or usage, 3 items left
 unchecked, 4 an internal invariant failed (a bug in quantcat, reported
 as `InternalError` without a traceback).
-Output is deterministic for fixed inputs, budget, and seed.
+Output is deterministic for fixed inputs and budget.
 """
 
 from __future__ import annotations
@@ -501,13 +501,12 @@ def _run_check(ws, args, cname):
         from .monadkit import lax_idempotency_report, presheaf_monad
 
         X = ws.get("category", args.category)
-        monad = args.monad or "presheaf"
-        if monad == "presheaf":
-            T = presheaf_monad(budget)
-        else:
+        if args.monad == "ball":
             from .ball import ball_monad
 
-            T = ball_monad(monad == "ball")
+            T = ball_monad(not args.plain)
+        else:
+            T = presheaf_monad(budget)
         rep = lax_idempotency_report(T, X)
         ok = rep["lax_idempotent"] and rep["routes_agree"]
         return _check(cname, ok, detail=rep)
@@ -753,15 +752,12 @@ def _target_tokens(args):
 def run(args, argv):
     """Dispatch one parsed command; returns (report, exit_code)."""
     command = " ".join(["quantcat"] + list(argv))
-    report = {"command": command, "budget": args.budget, "seed": args.seed}
+    report = {"command": command, "budget": args.budget}
     outputs, fragment = {}, None
     if args.command == "selftest":
         from .selftest import run_selftest
 
-        checks = [{"name": r["name"], "verdict": r["verdict"],
-                   "witness": r["witness"], "reason": None,
-                   "detail": _jsonable(dict(r["detail"], label=r["label"]))}
-                  for r in run_selftest(args.budget, args.seed)]
+        checks = _jsonable(run_selftest(args.budget))
     else:
         if args.workspace is None:
             raise UsageError(f"{args.command} needs --workspace")
@@ -802,15 +798,13 @@ def _parser():
         sp.add_argument("--format", choices=("text", "json"), default="text")
         sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="enumeration ceiling (default 10^6)")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="echoed in the report; no check reads it")
 
     def targets(sp):
         for flag in _TARGETS:
             sp.add_argument(f"--{flag}")
         sp.add_argument("--plain", action="store_true",
                         help="plain ball variant (radii above bottom)")
-        sp.add_argument("--monad", choices=("presheaf", "ball", "ball-plain"))
+        sp.add_argument("--monad", choices=("presheaf", "ball"))
 
     common(sub.add_parser("validate", help="build and check every record"))
     sp = sub.add_parser("check", help="decide one property")

@@ -24,8 +24,6 @@ from .monadkit import SubmonadSpec, submonad_category, submonad_monad
 from .presheaf import DEFAULT_BUDGET, extension_row, find_representatives, presheaf_label
 from .vcat import VCategory, VFunctor, check_adjunction, functors, is_functor
 
-DEFAULT_EXTENSION_BUDGET = 10 ** 5
-
 
 @dataclass(frozen=True)
 class WeightedDiagram:
@@ -243,7 +241,7 @@ def t_homomorphism_check(f: VFunctor, algX: AlgebraStructure,
 
 
 def injectivity_check(X: VCategory, h: VFunctor,
-                      budget: int = DEFAULT_EXTENSION_BUDGET) -> dict:
+                      budget: int = DEFAULT_BUDGET) -> dict:
     """Does every functor h.dom → X extend along h?
 
     Exhaustive on both sides, so gated: |X|^|cod h| candidate

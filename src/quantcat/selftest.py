@@ -3,8 +3,9 @@
 Twelve numbered checks (C1-C12) over fixed, deterministic universes of
 small quantales and categories.  Each is one function that returns the
 counters describing how much ground it covered on a pass, or its
-witness on a fail; `_criterion` makes that a result dict with the
-check's name, label and verdict.  `run_selftest` runs them in order.
+witness on a fail; `_criterion` makes that the check dict of a CLI
+report, or an unchecked one when the budget is blown.  `run_selftest`
+runs them in order.
 
 Everything here is exact: verdicts come from `==` on QElem values,
 never from tolerances.
@@ -63,8 +64,6 @@ from .vcat import (
 
 BOOL = builtin("boolean2")
 LUK2 = builtin("lukasiewicz_chain", 2)
-
-DEFAULT_SEED = 0
 
 
 # ------------------------------------------------------------ small builders
@@ -158,17 +157,21 @@ def _all_squares(functors):
 
 
 def _criterion(name, label):
-    """Make `check(budget, seed)`, which returns its detail dict on a pass
-    and its witness on a fail, into a criterion returning a result dict."""
+    """Make `check(budget)`, which returns its detail dict on a pass and
+    its witness on a fail, into a criterion returning the CLI's check dict,
+    with the label in its detail.  A blown budget leaves it unchecked."""
     def wrap(check):
         @functools.wraps(check)
-        def criterion(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
-            out = check(budget, seed)
+        def criterion(budget=DEFAULT_BUDGET):
+            try:
+                out = check(budget)
+            except BudgetExceeded as e:
+                return {"name": name, "verdict": "unchecked", "witness": None,
+                        "reason": str(e), "detail": {"label": label}}
             ok = isinstance(out, dict)
-            return {"name": name, "label": label,
-                    "verdict": "pass" if ok else "fail",
-                    "witness": None if ok else str(out),
-                    "detail": out if ok else {}}
+            return {"name": name, "verdict": "pass" if ok else "fail",
+                    "witness": None if ok else str(out), "reason": None,
+                    "detail": dict(out if ok else {}, label=label)}
         return criterion
     return wrap
 
@@ -176,7 +179,7 @@ def _criterion(name, label):
 # -------------------------------------------------------------- C1 quantales
 
 @_criterion("C1", "builtin quantale axioms, exhaustively")
-def criterion_1(budget, seed):
+def criterion_1(budget):
     """Lattice, tensor, and residuation axioms on every finite builtin."""
     qs = [builtin("boolean2")]
     for kind in ("goedel_chain", "lukasiewicz_chain"):
@@ -219,7 +222,7 @@ def criterion_1(budget, seed):
 # ------------------------------------------------------------ C2 monad laws
 
 @_criterion("C2", "presheaf monad laws, associativity decided on the representables of PPX")
-def criterion_2(budget, seed):
+def criterion_2(budget):
     """Presheaf unit and associativity laws, each decided exactly:
     associativity on the representables of PPX (`verify_monad_laws`)."""
     cats = [_chain_cat(BOOL, 2, "chain2"), _chain_cat(BOOL, 3, "chain3"),
@@ -232,8 +235,8 @@ def criterion_2(budget, seed):
         modes[X.name] = f"{assoc['mode']}:{assoc['checked']}"
         if not (rep["unit_mapped"]["ok"] and rep["unit_pointed"]["ok"]):
             return f"{X.name}: unit law"
-        if assoc["mode"] == "unchecked" or not assoc["ok"]:
-            return f"{X.name}: associativity {assoc['mode']}, witness {assoc['witness']}"
+        if not assoc["ok"]:
+            return f"{X.name}: associativity fails at {assoc['witness']}"
     return dict(categories=len(cats), modes=modes)
 
 
@@ -249,7 +252,7 @@ def _square_family(tag):
 
 
 @_criterion("C3", "square transfer and unit/multiplication naturality")
-def criterion_3(budget, seed):
+def criterion_3(budget):
     """Square transfer: passing squares keep passing under the presheaf
     map, unit and multiplication squares are natural, and at least one
     square genuinely fails (with no requirement on its image)."""
@@ -302,7 +305,7 @@ def criterion_3(budget, seed):
 # --------------------------------------------------- C4 fully faithful squares
 
 @_criterion("C4", "fully faithful = identity square passes")
-def criterion_4(budget, seed):
+def criterion_4(budget):
     """Fully faithful coincides with the identity square passing."""
     agree = 0
     for tag in ("boolean2", "lukasiewicz_chain(2)"):
@@ -319,7 +322,7 @@ def criterion_4(budget, seed):
 # ------------------------------------------------------- C5 lax idempotency
 
 @_criterion("C5", "lax idempotency: square and adjunction routes coincide")
-def criterion_5(budget, seed):
+def criterion_5(budget):
     """The square route and both adjunction routes give one verdict,
     for the presheaf monad and for both ball monads."""
     chain2 = _chain_cat(BOOL, 2, "chain2")
@@ -342,7 +345,7 @@ def criterion_5(budget, seed):
 # --------------------------------------------------------- C6 admissibility
 
 @_criterion("C6", "admissibility closure holds; a non-columnwise class fails")
-def criterion_6(budget, seed):
+def criterion_6(budget):
     """Closure conditions hold for both distinguished classes and break
     columnwise for a class defined on whole distributors only."""
     chain2 = _chain_cat(BOOL, 2, "chain2")
@@ -370,7 +373,7 @@ def criterion_6(budget, seed):
 # ---------------------------------------------------------- C7 cancellation
 
 @_criterion("C7", "cancellation equivalences on lukasiewicz and goedel chains")
-def criterion_7(budget, seed):
+def criterion_7(budget):
     """Cancellation, separation of the ball category of V, and
     preservation of separation stand or fall together."""
     outcomes = {}
@@ -437,7 +440,7 @@ def _no_action_exists(X, BX):
 
 
 @_criterion("C8", "tensored two ways; ball algebras four ways")
-def criterion_8(budget, seed):
+def criterion_8(budget):
     """Tensored-ness found two ways; algebras verified four ways; on
     hom-categories the action is the tensor itself; non-tensored
     categories admit no algebra at all."""
@@ -529,7 +532,7 @@ def _sharp_identities(h, escapes):
 
 
 @_criterion("C9", "interval sub-chains embed, with the adjoint-value identities")
-def criterion_9(budget, seed):
+def criterion_9(budget):
     """Interval sub-chains of the lukasiewicz four-chain embed; a gappy
     one does not; every passing embedding satisfies the adjoint-value
     identities."""
@@ -556,7 +559,7 @@ def criterion_9(budget, seed):
 # ----------------------------------------------- C10 algebras three ways
 
 @_criterion("C10", "extraction, cocompleteness, minima, and injectivity agree")
-def criterion_10(budget, seed):
+def criterion_10(budget):
     """Algebra extraction, cocompleteness, and the minimum description
     agree instance by instance; algebras are injective along the
     generated embeddings."""
@@ -596,10 +599,7 @@ def criterion_10(budget, seed):
                 if id(X) not in algebra_names[spec.name]:
                     continue
                 for h in tembs:
-                    try:
-                        rep = injectivity_check(X, h)
-                    except BudgetExceeded:
-                        continue
+                    rep = injectivity_check(X, h, budget)
                     if not rep["ok"]:
                         return (f"{spec.name}: {X.name} not injective "
                                 f"along {h.name} at {rep['witness']}")
@@ -612,7 +612,7 @@ def criterion_10(budget, seed):
 # ------------------------------------------------ C11 right-adjoint closure
 
 @_criterion("C11", "adjoint enumeration, completion, and stabilization")
-def criterion_11(budget, seed):
+def criterion_11(budget):
     """`enumerate_L`, which certifies the closed-form left adjoint [φ, 1_X]
     of each presheaf entry by entry, matches the membership route through
     the distributor calculus; completion is complete, fully faithful, and
@@ -670,7 +670,7 @@ def criterion_11(budget, seed):
 # -------------------------------------------------------- C12 homomorphisms
 
 @_criterion("C12", "lax always holds; strictness classifies curated maps")
-def criterion_12(budget, seed):
+def criterion_12(budget):
     """Between extracted algebras the lax inequality never fails and the
     two strictness routes agree; curated maps classify correctly."""
     spec = submonad_all()
@@ -722,6 +722,6 @@ CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
             criterion_11, criterion_12)
 
 
-def run_selftest(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
+def run_selftest(budget=DEFAULT_BUDGET):
     """All twelve checks, in order."""
-    return [crit(budget, seed) for crit in CRITERIA]
+    return [crit(budget) for crit in CRITERIA]

@@ -708,7 +708,7 @@ HANDLER_CASES = {
     "lax-idempotent-ball": ["check", "lax-idempotent", "--category", "C2",
                             "--monad", "ball"],
     "lax-idempotent-ball-plain": ["check", "lax-idempotent", "--category", "C2",
-                                  "--monad", "ball-plain"],
+                                  "--monad", "ball", "--plain"],
 }
 
 
@@ -970,11 +970,62 @@ def test_json_reports_are_deterministic(ws_path, capsys):
     _, second, _ = run(argv, capsys)
     assert first == second
     report = json.loads(first)
-    assert set(report) == {"command", "budget", "seed", "checks"}
+    assert set(report) == {"command", "budget", "checks"}
     check = report["checks"][0]
     assert set(check) == {"name", "verdict", "witness", "reason", "detail"}
     assert check["verdict"] == "pass"
-    assert report["budget"] == 10 ** 6 and report["seed"] == 0
+    assert report["budget"] == 10 ** 6
+
+
+@pytest.mark.parametrize("argv, refused", [
+    (["selftest", "--seed", "7"], "unrecognized arguments: --seed 7"),
+    (["check", "lax-idempotent", "--category", "C2", "--monad", "ball-plain"],
+     "invalid choice: 'ball-plain'"),
+])
+def test_retired_options_are_usage_errors(argv, refused):
+    proc = subprocess.run([sys.executable, "-m", "quantcat.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert refused in proc.stderr and "Traceback" not in proc.stderr
+
+
+# a blown budget leaves a criterion unchecked, with the ceiling as its reason
+SELFTEST_UNCHECKED = {
+    5000: {"C2": "6561 candidate maps on P(luk_asym) exceed the budget 5000",
+           "C3": "6561 candidate maps on P(luk_asym) exceed the budget 5000",
+           "C11": "65536 candidate (presheaf, left adjoint) pairs on L(pair) "
+                  "exceed the budget 5000"},
+    10: {"C2": "16 candidate maps on P(chain3) exceed the budget 10",
+         "C3": "16 candidate maps on P(disc2) exceed the budget 10",
+         "C5": "16 candidate maps on P(disc2) exceed the budget 10",
+         "C6": "16 candidate matrices over budget 10",
+         "C10": "27 candidate maps on V(lukasiewicz_chain(2)) exceed the budget 10",
+         "C11": "16 candidate (presheaf, left adjoint) pairs on chain2 "
+                "exceed the budget 10",
+         "C12": "16 candidate maps on lat4 exceed the budget 10"},
+}
+
+
+@pytest.mark.parametrize("budget", list(SELFTEST_UNCHECKED))
+def test_selftest_over_budget_is_unchecked(capsys, budget):
+    unchecked = SELFTEST_UNCHECKED[budget]
+    argv = ["selftest", "--budget", str(budget)]
+    code, out, err = run(argv + ["--format", "json"], capsys)
+    assert code == 3 and err == ""
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks] == [f"C{k}" for k in range(1, 13)]
+    for c in checks:
+        if c["name"] in unchecked:
+            assert (c["verdict"], c["witness"], c["reason"]) == \
+                ("unchecked", None, unchecked[c["name"]])
+            assert set(c["detail"]) == {"label"}
+        else:
+            assert (c["verdict"], c["witness"], c["reason"]) == ("pass", None, None)
+    code, out, err = run(argv, capsys)
+    assert code == 3 and err == ""
+    assert out.splitlines()[1:] == [
+        f"UNCHECKED {name}  reason={unchecked[name]}" if name in unchecked
+        else f"PASS      {name}" for name in (c["name"] for c in checks)]
 
 
 def test_text_report_shape(ws_path, capsys):
