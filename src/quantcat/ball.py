@@ -19,7 +19,7 @@ from .errors import (
     NotEnumerable,
     PreconditionFail,
 )
-from .presheaf import extension_row, find_representatives
+from .presheaf import extension_rows, find_representatives
 from .quantale import QElem, Quantale, show_value
 from .vcat import (
     VCategory,
@@ -132,13 +132,13 @@ def tensored_check(X: VCategory, extended: bool = True,
     q = X.quantale
     BX = ball_category(X, extended)
     n = len(X.objects)
+    if via == "search":
+        wants = (tuple(q.hom(r, X.hom[i][j]) for j in range(n)) for i, r in BX.pairs)
+    else:
+        wants = extension_rows(X, (sigma_values(X, i, r) for i, r in BX.pairs))
     mapping = []
     ambiguous = []
-    for (i, r), label in zip(BX.pairs, BX.objects):
-        if via == "search":
-            want = tuple(q.hom(r, X.hom[i][j]) for j in range(n))
-        else:
-            want = extension_row(X, sigma_values(X, i, r))
+    for (i, r), label, want in zip(BX.pairs, BX.objects, wants):
         reps = find_representatives(X, want)
         if not reps:
             return {"tensored": False, "witness": label, "algebra": None,

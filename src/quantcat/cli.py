@@ -749,8 +749,18 @@ def _target_tokens(args):
     return ",".join(parts)
 
 
+def _reads_plain(args):
+    """Whether a check or compute runs a ball variant, which --plain picks."""
+    if args.command == "compute":
+        return args.construction == "ball"
+    return args.property in ("tensored", "ball-algebra") or (
+        args.property == "lax-idempotent" and args.monad == "ball")
+
+
 def run(args, argv):
     """Dispatch one parsed command; returns (report, exit_code)."""
+    if getattr(args, "plain", False) and not _reads_plain(args):
+        raise UsageError("--plain picks a ball variant, and this command runs none")
     command = " ".join(["quantcat"] + list(argv))
     report = {"command": command, "budget": args.budget}
     outputs, fragment = {}, None

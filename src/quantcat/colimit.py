@@ -21,7 +21,7 @@ from .errors import (
     SpecMismatch,
 )
 from .monadkit import SubmonadSpec, submonad_category, submonad_monad
-from .presheaf import DEFAULT_BUDGET, extension_row, find_representatives, presheaf_label
+from .presheaf import DEFAULT_BUDGET, extension_rows, find_representatives, presheaf_label
 from .vcat import VCategory, VFunctor, check_adjunction, functors, is_functor
 
 
@@ -71,8 +71,8 @@ def cocompleteness_check(Z: VCategory, spec: SubmonadSpec,
                          budget: int = DEFAULT_BUDGET) -> dict:
     """Representability of [φ, (1_Z)_*] for every member φ of TZ."""
     TZ = submonad_category(spec, Z, budget)
-    failures = tuple(TZ.objects[i] for i, vals in enumerate(TZ.presheaves)
-                     if not find_representatives(Z, extension_row(Z, vals)))
+    failures = tuple(label for label, row in zip(TZ.objects, extension_rows(Z, TZ.presheaves))
+                     if not find_representatives(Z, row))
     return {"category": Z.name, "spec": spec.name,
             "weights": len(TZ.presheaves), "failures": failures,
             "cocomplete": not failures}
@@ -98,13 +98,13 @@ def algebra_extract(X: VCategory, spec: SubmonadSpec,
     TX = submonad_category(spec, X, budget)
     n = len(X.objects)
     mapping, failures, ambiguous = [], [], []
-    for i, vals in enumerate(TX.presheaves):
-        reps = find_representatives(X, extension_row(X, vals))
+    for label, row in zip(TX.objects, extension_rows(X, TX.presheaves)):
+        reps = find_representatives(X, row)
         if not reps:
-            failures.append(TX.objects[i])
+            failures.append(label)
             continue
         if len(reps) > 1:
-            ambiguous.append(TX.objects[i])
+            ambiguous.append(label)
         mapping.append(reps[0])
     if failures:
         return {"category": X.name, "spec": spec.name, "algebra": None,
@@ -168,10 +168,10 @@ def min_characterization(X: VCategory, spec: SubmonadSpec,
                                      TX.objects[j])}
                 break
         cond2p = {"ok": True, "witness": None}
-        for j in range(m):
-            col = [row[j] for row in TX.hom]
-            shifted = tuple(q.join_tensor([row[p] for p in points], col)
-                            for row in X.hom)
+        shifted_all = q.coded(tuple(zip(*TX.hom)),
+                              tuple(tuple(row[p] for p in points) for row in X.hom)
+                              ).sup_tensor(0, 1)
+        for j, shifted in enumerate(shifted_all):
             try:
                 if min_point(X, shifted) != points[j]:
                     cond2p = {"ok": False, "witness": TX.objects[j]}
@@ -224,14 +224,14 @@ def t_homomorphism_check(f: VFunctor, algX: AlgebraStructure,
     TY = beta.dom
     strict = {"ok": True, "witness": None}
     preserve = {"ok": True, "witness": None}
-    for i in range(len(TX.objects)):
+    rows = extension_rows(Y, (TY.presheaves[j] for j in Tf.mapping))
+    for i, row in enumerate(rows):
         via_y = beta(Tf(i))
         via_x = f(alpha(i))
         if not q.leq(q.unit, Y.hom[via_y][via_x]):
             raise InternalError(f"{f.name} is not lax at {TX.objects[i]}")
         if strict["ok"] and not q.leq(q.unit, Y.hom[via_x][via_y]):
             strict = {"ok": False, "witness": TX.objects[i]}
-        row = extension_row(Y, TY.presheaves[Tf(i)])
         if preserve["ok"] and tuple(Y.hom[via_x]) != row:
             preserve = {"ok": False, "witness": TX.objects[i]}
     return {"functor": f.name, "spec": algX.spec.name, "lax": True,

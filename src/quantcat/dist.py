@@ -5,9 +5,9 @@ composition is sup-of-tensor, (s·r)(x,z) = ⋁_y r(x,y) ⊗ s(y,z).
 A distributor additionally absorbs the hom structures on both sides.
 Companions f_* and f^* of a functor, adjoint pairs, and the right
 extension [φ,ψ](y,z) = ⋀_x hom(φ(x,y), ψ(x,z)) live here too.  A
-composite and the order test `first_violation` run on the integer codes
-of `Quantale.coded`; each entry of a right extension is one
-`Quantale.meet_hom` call.
+composite, a right extension and the order test `first_violation` are
+each one call of the matrix kernel `Quantale.coded` (`sup_tensor`,
+`inf_hom`, `escape`).
 """
 
 from __future__ import annotations
@@ -138,10 +138,7 @@ def right_extension(phi: VRelation, psi: VRelation) -> VRelation:
     adjoint to (−)·φ:  [φ,ψ](y,z) = ⋀_x hom(φ(x,y), ψ(x,z))."""
     if not phi.dom.same_shape(psi.dom):
         raise ShapeMismatch("right extension needs a common domain")
-    q = phi.dom.quantale
-    psi_cols = _columns(psi)
-    matrix = tuple(tuple(q.meet_hom(phi_col, psi_col) for psi_col in psi_cols)
-                   for phi_col in _columns(phi))
+    matrix = phi.dom.quantale.coded(_columns(phi), _columns(psi)).inf_hom(0, 1)
     return VRelation(phi.cod, psi.cod, matrix)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .dist import VRelation, column, point_column, point_row
 from .errors import BudgetExceeded, InternalError, NotEventuallyConstant, PreconditionFail
-from .presheaf import (DEFAULT_BUDGET, candidate_count, extension_row, find_representatives,
+from .presheaf import (DEFAULT_BUDGET, candidate_count, extension_rows, find_representatives,
                        full_subcategory, member_functor, presheaves, representables)
 from .vcat import VCategory, is_fully_faithful, unit_category
 
@@ -33,15 +33,15 @@ def _certifies(X, phi, psi):
     if not all(q.leq(q.tensor(phi[x], psi[y]), X.hom[x][y])
                for x in range(n) for y in range(n)):
         return None
-    u = q.join_tensor(psi, phi)
+    u = q.coded((psi,), (phi,)).sup_tensor(0, 1)[0][0]
     return u if q.leq(q.unit, u) else None
 
 
 def enumerate_L(X: VCategory, budget: int = DEFAULT_BUDGET):
     """LX with one certified AdjointPair per member.
 
-    The candidate left adjoint of each presheaf φ is ψ = [φ, 1_X], the
-    row `extension_row(X, φ)`, here for every φ in one `inf_hom` call;
+    The candidate left adjoint of each presheaf φ is ψ = [φ, 1_X], its
+    row of `extension_rows`, one `inf_hom` call for every φ at once;
     φ is a member when `_certifies` passes it.  The |V|^n gate of the
     presheaves and the gate on (|V|^n)² (presheaf, left adjoint) pairs,
     the candidates of a search over every distributor, are checked
@@ -57,9 +57,8 @@ def enumerate_L(X: VCategory, budget: int = DEFAULT_BUDGET):
             f"exceed the budget {budget}")
     phis = tuple(presheaves(X, budget))  # PX's hom is not needed
     E = unit_category(X.quantale)
-    rows = X.quantale.coded(phis, representables(X)).inf_hom(0, 1)
     members, pairs = [], []
-    for vals, psi in zip(phis, rows):
+    for vals, psi in zip(phis, extension_rows(X, phis)):
         u = _certifies(X, vals, psi)
         if u is not None:
             members.append(vals)
@@ -131,7 +130,7 @@ def cauchy_pair(X: VCategory, seq: CauchySequenceSpec):
         raise InternalError("point columns must certify their own pair")
     pair = AdjointPair(point_column(X, X.objects[lim]),
                        point_row(X, X.objects[lim]), unit)
-    reps = find_representatives(X, extension_row(X, phi_vals))
+    reps = find_representatives(X, extension_rows(X, (phi_vals,))[0])
     if lim not in reps:
         raise InternalError("the stable point must represent its own weight")
     return pair, X.objects[lim]

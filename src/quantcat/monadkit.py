@@ -47,7 +47,6 @@ from .presheaf import (
     mult_values,
     multiplication,
     presheaf_category,
-    presheaf_hom,
     presheaf_label,
     presheaf_map,
     representables,
@@ -227,8 +226,7 @@ def submonad_monad(spec: SubmonadSpec, budget: int = DEFAULT_BUDGET) -> MonadIns
     def map_(f):
         TX, TY = apply(f.dom), apply(f.cod)
         return member_functor(
-            f"{spec.name}({f.name})", TX, TY,
-            (map_values(f, vals) for vals in TX.presheaves),
+            f"{spec.name}({f.name})", TX, TY, map_values(f, TX.presheaves),
             escape=lambda i, _: SpecMismatch(
                 f"image of {presheaf_label(TX.presheaves[i])} under the mapped "
                 f"functor escapes {TY.name}"))
@@ -237,8 +235,7 @@ def submonad_monad(spec: SubmonadSpec, budget: int = DEFAULT_BUDGET) -> MonadIns
         TX = apply(X)
         TTX = apply(TX)
         return member_functor(
-            f"mult_{X.name}", TTX, TX,
-            (mult_values(TX, gamma) for gamma in TTX.presheaves),
+            f"mult_{X.name}", TTX, TX, mult_values(TX, TTX.presheaves),
             escape=lambda i, out: MultiplicationEscapesT(
                 f"multiplication of {presheaf_label(TTX.presheaves[i])} "
                 f"lands at {presheaf_label(out)}, outside {TX.name}"))
@@ -316,14 +313,14 @@ def admissible_class_check(spec: SubmonadSpec, categories, functors,
                 continue
             # the positions in PX of the members, via the inclusion TX ↪ PX
             keep = member_functor("incl", TX, PX, TX.presheaves).mapping
-            for gamma in PPX.presheaves:
+            for gamma, image in zip(PPX.presheaves, mult_values(PX, PPX.presheaves)):
                 try:
                     restricted = spec.member(TX, tuple(gamma[i] for i in keep))
                 except SpecMismatch:
                     # a table lists the universe's categories, not TX
                     unlisted.append(TX.name)
                     break
-                if restricted and not spec.member(X, mult_values(PX, gamma)):
+                if restricted and not spec.member(X, image):
                     yield f"{presheaf_label(gamma)} on P({X.name})"
 
     def first(search, **extra):
@@ -386,17 +383,14 @@ def monad_morphism_check(T: MonadInstance, X: VCategory, f: VFunctor = None,
     # σ_X(μ Γ) vs m_X(Pσ_X(σ_TX Γ)), evaluated on value tuples over X
     sigma_vals = [PX.presheaves[sigma(j)] for j in range(nt)]
     eta_t = T.unit(TX)
-    w = None
-    for gi in range(len(TTX.objects)):
-        left = sigma_vals[mu(gi)]
-        # σ_TX(Γ)(t) = TTX(η_TX t, Γ), then P σ_X, then m
-        psi = tuple(TTX.hom[eta_t(t)][gi] for t in range(nt))
-        through = tuple(
-            q.join_tensor((presheaf_hom(q, vals, s) for s in sigma_vals), psi)
-            for vals in PX.presheaves)
-        if mult_values(PX, through) != left:
-            w = TTX.objects[gi]
-            break
+    # σ_TX(Γ)(t) = TTX(η_TX t, Γ), one row per Γ; then P σ_X, whose
+    # value at φ is ⋁_t σ_TX(Γ)(t) ⊗ ã(φ, σ_X t); then m
+    psis = tuple(tuple(TTX.hom[eta_t(t)][gi] for t in range(nt))
+                 for gi in range(len(TTX.objects)))
+    homs = q.coded(PX.presheaves, sigma_vals).inf_hom(0, 1)
+    rights = mult_values(PX, q.coded(psis, homs).sup_tensor(0, 1))
+    w = next((TTX.objects[gi] for gi, right in enumerate(rights)
+              if right != sigma_vals[mu(gi)]), None)
     mult_report = {"ok": w is None, "witness": w}
 
     nat_report = None

@@ -7,9 +7,9 @@ depth-first search gated by the |V|^n candidate count, so every
 constructor here is budget-gated.  The unit is the Yoneda embedding
 x ↦ a(−,x) and the multiplication is sup-of-tensor evaluation; the
 laws are decided exactly, associativity on the representables of PPX.
-Each ã matrix is one `inf_hom` call on carrier codes
-(`Quantale.coded`), and every sup-tensor entry (`map_values`,
-`mult_values`) one `Quantale.join_tensor` call.
+Each construction takes a whole family of presheaves and makes one call
+of the matrix kernel `Quantale.coded`: `inf_hom` for the ã matrix and
+the extension rows, `sup_tensor` for `map_values` and `mult_values`.
 """
 
 from __future__ import annotations
@@ -44,11 +44,6 @@ def is_presheaf(X: VCategory, values) -> bool:
     n = len(X.objects)
     return all(q.leq(q.tensor(X.hom[i][j], values[j]), values[i])
                for i in range(n) for j in range(n))
-
-
-def presheaf_hom(q, phi, psi):
-    """ã(φ,ψ) = ⋀_x hom(φ x, ψ x); the empty meet is ⊤."""
-    return q.meet_hom(phi, psi)
 
 
 def candidate_count(X: VCategory, budget: int = DEFAULT_BUDGET) -> int:
@@ -108,11 +103,10 @@ def representables(X: VCategory) -> tuple:
     return tuple(tuple(row[x] for row in X.hom) for x in range(len(X.objects)))
 
 
-def extension_row(X: VCategory, vals) -> tuple:
-    """[φ, (1_X)_*](∗,−) for a presheaf φ on X given by its value tuple."""
-    q = X.quantale
-    return tuple(q.meet_hom(vals, [row[j] for row in X.hom])
-                 for j in range(len(X.objects)))
+def extension_rows(X: VCategory, phis) -> tuple:
+    """The rows [φ, (1_X)_*](∗,−) = ⋀_x hom(φ x, a(x,−)), one per presheaf
+    φ on X of the family `phis` (value tuples)."""
+    return X.quantale.coded(tuple(phis), representables(X)).inf_hom(0, 1)
 
 
 def find_representatives(Z: VCategory, row) -> tuple:
@@ -129,12 +123,10 @@ def presheaf_category(X: VCategory, budget: int = DEFAULT_BUDGET) -> PresheafCat
 def full_subcategory(name: str, X: VCategory, members) -> PresheafCategory:
     """The full subcategory of PX on `members` (value tuples), in their
     order, labelled by `presheaf_label` and with hom ã."""
-    q = X.quantale
     members = tuple(members)
     objects = tuple(presheaf_label(v) for v in members)
-    # over an infinite V only the empty category has presheaves: ã((),()) = ⊤
-    hom = q.coded(members).inf_hom(0, 0) if q.enumerable else ((q.top,),) * len(members)
-    return PresheafCategory(name, q, objects, hom, X, members)
+    hom = X.quantale.coded(members).inf_hom(0, 0)
+    return PresheafCategory(name, X.quantale, objects, hom, X, members)
 
 
 @lru_cache(maxsize=None)
@@ -165,30 +157,29 @@ def yoneda(X: VCategory, PX: PresheafCategory) -> VFunctor:
 
 def presheaf_map(f: VFunctor, PX: PresheafCategory, PY: PresheafCategory) -> VFunctor:
     """Pf: PX → PY, φ ↦ φ·f^*, i.e. y ↦ ⋁_x Y(y, f x) ⊗ φ(x)."""
-    return member_functor(f"P({f.name})", PX, PY,
-                          (map_values(f, vals) for vals in PX.presheaves))
+    return member_functor(f"P({f.name})", PX, PY, map_values(f, PX.presheaves))
 
 
-def map_values(f: VFunctor, vals):
-    """(Pf φ)(y) = ⋁_x Y(y, f x) ⊗ φ(x), for φ given as values over f.dom."""
-    q = f.cod.quantale
-    return tuple(q.join_tensor([row[fx] for fx in f.mapping], vals)
-                 for row in f.cod.hom)
+def map_values(f: VFunctor, phis) -> tuple:
+    """(Pf φ)(y) = ⋁_x φ(x) ⊗ Y(y, f x), one value tuple over f.cod for
+    each φ of the family `phis` (value tuples over f.dom)."""
+    pulled = tuple(tuple(row[fx] for fx in f.mapping) for row in f.cod.hom)
+    return f.cod.quantale.coded(tuple(phis), pulled).sup_tensor(0, 1)
 
 
-def mult_values(PX: PresheafCategory, gamma):
-    """m(Γ)(x) = ⋁_φ Γ(φ) ⊗ φ(x), for Γ given as values over PX."""
-    q = PX.quantale
-    return tuple(q.join_tensor(gamma, [vals[i] for vals in PX.presheaves])
-                 for i in range(len(PX.base.objects)))
+def mult_values(PX: PresheafCategory, gammas) -> tuple:
+    """m(Γ)(x) = ⋁_φ Γ(φ) ⊗ φ(x), one value tuple over X for each Γ of
+    the family `gammas` (value tuples over PX)."""
+    columns = tuple(tuple(vals[i] for vals in PX.presheaves)
+                    for i in range(len(PX.base.objects)))
+    return PX.quantale.coded(tuple(gammas), columns).sup_tensor(0, 1)
 
 
 def multiplication(X: VCategory, budget: int = DEFAULT_BUDGET) -> VFunctor:
     """m_X: PPX → PX by sup-of-tensor evaluation."""
     PX = presheaf_category(X, budget)
     PPX = presheaf_category(PX, budget)
-    return member_functor(f"m_{X.name}", PPX, PX,
-                          (mult_values(PX, g) for g in PPX.presheaves))
+    return member_functor(f"m_{X.name}", PPX, PX, mult_values(PX, PPX.presheaves))
 
 
 def verify_monad_laws(X: VCategory, budget: int = DEFAULT_BUDGET) -> dict:
@@ -210,30 +201,26 @@ def verify_monad_laws(X: VCategory, budget: int = DEFAULT_BUDGET) -> dict:
     report = {"category": X.name, "presheaf_count": len(PX.objects)}
 
     # m ∘ P(y) = 1:  P(y)(φ)(ψ) = ⋁_x ã(ψ, x^*) ⊗ φ(x)
-    witness = None
-    for vals in PX.presheaves:
-        if mult_values(PX, map_values(y, vals)) != vals:
-            witness = presheaf_label(vals)
-            break
-    report["unit_mapped"] = {"ok": witness is None, "witness": witness}
+    _, report["unit_mapped"] = _first_part(
+        PX.presheaves, mult_values(PX, map_values(y, PX.presheaves)), PX.presheaves)
 
     # m ∘ y_PX = 1:  y_PX(φ) = ã(−,φ)
-    witness = None
-    for through, vals in zip(representables(PX), PX.presheaves):
-        if mult_values(PX, through) != vals:
-            witness = presheaf_label(vals)
-            break
-    report["unit_pointed"] = {"ok": witness is None, "witness": witness}
+    _, report["unit_pointed"] = _first_part(
+        PX.presheaves, mult_values(PX, representables(PX)), PX.presheaves)
 
     PPX = presheaf_category(PX, budget)
     m = multiplication(X, budget)
-    assoc = {"mode": "representables", "checked": 0, "ok": True, "witness": None}
-    for theta in representables(PPX):
-        assoc["checked"] += 1
-        # m_X ∘ m_PX vs m_X ∘ P(m_X)
-        left = mult_values(PX, mult_values(PPX, theta))
-        if left != mult_values(PX, map_values(m, theta)):
-            assoc.update(ok=False, witness=presheaf_label(theta))
-            break
-    report["associativity"] = assoc
+    thetas = representables(PPX)
+    # m_X ∘ m_PX vs m_X ∘ P(m_X)
+    i, verdict = _first_part(thetas, mult_values(PX, mult_values(PPX, thetas)),
+                             mult_values(PX, map_values(m, thetas)))
+    report["associativity"] = {"mode": "representables",
+                               "checked": len(thetas) if i is None else i + 1, **verdict}
     return report
+
+
+def _first_part(members, left, right):
+    """(i, verdict) for the first member i at which the two routes part,
+    the verdict's witness; (None, a pass) where they agree throughout."""
+    i = next((i for i, (u, v) in enumerate(zip(left, right)) if u != v), None)
+    return i, {"ok": i is None, "witness": None if i is None else presheaf_label(members[i])}

@@ -18,9 +18,10 @@ carrier as `QElem.index`, which eq and hash ignore, so `leq`, `tensor`,
 tables indexed by it.  Ownership is checked by comparing the element's
 `owner` with the quantale's key, never by hashing the element.
 
-`Quantale.coded` is the matrix kernel: it codes a family of matrices as
+`Quantale.coded` is the one matrix kernel: it codes a family of matrices as
 integers (carrier indices, or the values over one common denominator) and
-runs the transitivity, order, sup-tensor and (finite) inf-hom kernels on them.
+runs on them the transitivity and order checks, every sup-tensor ⋁ a⊗b
+and every inf-hom ⋀ hom(a,b).
 """
 
 from __future__ import annotations
@@ -392,19 +393,10 @@ class Quantale:
         """Meet of a finite family; the empty meet is the top element."""
         return reduce(self.meet2, elems, self.top)
 
-    def join_tensor(self, us, vs) -> QElem:
-        """⋁ᵢ uᵢ ⊗ vᵢ over two paired families: the sup-tensor kernel of
-        distributor composition.  The empty join is the bottom element."""
-        return self.join(map(self.tensor, us, vs))
-
-    def meet_hom(self, us, vs) -> QElem:
-        """⋀ᵢ hom(uᵢ, vᵢ) over two paired families: the inf-hom kernel of
-        the right extension.  The empty meet is the top element."""
-        return self.meet(map(self.hom, us, vs))
-
     def coded(self, *matrices) -> "Coded":
         """A family of matrices over this quantale, coded as integers: the
-        matrix kernel of the transitivity, order and composition checks."""
+        one kernel of the transitivity and order checks, of every
+        sup-tensor ⋁ a⊗b and of every inf-hom ⋀ hom(a,b)."""
         return _CODED.get(self.kind, _FiniteCoded)(self, matrices)
 
     # ----- predicates -----
@@ -446,8 +438,8 @@ class Coded:
     chosen so that the order and the tensor are integer arithmetic or
     table lookups.  Each kind gives two row tests, `_rows_leq` (every
     entry of one row below the paired entry of another) and
-    `_row_transitive` (p ⊗ qₘ ≤ rₘ for every m), and the join of a row
-    of tensors, `_join_tensor`, turned back into an element by `_decode`.
+    `_row_transitive` (p ⊗ qₘ ≤ rₘ for every m), and the join of a row of
+    tensors, `_join_tensor`, or meet of homs, `_meet_hom`, read by `_decode`.
     Each runs at C speed, as `map` over `operator` functions.  Only a row
     known to fail is then scanned entry by entry, with the same test on
     one-entry slices, so every witness is the first one in scan order.
@@ -485,8 +477,14 @@ class Coded:
 
     def sup_tensor(self, a, b):
         """The matrix of ⋁ᵧ a[x][y] ⊗ b[z][y] over the rows x of a and z of
-        b, as elements: `join_tensor` of every pair of rows at once."""
+        b, as elements: distributor composition.  The empty join is ⊥."""
         return tuple(tuple(self._decode(self._join_tensor(ra, rb)) for rb in self.codes[b])
+                     for ra in self.codes[a])
+
+    def inf_hom(self, a, b):
+        """The matrix of ⋀ᵧ hom(a[x][y], b[z][y]) over the rows x of a and
+        z of b, as elements: the right extension.  The empty meet is ⊤."""
+        return tuple(tuple(self._decode(self._meet_hom(ra, rb)) for rb in self.codes[b])
                      for ra in self.codes[a])
 
 
@@ -585,18 +583,29 @@ class _ExtRealCoded(_RationalCoded):
     def _join_tensor(self, ra, rb):
         return min(map(add, ra, rb), default=self.S)
 
+    def _meet_hom(self, ra, rb):
+        # the max of hom(p, r) = max(r − p, 0); r − p exceeds S/2 exactly when
+        # hom(p, ∞) = ∞ for a finite p, and is at most 0 when hom(∞, r) = 0
+        c = max(map(sub, rb, ra), default=0)
+        return self.S if 2 * c > self.S else max(c, 0)
+
     def _decode(self, c):
         return QElem(self.q.key, INF if c >= self.S else Fraction(c, self.D))
 
 
 class _ProductCoded(_RationalCoded):
-    """[0,1] under ·: p ⊗ q ≤ r is p·q ≤ r·D; a composite is over D²."""
+    """[0,1] under ·: p ⊗ q ≤ r is p·q ≤ r·D; composites and homs are over D²."""
 
     def _row_transitive(self, p, row_q, row_r):
         return not any(map(gt, map(p.__mul__, row_q), map(self.D.__mul__, row_r)))
 
     def _join_tensor(self, ra, rb):
         return max(map(mul, ra, rb), default=0)
+
+    def _meet_hom(self, ra, rb):
+        # the min of D²·min(1, r/p): only p > r, so p > 0, falls below D² = ⊤
+        return min((Fraction(r * self.D ** 2, p) for p, r in zip(ra, rb) if p > r),
+                   default=self.D ** 2)
 
     def _decode(self, c):
         return QElem(self.q.key, Fraction(c, self.D * self.D))
@@ -610,6 +619,10 @@ class _LukasiewiczCoded(_RationalCoded):
 
     def _join_tensor(self, ra, rb):
         return max(max(map(add, ra, rb), default=0) - self.D, 0)
+
+    def _meet_hom(self, ra, rb):
+        # the min of min(D − p + r, D)
+        return self.D + min(min(map(sub, rb, ra), default=0), 0)
 
     def _decode(self, c):
         return QElem(self.q.key, Fraction(c, self.D))

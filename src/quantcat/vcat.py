@@ -180,15 +180,13 @@ def is_fully_faithful(f: VFunctor):
 
 def is_fully_dense(f: VFunctor):
     """b(y,y') = ⋁_x b(y, f x) ⊗ b(f x, y') for all pairs; returns (bool, witness)."""
-    q = f.cod.quantale
-    b = f.cod.hom
-    for y in range(len(f.cod.objects)):
-        for y2 in range(len(f.cod.objects)):
-            via = q.join_tensor((b[y][fx] for fx in f.mapping),
-                                (b[fx][y2] for fx in f.mapping))
-            if b[y][y2] != via:
-                return False, (f.cod.objects[y], f.cod.objects[y2])
-    return True, None
+    b, ys = f.cod.hom, range(len(f.cod.objects))
+    via = f.cod.quantale.coded(tuple(tuple(b[y][fx] for fx in f.mapping) for y in ys),
+                               tuple(tuple(b[fx][y] for fx in f.mapping) for y in ys)
+                               ).sup_tensor(0, 1)
+    w = next(((f.cod.objects[y], f.cod.objects[y2]) for y in ys for y2 in ys
+              if b[y][y2] != via[y][y2]), None)
+    return w is None, w
 
 
 def check_adjunction(f: VFunctor, g: VFunctor):

@@ -93,6 +93,18 @@ def functor_criterion(r) -> bool:
     return True
 
 
+def join_tensor(q, us, vs):
+    """⋁ᵢ uᵢ ⊗ vᵢ, folded with `tensor` and `join2`: an oracle for
+    `Coded.sup_tensor`.  The empty join is the bottom element."""
+    return q.join(map(q.tensor, us, vs))
+
+
+def meet_hom(q, us, vs):
+    """⋀ᵢ hom(uᵢ, vᵢ), folded with `hom` and `meet2`: an oracle for
+    `Coded.inf_hom`.  The empty meet is the top element."""
+    return q.meet(map(q.hom, us, vs))
+
+
 def presheaves_by_filter(X):
     """Every presheaf on X by testing each candidate of the carrier
     product in order: an oracle for the depth-first `presheaf.presheaves`."""

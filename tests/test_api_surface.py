@@ -7,9 +7,10 @@ a module's top-level statements other than its definitions (so
 A top-level function or class is reached when a reached definition or
 a root names it (calls it, passes it, raises it or subclasses it).  A
 definition that only tests, or only other unreached definitions, name
-fails the scan: wire it in or delete it.  Test oracles live in
-`tests/helpers.py`.  KEEP holds what stays although nothing in the
-package names it yet, each with its reason.
+fails the scan: wire it in or delete it.  A public method of a package
+class that nothing in the package names as an attribute is an orphan
+too.  Test oracles live in `tests/helpers.py`.  KEEP holds what stays
+although nothing in the package names it yet, each with its reason.
 
 Every import in the package and in the tests is used, and the package
 holds no `assert` statement: `python -O` strips them, so an invariant
@@ -36,7 +37,11 @@ def _trees():
 
 
 def _public_functions(trees):
-    return {node.name for tree in trees for node in tree.body
+    """The public top-level functions, and the public methods of the
+    top-level classes: a method only tests call is an orphan too."""
+    tops = [node for tree in trees for node in tree.body]
+    methods = [node for cls in tops if isinstance(cls, ast.ClassDef) for node in cls.body]
+    return {node.name for node in tops + methods
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
 
 

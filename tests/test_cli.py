@@ -981,6 +981,11 @@ def test_json_reports_are_deterministic(ws_path, capsys):
     (["selftest", "--seed", "7"], "unrecognized arguments: --seed 7"),
     (["check", "lax-idempotent", "--category", "C2", "--monad", "ball-plain"],
      "invalid choice: 'ball-plain'"),
+    # --plain where no ball variant is read
+    (["check", "separated", "--category", "C2", "--plain"],
+     "UsageError: --plain picks a ball variant, and this command runs none"),
+    (["check", "lax-idempotent", "--category", "C2", "--plain"],
+     "UsageError: --plain picks a ball variant, and this command runs none"),
 ])
 def test_retired_options_are_usage_errors(argv, refused):
     proc = subprocess.run([sys.executable, "-m", "quantcat.cli", *argv],

@@ -36,7 +36,7 @@ from quantcat.monadkit import (
     submonad_right_adjoints,
     submonad_user_table,
 )
-from quantcat.presheaf import extension_row
+from quantcat.presheaf import extension_rows
 from quantcat.quantale import builtin, show_value
 from quantcat.vcat import hom_self_category, identity_functor, raw_functor
 
@@ -176,8 +176,7 @@ def test_hom_into_representative_row_identity(X):
     alpha = algebra_extract(X, ALL)["algebra"].alpha
     TX = alpha.dom
     unit = submonad_monad(ALL).unit(X)
-    for i, vals in enumerate(TX.presheaves):
-        row = extension_row(X, vals)
+    for i, row in enumerate(extension_rows(X, TX.presheaves)):
         for x in range(len(X.objects)):
             assert row[x] == TX.hom[i][unit(x)] == X.hom[alpha(i)][x]
 

@@ -427,7 +427,7 @@ def _nested_admissible_class_check(spec, categories, functors, budget):
             except SpecMismatch:
                 unlisted.append(TX.name)
                 break
-            if restricted and not spec.member(X, mult_values(PX, gamma)):
+            if restricted and not spec.member(X, mult_values(PX, [gamma])[0]):
                 w = f"{presheaf_label(gamma)} on P({X.name})"
                 break
         if w is not None:

@@ -45,8 +45,10 @@ from .helpers import (
     bool_discrete,
     bool_indiscrete2,
     cat,
+    join_tensor,
     luk2_asym,
     luk2_sym,
+    meet_hom,
     presheaves_by_filter,
 )
 from .test_quantale import FOREIGN, _closure
@@ -252,8 +254,19 @@ def test_full_subcategory_hom_is_the_meet_hom_matrix(X, data):
                else vals for vals in members]
     T = full_subcategory("T", X, members)
     assert T.presheaves == tuple(members)
-    assert T.hom == tuple(tuple(q.meet_hom(u, w) for w in members) for u in members)
+    assert T.hom == tuple(tuple(meet_hom(q, u, w) for w in members) for u in members)
     assert all(e is q.carrier[e.index] for row in T.hom for e in row)
+
+
+def _counted_ops(monkeypatch):
+    """A Counter of the per-element quantale op calls made from now on."""
+    calls = Counter()
+    for name in ("leq", "tensor", "hom", "join2", "meet2"):
+        def counted(self, *args, _op=getattr(Quantale, name), _name=name):
+            calls[_name] += 1
+            return _op(self, *args)
+        monkeypatch.setattr(Quantale, name, counted)
+    return calls
 
 
 def test_presheaves_and_their_hom_make_no_per_element_op_calls(monkeypatch):
@@ -261,15 +274,25 @@ def test_presheaves_and_their_hom_make_no_per_element_op_calls(monkeypatch):
     G2 = builtin("goedel_chain", 2)
     X = cat("chain8", G2, [f"c{i}" for i in range(8)],
             [[1 if i <= j else 0 for j in range(8)] for i in range(8)])
-    calls = Counter()
-    for name in ("leq", "tensor", "hom", "join2", "meet2", "meet_hom"):
-        def counted(self, *args, _op=getattr(Quantale, name), _name=name):
-            calls[_name] += 1
-            return _op(self, *args)
-        monkeypatch.setattr(Quantale, name, counted)
+    calls = _counted_ops(monkeypatch)
     members = list(presheaves(X))
     assert len(members) == 45 and not calls
     full_subcategory("P(chain8)", X, members)
+    assert not calls
+
+
+@pytest.mark.parametrize("mk", [bool_chain3, luk2_asym], ids=["chain3", "luk_asym"])
+def test_the_monad_structure_makes_no_per_element_op_calls(monkeypatch, mk):
+    # m_X, Pf and the laws run each sup-tensor and inf-hom family as one
+    # call of the matrix kernel
+    X = mk()
+    presheaf_category.cache_clear()
+    calls = _counted_ops(monkeypatch)
+    PX = presheaf_category(X)
+    PPX = presheaf_category(PX)
+    assert multiplication(X).dom == PPX
+    assert presheaf_map(yoneda(X, PX), PX, PPX).cod == PPX
+    assert verify_monad_laws(X)["associativity"]["ok"]
     assert not calls
 
 
@@ -292,13 +315,13 @@ def _assoc_failures(X, images, thetas):
     q = X.quantale
     PX = presheaf_category(X)
     PPX = presheaf_category(PX)
-    amg = [[q.meet_hom(phi, mg) for mg in images] for phi in PX.presheaves]
+    amg = [[meet_hom(q, phi, mg) for mg in images] for phi in PX.presheaves]
 
     def m(members, gamma):  # ⋁_φ Γ(φ) ⊗ φ(−); members is never empty
         return _join_scaled(q, gamma, members, len(members[0]))
     return [theta for theta in thetas
             if m(PX.presheaves, m(PPX.presheaves, theta))
-            != m(PX.presheaves, [q.join(map(q.tensor, row, theta)) for row in amg])]
+            != m(PX.presheaves, [join_tensor(q, row, theta) for row in amg])]
 
 
 def _decided_as_every_theta(X, target, g):
@@ -328,13 +351,13 @@ def _routes_are_linear(X):
     PPX = presheaf_category(PX)
     m = multiplication(X)
     reps = representables(PPX)
-    routes = (lambda theta: mult_values(PX, mult_values(PPX, theta)),
-              lambda theta: mult_values(PX, map_values(m, theta)))
+    routes = (lambda thetas: mult_values(PX, mult_values(PPX, thetas)),
+              lambda thetas: mult_values(PX, map_values(m, thetas)))
+    on_reps = [route(reps) for route in routes]
     for theta in presheaves(PPX, ORACLE_BUDGET):
         assert theta == _join_scaled(q, theta, reps, len(PPX.objects))
-        for route in routes:
-            assert route(theta) == \
-                _join_scaled(q, theta, [route(r) for r in reps], len(X.objects))
+        for route, images in zip(routes, on_reps):
+            assert route([theta])[0] == _join_scaled(q, theta, images, len(X.objects))
 
 
 @pytest.mark.parametrize("mk", [bool_chain2, bool_chain3, lambda: bool_discrete(2),
