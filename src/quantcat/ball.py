@@ -11,7 +11,6 @@ radii cannot hit ⊥, and the checks below report the escape otherwise.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
@@ -31,13 +30,16 @@ from .vcat import (
 )
 
 
-@dataclass(frozen=True)
 class BallCategory(VCategory):
-    base: VCategory = None
-    pairs: tuple = ()    # (object index, radius), aligned with .objects
-    extended: bool = True
+    """BX (or the plain variant); the hash is `VCategory`'s, memoised."""
 
-    __hash__ = VCategory.__hash__  # else @dataclass writes a field-wise, unmemoised one
+    def __init__(self, name, quantale, objects, hom, base: VCategory,
+                 pairs: tuple, extended: bool):
+        # pairs: (object index, radius), aligned with .objects
+        VCategory.__init__(self, name, quantale, objects, hom)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "extended", extended)
 
 
 def ball_label(x_label: str, r: QElem) -> str:

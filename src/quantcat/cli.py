@@ -54,8 +54,10 @@ import sys
 from fractions import Fraction
 
 # Every process pays for what it imports here, and with no bytecode cache
-# it compiles it too; the other layers (dist, monadkit, ball, colimit,
-# lawvere, selftest) are imported inside the branch that calls them.
+# it compiles it too.  These three modules hold every record a workspace
+# parses but squares and specs; the other layers (presheaf, dist,
+# monadkit, ball, colimit, lawvere, selftest) are imported inside the
+# branch that calls them.
 from .errors import (
     BudgetExceeded,
     ForeignElement,
@@ -67,25 +69,35 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .presheaf import DEFAULT_BUDGET, presheaf_category, yoneda
 from .quantale import INF, Quantale, builtin, make_finite_quantale, show_value
 from .vcat import (
+    DEFAULT_BUDGET,
     VFunctor,
+    cauchy_sequence,
     check_adjunction,
     is_fully_dense,
     is_fully_faithful,
     is_separated,
+    relation,
     validate_category,
     validate_functor,
 )
 
-PROPERTIES = ("separated", "fully-faithful", "fully-dense", "adjunction",
-              "distributor", "bc-square", "lax-idempotent", "admissible",
-              "t-embedding", "b-embedding", "tensored", "ball-algebra",
-              "algebra", "homomorphism", "l-complete", "cancellative")
+# each property and construction, with the target flags it reads; any
+# other target flag (or --monad) given to it is a usage error
+PROPERTIES = {"separated": ("category",), "fully-faithful": ("functor",),
+              "fully-dense": ("functor",), "adjunction": ("functor", "adjoint"),
+              "distributor": ("relation",), "bc-square": ("square",),
+              "lax-idempotent": ("category", "monad"), "admissible": ("spec", "quantale"),
+              "t-embedding": ("spec", "functor"), "b-embedding": ("functor",),
+              "tensored": ("category",), "ball-algebra": ("functor", "category"),
+              "algebra": ("category", "spec"), "homomorphism": ("functor", "spec"),
+              "l-complete": ("category",), "cancellative": ("quantale", "category")}
 
-CONSTRUCTIONS = ("presheaf", "ball", "submonad", "colimit", "algebra",
-                 "lawvere-completion", "cauchy-pair")
+CONSTRUCTIONS = {"presheaf": ("category",), "ball": ("category",),
+                 "submonad": ("category", "spec"), "colimit": ("weight", "diagram"),
+                 "algebra": ("category", "spec"), "lawvere-completion": ("category",),
+                 "cauchy-pair": ("sequence",)}
 
 # the record flags of check/compute, in the order a check name lists them
 _TARGETS = ("quantale", "category", "functor", "adjoint", "relation",
@@ -350,8 +362,6 @@ def parse_workspace(path) -> Workspace:
         keep("functor", name, build)
 
     for rec, name, where in records("relation"):
-        from .dist import relation
-
         dom, cod, matrix = _take(rec, where, ("dom", "cod", "matrix"))
 
         def build():
@@ -375,8 +385,6 @@ def parse_workspace(path) -> Workspace:
         keep("spec", name, lambda: _build_spec(rec, where))
 
     for rec, name, where in records("sequence"):
-        from .lawvere import cauchy_sequence
-
         alias, points, stable = _take(
             rec, where, ("category", "points", "stable_from"))
 
@@ -640,6 +648,8 @@ def _run_compute(ws, args, cname):
     con = args.construction
     budget = args.budget
     if con == "presheaf":
+        from .presheaf import presheaf_category, yoneda
+
         X = ws.get("category", args.category)
         PX = presheaf_category(X, budget)
         return _built(ws, cname, X, PX, yoneda(X, PX))
@@ -757,10 +767,23 @@ def _reads_plain(args):
         args.property == "lax-idempotent" and args.monad == "ball")
 
 
-def run(args, argv):
-    """Dispatch one parsed command; returns (report, exit_code)."""
+def _refuse_unread_flags(args):
+    """UsageError for a flag the command would ignore: --plain where it
+    runs no ball variant, or a target flag (or --monad) it does not read."""
     if getattr(args, "plain", False) and not _reads_plain(args):
         raise UsageError("--plain picks a ball variant, and this command runs none")
+    if args.command in ("check", "compute"):
+        checking = args.command == "check"
+        what = args.property if checking else args.construction
+        reads = (PROPERTIES if checking else CONSTRUCTIONS)[what]
+        for flag in _TARGETS + ("monad",):
+            if getattr(args, flag) is not None and flag not in reads:
+                raise UsageError(f"{args.command} {what} reads no --{flag}")
+
+
+def run(args, argv):
+    """Dispatch one parsed command; returns (report, exit_code)."""
+    _refuse_unread_flags(args)
     command = " ".join(["quantcat"] + list(argv))
     report = {"command": command, "budget": args.budget}
     outputs, fragment = {}, None

@@ -8,9 +8,8 @@ right extensions row by row.
 """
 
 import itertools
-from dataclasses import dataclass
 
-from .dist import VRelation, right_extension, star_lower
+from .dist import right_extension, star_lower
 from .errors import (
     BudgetExceeded,
     InternalError,
@@ -21,14 +20,16 @@ from .errors import (
     SpecMismatch,
 )
 from .monadkit import SubmonadSpec, submonad_category, submonad_monad
-from .presheaf import DEFAULT_BUDGET, extension_rows, find_representatives, presheaf_label
-from .vcat import VCategory, VFunctor, check_adjunction, functors, is_functor
+from .presheaf import extension_rows, find_representatives, presheaf_label
+from .quantale import Record
+from .vcat import (DEFAULT_BUDGET, VCategory, VFunctor, VRelation, check_adjunction, functors,
+                   is_functor)
 
 
-@dataclass(frozen=True)
-class WeightedDiagram:
-    weight: VRelation  # φ: X ⇸ Y
-    diagram: VFunctor  # f: X → Z
+class WeightedDiagram(Record):
+    def __init__(self, weight: VRelation, diagram: VFunctor):  # φ: X ⇸ Y, f: X → Z
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "diagram", diagram)
 
 
 def weighted_diagram(weight: VRelation, diagram: VFunctor) -> WeightedDiagram:
@@ -78,11 +79,11 @@ def cocompleteness_check(Z: VCategory, spec: SubmonadSpec,
             "cocomplete": not failures}
 
 
-@dataclass(frozen=True)
-class AlgebraStructure:
-    carrier: VCategory
-    spec: SubmonadSpec
-    alpha: VFunctor  # TX → X
+class AlgebraStructure(Record):
+    def __init__(self, carrier: VCategory, spec: SubmonadSpec, alpha: VFunctor):  # α: TX → X
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "alpha", alpha)
 
 
 def algebra_extract(X: VCategory, spec: SubmonadSpec,

@@ -1,7 +1,8 @@
 """V-relations and V-distributors.
 
-A relation r: X ⇸ Y is a matrix r[x][y] over the shared quantale;
-composition is sup-of-tensor, (s·r)(x,z) = ⋁_y r(x,y) ⊗ s(y,z).
+A relation r: X ⇸ Y (`vcat.VRelation`) is a matrix r[x][y] over the
+shared quantale; composition is sup-of-tensor,
+(s·r)(x,z) = ⋁_y r(x,y) ⊗ s(y,z).
 A distributor additionally absorbs the hom structures on both sides.
 Companions f_* and f^* of a functor, adjoint pairs, and the right
 extension [φ,ψ](y,z) = ⋀_x hom(φ(x,y), ψ(x,z)) live here too.  A
@@ -13,39 +14,11 @@ each one call of the matrix kernel `Quantale.coded` (`sup_tensor`,
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import (BudgetExceeded, LeftActionFail, NotEnumerable,
                      QuantaleMismatch, RightActionFail, ShapeMismatch)
-from .presheaf import DEFAULT_BUDGET, presheaves
-from .quantale import QElem
-from .vcat import VCategory, VFunctor, unit_category
-
-
-@dataclass(frozen=True)
-class VRelation:
-    dom: VCategory
-    cod: VCategory
-    matrix: tuple[tuple[QElem, ...], ...]  # matrix[i][j], i in dom, j in cod
-
-    def at(self, x: str, y: str) -> QElem:
-        return self.matrix[self.dom.index(x)][self.cod.index(y)]
-
-    def __repr__(self):
-        return f"VRelation({self.dom.name} ⇸ {self.cod.name})"
-
-
-def relation(dom, cod, matrix) -> VRelation:
-    if dom.quantale != cod.quantale:
-        raise QuantaleMismatch(f"{dom.name} and {cod.name} live over different quantales")
-    q = dom.quantale
-    matrix = tuple(tuple(q.check(e) for e in row) for row in matrix)
-    if len(matrix) != len(dom.objects) or any(
-            len(row) != len(cod.objects) for row in matrix):
-        raise ShapeMismatch(
-            f"matrix must be {len(dom.objects)}x{len(cod.objects)} "
-            f"for {dom.name} ⇸ {cod.name}")
-    return VRelation(dom, cod, matrix)
+from .presheaf import presheaves
+from .vcat import DEFAULT_BUDGET, VCategory, VFunctor, VRelation, unit_category
 
 
 def first_violation(r: VRelation, s: VRelation):

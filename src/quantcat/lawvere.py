@@ -10,20 +10,22 @@ the distributor calculus; the two routes agreeing is part of the test
 suite, which also keeps the search over every distributor as an oracle.
 """
 
-from dataclasses import dataclass
-
-from .dist import VRelation, column, point_column, point_row
-from .errors import BudgetExceeded, InternalError, NotEventuallyConstant, PreconditionFail
-from .presheaf import (DEFAULT_BUDGET, candidate_count, extension_rows, find_representatives,
+from .dist import column, point_column, point_row
+from .errors import BudgetExceeded, InternalError, PreconditionFail
+from .presheaf import (candidate_count, extension_rows, find_representatives,
                        full_subcategory, member_functor, presheaves, representables)
-from .vcat import VCategory, is_fully_faithful, unit_category
+from .quantale import Record
+from .vcat import (DEFAULT_BUDGET, CauchySequenceSpec, VCategory, VRelation, is_fully_faithful,
+                   unit_category)
 
 
-@dataclass(frozen=True)
-class AdjointPair:
-    phi: VRelation  # X ⇸ E, the right adjoint
-    psi: VRelation  # E ⇸ X, its certifying left adjoint
-    unit: object    # the attained value of ⋁_x ψ(x)⊗φ(x), at least k
+class AdjointPair(Record):
+    def __init__(self, phi: VRelation, psi: VRelation, unit):
+        # φ: X ⇸ E, the right adjoint; ψ: E ⇸ X, its certifying left
+        # adjoint; unit: the attained value of ⋁_x ψ(x)⊗φ(x), at least k
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "unit", unit)
 
 
 def _certifies(X, phi, psi):
@@ -88,25 +90,6 @@ def lawvere_completion(X: VCategory, budget: int = DEFAULT_BUDGET):
     if not is_L_complete(LX, budget)[0]:
         raise InternalError(f"the completion of {X.name} is not L-complete")
     return LX, unit
-
-
-@dataclass(frozen=True)
-class CauchySequenceSpec:
-    points: tuple      # object labels
-    stable_from: int   # index after which the sequence stays put
-
-
-def cauchy_sequence(points, stable_from: int) -> CauchySequenceSpec:
-    points = tuple(points)
-    if not 0 <= stable_from < len(points):
-        raise NotEventuallyConstant(
-            f"stability index {stable_from} outside the sequence")
-    tail = set(points[stable_from:])
-    if len(tail) != 1:
-        raise NotEventuallyConstant(
-            f"sequence keeps moving after index {stable_from}: "
-            f"{sorted(tail)}")
-    return CauchySequenceSpec(points, stable_from)
 
 
 def cauchy_pair(X: VCategory, seq: CauchySequenceSpec):

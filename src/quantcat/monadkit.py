@@ -10,12 +10,9 @@ canonical comparison into it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Optional
 
 from .dist import (
-    VRelation,
     check_adjoint_pair,
     column,
     compose,
@@ -38,7 +35,6 @@ from .errors import (
     UnitNotContained,
 )
 from .presheaf import (
-    DEFAULT_BUDGET,
     PresheafCategory,
     full_subcategory,
     is_presheaf,
@@ -52,10 +48,12 @@ from .presheaf import (
     representables,
     yoneda,
 )
-from .quantale import show_value
+from .quantale import Record, show_value
 from .vcat import (
+    DEFAULT_BUDGET,
     VCategory,
     VFunctor,
+    VRelation,
     check_adjunction,
     is_fully_faithful,
 )
@@ -63,12 +61,13 @@ from .vcat import (
 
 # ------------------------------------------------------------------- squares
 
-@dataclass(frozen=True)
-class CommutingSquare:
-    top: VFunctor     # l: W → Z
-    left: VFunctor    # g: W → X
-    bottom: VFunctor  # f: X → Y
-    right: VFunctor   # h: Z → Y
+class CommutingSquare(Record):
+    def __init__(self, top: VFunctor, left: VFunctor, bottom: VFunctor, right: VFunctor):
+        # l: W → Z, g: W → X, f: X → Y, h: Z → Y
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "bottom", bottom)
+        object.__setattr__(self, "right", right)
 
 
 def square(top, left, bottom, right) -> CommutingSquare:
@@ -96,16 +95,18 @@ def bc_star_square_check(sq: CommutingSquare):
 
 # ------------------------------------------------------------------- monads
 
-@dataclass(frozen=True)
-class MonadInstance:
+class MonadInstance(Record):
     """A monad on finite categories, given by its action on objects and
-    maps together with unit and multiplication components."""
+    maps together with unit and multiplication components: `apply` takes
+    X to TX, `map` a functor f to Tf, `unit(X)` is X → TX and `mult(X)`
+    is TTX → TX."""
 
-    name: str
-    apply: Callable[[VCategory], VCategory]
-    map: Callable[[VFunctor], VFunctor]
-    unit: Callable[[VCategory], VFunctor]   # X → TX
-    mult: Callable[[VCategory], VFunctor]   # TTX → TX
+    def __init__(self, name: str, apply, map, unit, mult):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "apply", apply)
+        object.__setattr__(self, "map", map)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "mult", mult)
 
 
 def presheaf_monad(budget: int = DEFAULT_BUDGET) -> MonadInstance:
@@ -144,8 +145,7 @@ def lax_idempotency_report(T: MonadInstance, X: VCategory) -> dict:
 
 # ----------------------------------------------------------- membership specs
 
-@dataclass(frozen=True)
-class SubmonadSpec:
+class SubmonadSpec(Record):
     """A class of distributors cut down to presheaf membership.
 
     `member(X, values)` decides whether a presheaf on X belongs; the
@@ -154,9 +154,10 @@ class SubmonadSpec:
     columnwise and the columnwise condition holds by construction).
     """
 
-    name: str
-    member: Callable
-    dist_member: Optional[Callable] = None
+    def __init__(self, name: str, member, dist_member=None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "member", member)
+        object.__setattr__(self, "dist_member", dist_member)
 
 
 def is_right_adjoint_distributor(phi: VRelation) -> bool:

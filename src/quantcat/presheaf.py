@@ -14,25 +14,24 @@ the extension rows, `sup_tensor` for `map_values` and `mult_values`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import and_, getitem
 
 from .errors import BudgetExceeded, InternalError, NotEnumerable
 from .quantale import show_value
-from .vcat import VCategory, VFunctor, is_fully_faithful
-
-DEFAULT_BUDGET = 10 ** 6
+from .vcat import DEFAULT_BUDGET, VCategory, VFunctor, is_fully_faithful
 
 
-@dataclass(frozen=True)
 class PresheafCategory(VCategory):
-    """PX; objects are labeled value tuples over the base category."""
+    """PX; objects are labeled value tuples over the base category.  The
+    hash is `VCategory`'s, memoised and read off the name, quantale and
+    objects."""
 
-    base: VCategory = None
-    presheaves: tuple = ()  # value tuples, aligned with .objects
-
-    __hash__ = VCategory.__hash__  # else @dataclass writes a field-wise, unmemoised one
+    def __init__(self, name, quantale, objects, hom, base: VCategory,
+                 presheaves: tuple):  # value tuples, aligned with .objects
+        VCategory.__init__(self, name, quantale, objects, hom)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "presheaves", presheaves)
 
 
 def presheaf_label(values) -> str:

@@ -26,7 +26,6 @@ and every inf-hom ⋀ hom(a,b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, count
@@ -94,8 +93,45 @@ def show_value(value) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class QElem:
+class Record:
+    """An immutable record, as `dataclass(frozen=True)` writes one, without
+    importing `dataclasses` at start-up.
+
+    The fields are the parameters of the subclass's `__init__`, which
+    stores each with `object.__setattr__`, as the generated one did: the
+    values then sit in the instance, with no per-instance dict, and read
+    as fast as plain attributes.  Two records are equal when they are of
+    one class and their fields are equal, the hash is that of the field
+    tuple, and assigning or deleting any attribute raises AttributeError.
+    A memo (`VCategory`'s hash) or an override of a class-level default
+    (`QElem.index`) is written with `object.__setattr__` too.
+    """
+
+    def __init_subclass__(cls):
+        init = cls.__init__.__code__
+        cls._fields = init.co_varnames[1:init.co_argcount]
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class QElem(Record):
     """An element of a specific quantale.
 
     `owner` is a structural key of the owning quantale, so elements of two
@@ -109,11 +145,24 @@ class QElem:
     element (those of the rational kinds, or one built by hand as
     `QElem(key, value)`) has index None; `Quantale.check` swaps a
     hand-built finite element for the carrier element it equals.
+
+    The hot path: eq and hash are written out, not the generic `Record`
+    ones.
     """
 
-    owner: str
-    value: object  # Fraction | INF | str label
     index = None  # int on carrier elements of a finite quantale
+
+    def __init__(self, owner: str, value):  # value: Fraction | INF | str label
+        object.__setattr__(self, "owner", owner)
+        object.__setattr__(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.owner == other.owner and self.value == other.value
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.owner, self.value))
 
     def __str__(self):
         return show_value(self.value)
@@ -122,12 +171,15 @@ class QElem:
         return f"QElem({show_value(self.value)})"
 
 
-@dataclass(frozen=True)
-class QuantaleFlags:
-    integral: bool
-    cancellative: bool
-    method: str  # "exhaustive" | "analytic"
-    witness: tuple | None = None  # (r, s) with r = s⊗r, s ≠ k, r ≠ ⊥
+class QuantaleFlags(Record):
+    def __init__(self, integral: bool, cancellative: bool, method: str,
+                 witness: tuple | None = None):
+        # method: "exhaustive" | "analytic"; witness: (r, s) with
+        # r = s⊗r, s ≠ k, r ≠ ⊥
+        object.__setattr__(self, "integral", integral)
+        object.__setattr__(self, "cancellative", cancellative)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "witness", witness)
 
 
 _RATIONAL_KINDS = ("ext_real_plus", "unit_interval_product", "lukasiewicz_rational")

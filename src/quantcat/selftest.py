@@ -36,7 +36,7 @@ from .colimit import (
 )
 from .dist import check_adjoint_pair
 from .errors import BudgetExceeded, NotCommuting
-from .lawvere import cauchy_pair, cauchy_sequence, enumerate_L, is_L_complete, lawvere_completion
+from .lawvere import cauchy_pair, enumerate_L, is_L_complete, lawvere_completion
 from .monadkit import (
     SubmonadSpec,
     admissible_class_check,
@@ -49,10 +49,12 @@ from .monadkit import (
     submonad_right_adjoints,
     t_embedding_check,
 )
-from .presheaf import DEFAULT_BUDGET, verify_monad_laws
+from .presheaf import verify_monad_laws
 from .quantale import builtin, make_finite_quantale
 from .vcat import (
+    DEFAULT_BUDGET,
     VFunctor,
+    cauchy_sequence,
     functors,
     hom_self_category,
     identity_functor,

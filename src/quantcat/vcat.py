@@ -1,34 +1,42 @@
-"""Finite V-categories and V-functors.
+"""Finite V-categories and V-functors, and the V-relations and Cauchy
+sequences that a workspace declares over them.
 
 A V-category is a finite object list with a hom matrix over a quantale,
 satisfying reflexivity (k <= a(x,x)) and transitivity
 (a(x,x') ⊗ a(x',x'') <= a(x,x'')).  Witnesses reported by the validators
 are always the first violation in object-index order.  The (T) check runs
-on the integer codes of `Quantale.coded`.
+on the integer codes of `Quantale.coded`.  Every record a workspace holds
+is built here or in `quantale`, so parsing one loads no other layer;
+`dist` and `lawvere` compute with the relations and sequences.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import (
     InternalError,
     NotAFunctor,
     NotEnumerable,
+    NotEventuallyConstant,
     QuantaleMismatch,
     ReflexivityFail,
+    ShapeMismatch,
     TransitivityFail,
 )
-from .quantale import QElem, Quantale
+from .quantale import QElem, Quantale, Record
+
+# the enumeration ceiling of every budget-gated search, and of `--budget`
+DEFAULT_BUDGET = 10 ** 6
 
 
-@dataclass(frozen=True)
-class VCategory:
-    name: str
-    quantale: Quantale
-    objects: tuple[str, ...]
-    hom: tuple[tuple[QElem, ...], ...]
+class VCategory(Record):
+    def __init__(self, name: str, quantale: Quantale, objects: tuple[str, ...],
+                 hom: tuple[tuple[QElem, ...], ...]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "quantale", quantale)
+        object.__setattr__(self, "objects", objects)
+        object.__setattr__(self, "hom", hom)
 
     def index(self, label: str) -> int:
         try:
@@ -56,12 +64,13 @@ class VCategory:
         return f"VCategory({self.name}, {len(self.objects)} objects)"
 
 
-@dataclass(frozen=True)
-class VFunctor:
-    name: str
-    dom: VCategory
-    cod: VCategory
-    mapping: tuple[int, ...]  # dom object index -> cod object index
+class VFunctor(Record):
+    def __init__(self, name: str, dom: VCategory, cod: VCategory,
+                 mapping: tuple[int, ...]):  # dom object index -> cod object index
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "mapping", mapping)
 
     def __call__(self, i: int) -> int:
         return self.mapping[i]
@@ -205,3 +214,53 @@ def check_adjunction(f: VFunctor, g: VFunctor):
     if not (is_functor(X, Y, f.mapping) and is_functor(Y, X, g.mapping)):
         raise InternalError("adjunction equality held but a map failed functoriality")
     return True, None
+
+
+# ------------------------------------------- relations and Cauchy sequences
+
+class VRelation(Record):
+    def __init__(self, dom: VCategory, cod: VCategory,
+                 matrix: tuple[tuple[QElem, ...], ...]):  # matrix[i][j], i in dom, j in cod
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "matrix", matrix)
+
+    def at(self, x: str, y: str) -> QElem:
+        return self.matrix[self.dom.index(x)][self.cod.index(y)]
+
+    def __repr__(self):
+        return f"VRelation({self.dom.name} ⇸ {self.cod.name})"
+
+
+def relation(dom, cod, matrix) -> VRelation:
+    if dom.quantale != cod.quantale:
+        raise QuantaleMismatch(f"{dom.name} and {cod.name} live over different quantales")
+    q = dom.quantale
+    matrix = tuple(tuple(q.check(e) for e in row) for row in matrix)
+    if len(matrix) != len(dom.objects) or any(
+            len(row) != len(cod.objects) for row in matrix):
+        raise ShapeMismatch(
+            f"matrix must be {len(dom.objects)}x{len(cod.objects)} "
+            f"for {dom.name} ⇸ {cod.name}")
+    return VRelation(dom, cod, matrix)
+
+
+class CauchySequenceSpec(Record):
+    def __init__(self, points: tuple, stable_from: int):
+        # points: object labels; stable_from: the index after which the
+        # sequence stays put
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "stable_from", stable_from)
+
+
+def cauchy_sequence(points, stable_from: int) -> CauchySequenceSpec:
+    points = tuple(points)
+    if not 0 <= stable_from < len(points):
+        raise NotEventuallyConstant(
+            f"stability index {stable_from} outside the sequence")
+    tail = set(points[stable_from:])
+    if len(tail) != 1:
+        raise NotEventuallyConstant(
+            f"sequence keeps moving after index {stable_from}: "
+            f"{sorted(tail)}")
+    return CauchySequenceSpec(points, stable_from)

@@ -3,10 +3,10 @@
 import itertools
 from fractions import Fraction
 
-from quantcat.dist import VRelation, is_distributor
+from quantcat.dist import is_distributor
 from quantcat.presheaf import is_presheaf
 from quantcat.quantale import builtin, make_finite_quantale
-from quantcat.vcat import VFunctor, unit_category, validate_category
+from quantcat.vcat import VFunctor, VRelation, unit_category, validate_category
 
 BOOL = builtin("boolean2")
 LUK2 = builtin("lukasiewicz_chain", 2)

@@ -14,7 +14,10 @@ although nothing in the package names it yet, each with its reason.
 
 Every import in the package and in the tests is used, and the package
 holds no `assert` statement: `python -O` strips them, so an invariant
-the library relies on raises `InternalError` instead.
+the library relies on raises `InternalError` instead.  No module of the
+package imports `dataclasses` or `typing`: every CLI process would pay
+for them at start-up (`dataclasses` loads `inspect`, `ast` and `dis`),
+and `quantale.Record` gives the frozen records their semantics.
 """
 
 import ast
@@ -24,6 +27,9 @@ import quantcat
 
 SRC = Path(quantcat.__file__).parent
 TESTS = Path(__file__).parent
+
+# standard modules no module of the package may import
+HEAVY = {"dataclasses", "typing"}
 
 KEEP = {
     "monad_morphism_check":
@@ -105,6 +111,16 @@ def _unused_imports(path):
 def test_no_unused_imports():
     found = [entry for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
              for entry in _unused_imports(path)]
+    assert found == []
+
+
+def test_no_start_up_heavy_imports():
+    found = [f"{path.name}:{node.lineno}" for path in SRC.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if (isinstance(node, ast.Import) and any(
+                 alias.name.split(".")[0] in HEAVY for alias in node.names))
+             or (isinstance(node, ast.ImportFrom) and node.level == 0
+                 and node.module.split(".")[0] in HEAVY)]
     assert found == []
 
 

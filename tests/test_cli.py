@@ -986,6 +986,18 @@ def test_json_reports_are_deterministic(ws_path, capsys):
      "UsageError: --plain picks a ball variant, and this command runs none"),
     (["check", "lax-idempotent", "--category", "C2", "--plain"],
      "UsageError: --plain picks a ball variant, and this command runs none"),
+    # a target flag, or --monad, that the command does not read: these were
+    # accepted, ignored, and the target flags listed in the check's name
+    (["check", "separated", "--category", "C2", "--functor", "nothing", "--spec", "zz"],
+     "UsageError: check separated reads no --functor"),
+    (["check", "separated", "--category", "C2", "--monad", "ball"],
+     "UsageError: check separated reads no --monad"),
+    (["check", "tensored", "--category", "C2", "--monad", "presheaf"],
+     "UsageError: check tensored reads no --monad"),
+    (["compute", "presheaf", "--category", "C2", "--spec", "everything"],
+     "UsageError: compute presheaf reads no --spec"),
+    (["complete", "lawvere", "--category", "C2", "--sequence", "s"],
+     "UsageError: compute lawvere-completion reads no --sequence"),
 ])
 def test_retired_options_are_usage_errors(argv, refused):
     proc = subprocess.run([sys.executable, "-m", "quantcat.cli", *argv],
@@ -1044,36 +1056,44 @@ def test_text_report_shape(ws_path, capsys):
 
 # ------------------------------------------------------------- start-up
 
-# prints the quantcat modules loaded after the statements in argv[1]
+# the standard modules that `dataclasses` or a digest would pull in
+WATCHED = ("hashlib", "dataclasses", "inspect")
+# prints the quantcat modules loaded after the statements in argv[1], a
+# bar, and the WATCHED modules loaded
 _LOADED = ("import sys\n"
            "exec(sys.argv[1])\n"
-           "print(*sorted(m for m in sys.modules if m.startswith('quantcat.')),"
-           " 'hashlib' in sys.modules, file=sys.stderr)")
+           "print(*sorted(m for m in sys.modules if m.startswith('quantcat.')), '|',"
+           f" *(m for m in {WATCHED!r} if m in sys.modules), file=sys.stderr)")
 
 
 def loaded_after(code, *argv):
-    """(quantcat modules, whether hashlib is loaded) in a fresh interpreter."""
+    """(quantcat modules, WATCHED modules) loaded in a fresh interpreter."""
     proc = subprocess.run([sys.executable, "-c", _LOADED, code, *argv],
                           capture_output=True, text=True)
     assert "Traceback" not in proc.stderr, proc.stderr
-    *modules, has_hashlib = proc.stderr.splitlines()[-1].split()
-    return {m.removeprefix("quantcat.") for m in modules}, has_hashlib == "True"
+    ours, _, watched = proc.stderr.splitlines()[-1].partition("|")
+    return {m.removeprefix("quantcat.") for m in ours.split()}, set(watched.split())
 
 
 CLI_MAIN = "from quantcat import cli; cli.main(sys.argv[2:])"
+PARSE_LAYERS = {"cli", "errors", "quantale", "vcat"}
 
 
 def test_import_loads_no_command_layer():
-    modules, has_hashlib = loaded_after("import quantcat.cli")
-    assert not modules & {"selftest", "ball", "colimit", "lawvere", "monadkit", "dist"}
-    assert not has_hashlib
+    assert loaded_after("import quantcat.cli") == (PARSE_LAYERS, set())
 
 
 def test_a_cheap_check_loads_only_its_layers(tmp_path):
     doc = {"quantales": BASIC["quantales"], "categories": BASIC["categories"]}
-    modules, _ = loaded_after(CLI_MAIN, "check", "separated", "--category", "C2",
-                              "--workspace", write(tmp_path, doc))
-    assert modules == {"cli", "errors", "quantale", "vcat", "presheaf"}
+    assert loaded_after(CLI_MAIN, "check", "separated", "--category", "C2",
+                        "--workspace", write(tmp_path, doc)) == (PARSE_LAYERS, set())
+
+
+def test_parsing_relations_and_sequences_loads_no_other_layer(tmp_path):
+    # squares and specs would load monadkit
+    doc = {k: v for k, v in BASIC.items() if k not in ("squares", "submonad_specs")}
+    assert loaded_after(CLI_MAIN, "check", "separated", "--category", "C2",
+                        "--workspace", write(tmp_path, doc)) == (PARSE_LAYERS, set())
 
 
 def test_compute_ball_loads_no_colimit_or_lawvere(tmp_path):

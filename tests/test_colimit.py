@@ -13,7 +13,6 @@ from quantcat.colimit import (
     weighted_diagram,
 )
 from quantcat.dist import (
-    VRelation,
     compose,
     enumerate_distributors,
     identity_distributor,
@@ -38,7 +37,7 @@ from quantcat.monadkit import (
 )
 from quantcat.presheaf import extension_rows
 from quantcat.quantale import builtin, show_value
-from quantcat.vcat import hom_self_category, identity_functor, raw_functor
+from quantcat.vcat import VRelation, hom_self_category, identity_functor, raw_functor
 
 from .helpers import BOOL, bool_chain2, bool_chain3, bool_discrete, bool_indiscrete2, cat
 

@@ -15,7 +15,6 @@ from quantcat.dist import (
     is_distributor,
     point_column,
     point_row,
-    relation,
     right_extension,
     star_lower,
     star_upper,
@@ -33,6 +32,7 @@ from quantcat.vcat import (
     identity_functor,
     is_fully_dense,
     is_fully_faithful,
+    relation,
     unit_category,
     validate_functor,
 )

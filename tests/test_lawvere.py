@@ -14,7 +14,6 @@ from quantcat.errors import (
 )
 from quantcat.lawvere import (
     cauchy_pair,
-    cauchy_sequence,
     enumerate_L,
     is_L_complete,
     lawvere_completion,
@@ -23,6 +22,7 @@ from quantcat.monadkit import submonad_category, submonad_right_adjoints
 from quantcat.quantale import builtin, make_finite_quantale
 from quantcat.vcat import (
     VCategory,
+    cauchy_sequence,
     hom_self_category,
     is_fully_faithful,
     unit_category,

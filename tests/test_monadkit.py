@@ -11,7 +11,6 @@ from quantcat.dist import (
     enumerate_distributors,
     identity_distributor,
     point_column,
-    relation,
     star_upper,
 )
 from quantcat.errors import (
@@ -57,6 +56,7 @@ from quantcat.vcat import (
     is_fully_faithful,
     is_functor,
     raw_functor,
+    relation,
     unit_category,
     validate_category,
 )
