@@ -256,13 +256,12 @@ def injectivity_check(X: VCategory, h: VFunctor,
     if nx ** nb > budget:
         raise BudgetExceeded(
             f"{nx}^{nb} extension candidates over budget {budget}")
-    extensions = list(functors(B, X))
+    restrictions = {tuple(v[b] for b in h.mapping) for v in functors(B, X)}
     total = extended = 0
     witness = None
     for u in functors(A, X):
         total += 1
-        if any(all(v[b] == u[a] for a, b in enumerate(h.mapping))
-               for v in extensions):
+        if u in restrictions:
             extended += 1
         elif witness is None:
             witness = tuple(X.objects[z] for z in u)

@@ -2,11 +2,12 @@
 
 A presheaf on X is a distributor X ⇸ E, stored as a tuple of values
 indexed by the objects of X; the law is a(x,x') ⊗ φ(x') <= φ(x).  PX
-carries the hom ã(φ,ψ) = ⋀_x hom(φ x, ψ x); its objects come from a
-depth-first search gated by the |V|^n candidate count, so every
-constructor here is budget-gated.  The unit is the Yoneda embedding
-x ↦ a(−,x) and the multiplication is sup-of-tensor evaluation; the
-laws are decided exactly, associativity on the representables of PPX.
+carries the hom ã(φ,ψ) = ⋀_x hom(φ x, ψ x); its objects come from
+`vcat.pruned_product`, the search that also lists V-functors, gated by
+the |V|^n candidate count, so every constructor here is budget-gated.
+The unit is the Yoneda embedding x ↦ a(−,x) and the multiplication is
+sup-of-tensor evaluation; the laws are decided exactly, associativity
+on the representables of PPX.
 Each construction takes a whole family of presheaves and makes one call
 of the matrix kernel `Quantale.coded`: `inf_hom` for the ã matrix and
 the extension rows, `sup_tensor` for `map_values` and `mult_values`.
@@ -14,12 +15,11 @@ the extension rows, `sup_tensor` for `map_values` and `mult_values`.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
-from operator import and_, getitem
+from functools import lru_cache
 
 from .errors import BudgetExceeded, InternalError, NotEnumerable
 from .quantale import show_value
-from .vcat import DEFAULT_BUDGET, VCategory, VFunctor, is_fully_faithful
+from .vcat import DEFAULT_BUDGET, VCategory, VFunctor, is_fully_faithful, pruned_product
 
 
 class PresheafCategory(VCategory):
@@ -64,37 +64,24 @@ def candidate_count(X: VCategory, budget: int = DEFAULT_BUDGET) -> int:
 
 def presheaves(X: VCategory, budget: int = DEFAULT_BUDGET):
     """Every presheaf on X as a value tuple, in carrier-product order.
-    The |V|^n budget gate is checked at once; then a lazy depth-first
-    search gives object i each carrier index in turn, pruned on
+    The |V|^n budget gate is checked at once; then `vcat.pruned_product`
+    gives object i each carrier index in turn, pruned on
     a(i,j)⊗φ(j) ≤ φ(i) and a(j,i)⊗φ(i) ≤ φ(j) for j ≤ i.  Distributors
     X ⇸ Y (`dist.enumerate_distributors`) are the presheaves on X ⊗ Y^op,
     and `lawvere.enumerate_L` certifies each presheaf on X it yields."""
     candidate_count(X, budget)
     if not X.objects:
         return iter(((),))
-    return _search(X.quantale, X.hom)
-
-
-def _search(q, hom):
-    leq, tens, carrier = q._leq, q._tensor, q.carrier
-    a = [[e.index for e in row] for row in q.coded(hom).codes[0]]
-    n, V = len(a), range(len(carrier))
+    q = X.quantale
+    leq, tens = q._leq, q._tensor
+    a = [[e.index for e in row] for row in q.coded(X.hom).codes[0]]
+    n, V = len(a), range(len(q.carrier))
     # bitmasks of the v that φ(i) may take: own[i] with a(i,i)⊗v ≤ v, and
     # fit[i][j][w], j < i, with a(i,j)⊗w ≤ v and a(j,i)⊗v ≤ w at φ(j) = w
     own = [sum(1 << v for v in V if leq[tens[a[i][i]][v]][v]) for i in range(n)]
     fit = [[[sum(1 << v for v in V if leq[tens[a[i][j]][w]][v] and leq[tens[a[j][i]][v]][w])
              for w in V] for j in range(i)] for i in range(n)]
-
-    def extend(phi):
-        i = len(phi)
-        if i == n:
-            yield tuple(map(carrier.__getitem__, phi))
-            return
-        fits = reduce(and_, map(getitem, fit[i], phi), own[i])
-        for v in V:  # in carrier order, so the order is the carrier product's
-            if fits >> v & 1:
-                yield from extend(phi + [v])
-    return extend([])
+    return pruned_product(q.carrier, own, fit)
 
 
 def representables(X: VCategory) -> tuple:

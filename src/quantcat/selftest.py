@@ -14,10 +14,10 @@ never from tolerances.
 from __future__ import annotations
 
 import functools
-import itertools
 from fractions import Fraction
 
 from .ball import (
+    _algebra_laws,
     _pair_index,
     ball_category,
     ball_monad,
@@ -59,7 +59,6 @@ from .vcat import (
     hom_self_category,
     identity_functor,
     is_fully_faithful,
-    is_functor,
     unit_category,
     validate_category,
 )
@@ -419,24 +418,12 @@ def _c8_instances():
 
 
 def _no_action_exists(X, BX):
-    """Exhaust maps BX → X for one passing unit pointing, stepwise
-    associativity, expansion, and functoriality all at once."""
-    q = X.quantale
-    nx = len(X.objects)
-    pairs = BX.pairs
+    """No V-functor BX → X passes unit pointing, stepwise associativity
+    and expansion."""
     idx = _pair_index(BX)
-    radii = tuple(dict.fromkeys(r for _, r in pairs))
-    for mp in itertools.product(range(nx), repeat=len(pairs)):
-        if any(mp[idx[(i, q.unit)]] != i for i in range(nx)):
-            continue
-        if any(not q.leq(r, X.hom[i][mp[j]])
-               for j, (i, r) in enumerate(pairs)):
-            continue
-        stepwise = all(
-            mp[idx[(i, t)]] == mp[idx[(mp[j], s)]]
-            for j, (i, r) in enumerate(pairs) for s in radii
-            for t in (q.tensor(r, s),) if (i, t) in idx)
-        if stepwise and is_functor(BX, X, mp):
+    for mp in functors(BX, X):
+        unit_i, assoc_w, _, expand_w = _algebra_laws(X, VFunctor("α", BX, X, mp), idx)
+        if (unit_i, assoc_w, expand_w) == (None, None, None):
             return False
     return True
 

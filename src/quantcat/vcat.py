@@ -12,7 +12,8 @@ is built here or in `quantale`, so parsing one loads no other layer;
 
 from __future__ import annotations
 
-import itertools
+from functools import reduce
+from operator import and_, getitem
 
 from .errors import (
     InternalError,
@@ -169,9 +170,35 @@ def is_functor(dom, cod, mapping) -> bool:
 
 def functors(A: VCategory, X: VCategory):
     """Every object map A → X that is a V-functor, as a tuple of object
-    indices of X, in `itertools.product` order."""
-    return (mp for mp in itertools.product(range(len(X.objects)), repeat=len(A.objects))
-            if is_functor(A, X, mp))
+    indices of X, in `itertools.product` order: the pruned product with
+    f(i) bound by a(i,i) ≤ b(f i, f i), and by a(i,j) ≤ b(f i, f j) and
+    a(j,i) ≤ b(f j, f i) for each j < i."""
+    if A.quantale != X.quantale:
+        raise QuantaleMismatch(f"{A.name} and {X.name} live over different quantales")
+    leq, a, b, V = A.quantale.leq, A.hom, X.hom, range(len(X.objects))
+    own = [sum(1 << v for v in V if leq(a[i][i], b[v][v])) for i in range(len(a))]
+    fit = [[[sum(1 << v for v in V if leq(a[i][j], b[v][w]) and leq(a[j][i], b[w][v]))
+             for w in V] for j in range(i)] for i in range(len(a))]
+    return pruned_product(V, own, fit)
+
+
+def pruned_product(values, own, fit):
+    """Every tuple over `values` whose position i takes an index in the
+    bitmask own[i] and in fit[i][j][w] for each j < i that took index w,
+    in `itertools.product` order: a lazy depth-first search with forward
+    checking, position i trying only the indices that fit those before."""
+    n, V = len(own), range(len(values))
+
+    def extend(picked):
+        i = len(picked)
+        if i == n:
+            yield tuple(map(values.__getitem__, picked))
+            return
+        fits = reduce(and_, map(getitem, fit[i], picked), own[i])
+        for v in V:  # in index order, so the order is the product's
+            if fits >> v & 1:
+                yield from extend(picked + [v])
+    return extend([])
 
 
 def identity_functor(X: VCategory) -> VFunctor:

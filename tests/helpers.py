@@ -3,10 +3,18 @@
 import itertools
 from fractions import Fraction
 
+from quantcat.ball import _pair_index
 from quantcat.dist import is_distributor
 from quantcat.presheaf import is_presheaf
 from quantcat.quantale import builtin, make_finite_quantale
-from quantcat.vcat import VFunctor, VRelation, unit_category, validate_category
+from quantcat.vcat import (
+    VFunctor,
+    VRelation,
+    is_functor,
+    raw_functor,
+    unit_category,
+    validate_category,
+)
 
 BOOL = builtin("boolean2")
 LUK2 = builtin("lukasiewicz_chain", 2)
@@ -122,3 +130,41 @@ def distributors_by_filter(X, Y):
         if is_distributor(VRelation(X, Y, matrix)):
             found.append(matrix)
     return found
+
+
+def functors_by_filter(A, X):
+    """Every V-functor A → X by testing each object map of the index
+    product in order: an oracle for `vcat.functors`, the pruned product
+    search."""
+    return [mp for mp in itertools.product(range(len(X.objects)), repeat=len(A.objects))
+            if is_functor(A, X, mp)]
+
+
+def all_functors(cats):
+    """Every V-functor between members of `cats`, by `functors_by_filter`."""
+    return [raw_functor(f"{dom.name}>{cod.name}{mp}", dom, cod, mp)
+            for dom in cats for cod in cats for mp in functors_by_filter(dom, cod)]
+
+
+def no_action_by_filter(X, BX):
+    """Exhaust maps BX → X for one passing unit pointing, stepwise
+    associativity, expansion, and functoriality all at once: an oracle
+    for `selftest._no_action_exists`, which filters `vcat.functors`."""
+    q = X.quantale
+    nx = len(X.objects)
+    pairs = BX.pairs
+    idx = _pair_index(BX)
+    radii = tuple(dict.fromkeys(r for _, r in pairs))
+    for mp in itertools.product(range(nx), repeat=len(pairs)):
+        if any(mp[idx[(i, q.unit)]] != i for i in range(nx)):
+            continue
+        if any(not q.leq(r, X.hom[i][mp[j]])
+               for j, (i, r) in enumerate(pairs)):
+            continue
+        stepwise = all(
+            mp[idx[(i, t)]] == mp[idx[(mp[j], s)]]
+            for j, (i, r) in enumerate(pairs) for s in radii
+            for t in (q.tensor(r, s),) if (i, t) in idx)
+        if stepwise and is_functor(BX, X, mp):
+            return False
+    return True

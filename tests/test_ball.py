@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from quantcat import selftest
 from quantcat.ball import (
     b_embedding_check,
     ball_algebra_check,
@@ -37,7 +38,7 @@ from quantcat.vcat import (
 )
 
 from .helpers import (BOOL, CountedHash, bool_chain2, bool_chain3, bool_discrete,
-                      bool_indiscrete2)
+                      bool_indiscrete2, no_action_by_filter)
 from .test_presheaf import PROPERTY, finite_categories
 
 GO2 = builtin("goedel_chain", 2)
@@ -307,3 +308,16 @@ def test_b_embedding_requires_fully_faithful():
     assert rep["fully_faithful"] is False
     assert rep["b_embedding"] is False
     assert rep["ff_witness"] == "('y', 'x')"
+
+
+def test_no_action_search_agrees_with_the_generate_and_test_oracle():
+    # C8's instances, tensored and not, wherever its 20000 guard admits them
+    outcomes = []
+    for X, ext, _ in selftest._c8_instances():
+        BX = ball_category(X, ext)
+        if len(X.objects) ** len(BX.objects) > 20000:
+            continue
+        none = selftest._no_action_exists(X, BX)
+        assert none is no_action_by_filter(X, BX), (X.name, ext)
+        outcomes.append(none)
+    assert outcomes.count(True) >= 10 and outcomes.count(False) >= 10

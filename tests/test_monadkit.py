@@ -54,7 +54,6 @@ from quantcat.vcat import (
     identity_functor,
     is_fully_dense,
     is_fully_faithful,
-    is_functor,
     raw_functor,
     relation,
     unit_category,
@@ -63,6 +62,7 @@ from quantcat.vcat import (
 
 from .helpers import (
     BOOL,
+    all_functors,
     bool_chain2,
     bool_chain3,
     bool_discrete,
@@ -84,17 +84,6 @@ CONST_X = raw_functor("const_x", CHAIN2, CHAIN2, {"x": "x", "y": "x"})
 COLLAPSE = raw_functor("collapse", DISC2, DISC2, {"d0": "d0", "d1": "d0"})
 
 P = presheaf_monad()
-
-
-def all_functors(cats):
-    out = []
-    for dom in cats:
-        for cod in cats:
-            for m in itertools.product(range(len(cod.objects)),
-                                       repeat=len(dom.objects)):
-                if is_functor(dom, cod, m):
-                    out.append(raw_functor(f"{dom.name}>{cod.name}{m}", dom, cod, m))
-    return out
 
 
 def all_squares(funs):
