@@ -158,7 +158,11 @@ def _algebra_laws(X: VCategory, alpha: VFunctor, idx: dict):
     """x ⊕ k = x, (x ⊕ r) ⊕ s = x ⊕ (r ⊗ s) and r ≤ X(x, x ⊕ r) for
     α: BX → X.  Returns the first failing object's index (each caller
     names it its own way), the associativity and expansion witnesses,
-    and the count of radius pairs whose tensor is not a radius."""
+    and the count of radius pairs whose tensor is not a radius.
+
+    For a V-functor α with unit pointing, expansion follows:
+    r ≤ X(x,x) ⊗ r = BX((x,k),(x,r)) ≤ X(α(x,k), α(x,r)) = X(x, α(x,r)).
+    Whether associativity follows too is open."""
     q = X.quantale
     BX = alpha.dom
     n = len(X.objects)
@@ -181,40 +185,25 @@ def _algebra_laws(X: VCategory, alpha: VFunctor, idx: dict):
     return unit_i, assoc_w, skipped, expand_w
 
 
-def tensor_consequences(X: VCategory, alpha: VFunctor) -> dict:
-    """For a tensor structure: x ⊕ k = x, associativity over radii,
-    X(x, x ⊕ r) ≥ r, and (x ⊕ −) ⊣ X(x, −) as functors against the
-    quantale viewed as a category over itself."""
+def tensor_adjunction(X: VCategory, alpha: VFunctor) -> dict:
+    """(x ⊕ −) ⊣ X(x, −) for a tensor structure α, as functors against
+    the quantale viewed as a category over itself.  Its unit,
+    associativity and expansion laws are `ball_algebra_check`'s."""
+    if not alpha.dom.extended:
+        return {"ok": None, "witness": "extended structure required"}
     q = X.quantale
-    BX = alpha.dom
-    idx = _pair_index(BX)
+    idx = _pair_index(alpha.dom)
     n = len(X.objects)
-    unit_i, assoc_w, skipped, expand_w = _algebra_laws(X, alpha, idx)
-    unit_w = None if unit_i is None else BX.objects[idx[(unit_i, q.unit)]]
-
-    if BX.extended:
-        V = hom_self_category(q)
-        adj_w = None
-        for i in range(n):
-            left = VFunctor(f"tensor_{X.objects[i]}", V, X,
-                            tuple(alpha(idx[(i, r)]) for r in q.carrier))
-            right = VFunctor(f"hom_{X.objects[i]}", X, V,
-                             tuple(X.hom[i][j].index for j in range(n)))
-            ok, w = check_adjunction(left, right)
-            if not ok:
-                adj_w = (X.objects[i], str(w))
-                break
-        adjunction = {"ok": adj_w is None, "witness": adj_w}
-    else:
-        adjunction = {"ok": None, "witness": "extended structure required"}
-
-    return {
-        "unit": {"ok": unit_w is None, "witness": unit_w},
-        "associativity": {"ok": assoc_w is None, "witness": assoc_w,
-                          "skipped": skipped},
-        "expansion": {"ok": expand_w is None, "witness": expand_w},
-        "adjunction": adjunction,
-    }
+    V = hom_self_category(q)
+    for i in range(n):
+        left = VFunctor(f"tensor_{X.objects[i]}", V, X,
+                        tuple(alpha(idx[(i, r)]) for r in q.carrier))
+        right = VFunctor(f"hom_{X.objects[i]}", X, V,
+                         tuple(X.hom[i][j].index for j in range(n)))
+        ok, w = check_adjunction(left, right)
+        if not ok:
+            return {"ok": False, "witness": (X.objects[i], str(w))}
+    return {"ok": True, "witness": None}
 
 
 # ------------------------------------------------------------------- algebras
@@ -331,28 +320,9 @@ def b_embedding_check(h: VFunctor) -> dict:
         bar[y] = zs[0]
     pointing = {"ok": point_w is None, "witness": point_w}
 
-    scalar_w = None
     left_inverse = None
     escapes = []
     if ff and point_w is None:
-        for x in range(nx):
-            for y in range(ny):
-                z = bar[y]
-                for r in q.carrier:
-                    for s in q.carrier:
-                        lhs = q.hom(r, q.tensor(Y.hom[h(x)][h(z)],
-                                                q.tensor(Y.hom[h(z)][y], s)))
-                        rhs = q.hom(r, q.tensor(Y.hom[h(x)][y], s))
-                        if lhs != rhs:
-                            scalar_w = (X.objects[x], Y.objects[y],
-                                        show_value(r.value), show_value(s.value))
-                            break
-                    if scalar_w:
-                        break
-                if scalar_w:
-                    break
-            if scalar_w:
-                break
         BX = ball_category(X, extended=False)
         left_inverse = all(
             bar[h(i)] == i and q.tensor(Y.hom[h(bar[h(i)])][h(i)], r) == r
@@ -369,8 +339,9 @@ def b_embedding_check(h: VFunctor) -> dict:
         "fully_faithful": ff,
         "ff_witness": None if ff_w is None else str(ff_w),
         "pointing": pointing,
-        "scalar_identity": {"ok": scalar_w is None, "witness": scalar_w},
+        # pointing ⊗ s: hom(r, Y(x,z) ⊗ (Y(z,y) ⊗ s)) = hom(r, Y(x,y) ⊗ s) at z = bar(y)
+        "scalar_identity": {"ok": True, "witness": None},
         "left_inverse": left_inverse,
         "escapes": tuple(dict.fromkeys(escapes)),
-        "b_embedding": bool(ff and point_w is None and scalar_w is None),
+        "b_embedding": ff and point_w is None,
     }

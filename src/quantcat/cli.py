@@ -62,6 +62,7 @@ from .errors import (
     BudgetExceeded,
     ForeignElement,
     InternalError,
+    NoColimit,
     ParseError,
     PreconditionFail,
     QuantcatError,
@@ -555,8 +556,7 @@ def _run_check(ws, args, cname):
         from .ball import b_embedding_check
 
         rep = b_embedding_check(ws.get("functor", args.functor))
-        w = rep["ff_witness"] or rep["pointing"]["witness"] \
-            or rep["scalar_identity"]["witness"]
+        w = rep["ff_witness"] or rep["pointing"]["witness"]
         return _check(cname, rep["b_embedding"],
                       None if rep["b_embedding"] else w, detail=rep)
     if prop == "tensored":
@@ -575,7 +575,7 @@ def _run_check(ws, args, cname):
                               ws.get("spec", args.spec), budget)
         w = ", ".join(rep["failures"]) or None
         detail = dict(rep, algebra=None if rep["algebra"] is None
-                      else _functor_record(rep["algebra"].alpha))
+                      else _functor_record(rep["algebra"]))
         return _check(cname, rep["ok"], w, detail=detail)
     if prop == "homomorphism":
         return _check_homomorphism(ws, args, cname)
@@ -630,7 +630,7 @@ def _check_homomorphism(ws, args, cname):
             raise PreconditionFail(
                 f"{X.name} does not carry a {spec.name} algebra")
         algebras.append(rep["algebra"])
-    rep = t_homomorphism_check(f, *algebras, budget=args.budget)
+    rep = t_homomorphism_check(f, spec, *algebras, budget=args.budget)
     return _check(cname, rep["homomorphism"], rep["strict"]["witness"], detail=rep)
 
 
@@ -667,7 +667,7 @@ def _run_compute(ws, args, cname):
         TX = submonad_category(spec, X, budget)
         return _built(ws, cname, X, TX, submonad_monad(spec, budget).unit(X))
     if con == "colimit":
-        from .colimit import weighted_colimit, weighted_diagram
+        from .colimit import weighted_colimit
         from .dist import validate_distributor
 
         w = ws.get("relation", args.weight)
@@ -677,12 +677,9 @@ def _run_compute(ws, args, cname):
         except QuantcatError as e:
             raise PreconditionFail(
                 f"weight {args.weight!r} is not a distributor: {e}")
-        d = weighted_diagram(w, f)
         try:
-            g = weighted_colimit(d)
-        except InternalError:
-            raise
-        except QuantcatError as e:
+            g = weighted_colimit(w, f)
+        except NoColimit as e:
             return _check(cname, False, str(e)), {}, None
         return _check(cname, True), {"functor": g.name}, _fragment(ws, [g.dom, g.cod], [g])
     if con == "algebra":
@@ -694,7 +691,7 @@ def _run_compute(ws, args, cname):
         if not rep["ok"]:
             w = ", ".join(rep["failures"]) or "unit laws failed"
             return _check(cname, False, w, detail=dict(rep, algebra=None)), {}, None
-        alpha = rep["algebra"].alpha
+        alpha = rep["algebra"]
         return (_check(cname, True, detail={"ambiguous": rep["ambiguous"]}),
                 {"functor": alpha.name},
                 _fragment(ws, [alpha.dom, X], [alpha]))

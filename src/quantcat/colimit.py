@@ -17,38 +17,26 @@ from .errors import (
     NoMinimum,
     QuantaleMismatch,
     ShapeMismatch,
-    SpecMismatch,
 )
 from .monadkit import SubmonadSpec, submonad_category, submonad_monad
 from .presheaf import extension_rows, find_representatives, presheaf_label
-from .quantale import Record
 from .vcat import (DEFAULT_BUDGET, VCategory, VFunctor, VRelation, check_adjunction, functors,
                    is_functor)
 
 
-class WeightedDiagram(Record):
-    def __init__(self, weight: VRelation, diagram: VFunctor):  # φ: X ⇸ Y, f: X → Z
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "diagram", diagram)
-
-
-def weighted_diagram(weight: VRelation, diagram: VFunctor) -> WeightedDiagram:
-    if weight.dom.quantale != diagram.cod.quantale:
-        raise QuantaleMismatch(
-            f"weight over {weight.dom.quantale.name}, "
-            f"diagram over {diagram.cod.quantale.name}")
-    if not weight.dom.same_shape(diagram.dom):
-        raise ShapeMismatch("weight and diagram must share their source")
-    return WeightedDiagram(weight, diagram)
-
-
-def weighted_colimit(d: WeightedDiagram) -> VFunctor:
-    """The functor g with g_* = [φ, f_*]; NoColimit names the first bad y.
+def weighted_colimit(phi: VRelation, f: VFunctor) -> VFunctor:
+    """The functor g with g_* = [φ, f_*] for a weight φ: X ⇸ Y and a
+    diagram f: X → Z; NoColimit names the first bad y.
 
     Representatives are searched per object of Y; in a non-separated
     target the least object index is taken.
     """
-    phi, f = d.weight, d.diagram
+    if phi.dom.quantale != f.cod.quantale:
+        raise QuantaleMismatch(
+            f"weight over {phi.dom.quantale.name}, "
+            f"diagram over {f.cod.quantale.name}")
+    if not phi.dom.same_shape(f.dom):
+        raise ShapeMismatch("weight and diagram must share their source")
     Z = f.cod
     target = right_extension(phi, star_lower(f))
     mapping = []
@@ -79,13 +67,6 @@ def cocompleteness_check(Z: VCategory, spec: SubmonadSpec,
             "cocomplete": not failures}
 
 
-class AlgebraStructure(Record):
-    def __init__(self, carrier: VCategory, spec: SubmonadSpec, alpha: VFunctor):  # α: TX → X
-        object.__setattr__(self, "carrier", carrier)
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "alpha", alpha)
-
-
 def algebra_extract(X: VCategory, spec: SubmonadSpec,
                     budget: int = DEFAULT_BUDGET) -> dict:
     """α(φ) := the representative of [φ, (1_X)_*], member by member.
@@ -93,8 +74,8 @@ def algebra_extract(X: VCategory, spec: SubmonadSpec,
     Ties in a non-separated carrier go to the least index: two
     representatives z₁, z₂ of one row have X(z₁,−) = X(z₂,−), so z₁ ≅ z₂
     and, by (T), their columns agree too; no other choice tells them
-    apart.  On success the section and adjunction laws for the unit are
-    verified and reported.
+    apart.  On success α itself is reported under "algebra", and the
+    section and adjunction laws for the unit are verified and reported.
     """
     TX = submonad_category(spec, X, budget)
     n = len(X.objects)
@@ -118,7 +99,7 @@ def algebra_extract(X: VCategory, spec: SubmonadSpec,
     section = all(alpha(unit(i)) == i for i in range(n))
     adjoint = check_adjunction(alpha, unit)[0]
     return {"category": X.name, "spec": spec.name,
-            "algebra": AlgebraStructure(X, spec, alpha), "failures": (),
+            "algebra": alpha, "failures": (),
             "ambiguous": tuple(ambiguous), "unit_section": section,
             "adjoint_to_unit": adjoint, "ok": section and adjoint}
 
@@ -185,7 +166,7 @@ def min_characterization(X: VCategory, spec: SubmonadSpec,
     ok = not missing and cond2["ok"] is True
     extract = algebra_extract(X, spec, budget)
     if ok and extract["ok"]:
-        alpha = extract["algebra"].alpha
+        alpha = extract["algebra"]
         # both routes must land on representatives with the same rows
         if any(tuple(X.hom[alpha(i)]) != tuple(X.hom[points[i]])
                for i in range(m)):
@@ -202,23 +183,19 @@ def min_characterization(X: VCategory, spec: SubmonadSpec,
             "algebra_agrees": agrees, "ok": ok}
 
 
-def t_homomorphism_check(f: VFunctor, algX: AlgebraStructure,
-                         algY: AlgebraStructure,
-                         budget: int = DEFAULT_BUDGET) -> dict:
-    """Lax versus strict compatibility of f with two algebra structures.
+def t_homomorphism_check(f: VFunctor, spec: SubmonadSpec, alpha: VFunctor,
+                         beta: VFunctor, budget: int = DEFAULT_BUDGET) -> dict:
+    """Lax versus strict compatibility of f with the algebras α: TX → X
+    and β: TY → Y of one submonad spec.
 
     The lax inequality β(Tf(φ)) ≤ f(α(φ)) holds for every functor
     between algebras and is checked; strict means isomorphism, which
     by laxness reduces to the single order inequality the other way.
     Colimit preservation is recomputed independently from rows.
     """
-    if algX.spec.name != algY.spec.name:
-        raise SpecMismatch(f"{algX.spec.name} vs {algY.spec.name}")
-    if not (f.dom.same_shape(algX.carrier) and f.cod.same_shape(algY.carrier)):
+    if not (f.dom.same_shape(alpha.cod) and f.cod.same_shape(beta.cod)):
         raise ShapeMismatch(f"{f.name} does not run between the carriers")
-    T = submonad_monad(algX.spec, budget)
-    Tf = T.map(f)
-    alpha, beta = algX.alpha, algY.alpha
+    Tf = submonad_monad(spec, budget).map(f)
     Y = f.cod
     q = Y.quantale
     TX = alpha.dom
@@ -235,7 +212,7 @@ def t_homomorphism_check(f: VFunctor, algX: AlgebraStructure,
             strict = {"ok": False, "witness": TX.objects[i]}
         if preserve["ok"] and tuple(Y.hom[via_x]) != row:
             preserve = {"ok": False, "witness": TX.objects[i]}
-    return {"functor": f.name, "spec": algX.spec.name, "lax": True,
+    return {"functor": f.name, "spec": spec.name, "lax": True,
             "strict": strict, "colimit_preservation": preserve,
             "agree": strict["ok"] == preserve["ok"],
             "homomorphism": strict["ok"]}

@@ -24,8 +24,8 @@ from .ball import (
     ball_algebra_check,
     b_embedding_check,
     cancellation_report,
+    tensor_adjunction,
     tensored_check,
-    tensor_consequences,
 )
 from .colimit import (
     algebra_extract,
@@ -449,11 +449,8 @@ def criterion_8(budget):
             rep = ball_algebra_check(alpha)
             if not (rep["algebra"] and rep["agree"]):
                 return f"{X.name}: algebra conditions split"
-            cons = tensor_consequences(X, alpha)
-            bad = next((k for k, v in cons.items()
-                        if isinstance(v, dict) and v.get("ok") is False), None)
-            if bad is not None:
-                return f"{X.name}: {bad}"
+            if tensor_adjunction(X, alpha)["ok"] is False:
+                return f"{X.name}: adjunction"
             if homself:
                 # on V itself the action must be x ⊕ r = x ⊗ r
                 BX = alpha.dom
@@ -571,7 +568,7 @@ def criterion_10(budget):
                 return f"{spec.name} on {X.name}: failure sets differ"
             if a["ok"]:
                 algebra_names[spec.name].add(id(X))
-                alpha = a["algebra"].alpha
+                alpha = a["algebra"]
                 for i, lab in enumerate(m["x_phi"]):
                     if X.hom[alpha(i)] != X.hom[X.objects.index(lab)]:
                         return f"{spec.name} on {X.name}: actions differ at {lab}"
@@ -676,7 +673,7 @@ def criterion_12(budget):
     if len(fam) < 20:
         return f"only {len(fam)} functors"
     for f in fam:
-        rep = t_homomorphism_check(f, algs[id(f.dom)], algs[id(f.cod)], budget)
+        rep = t_homomorphism_check(f, spec, algs[id(f.dom)], algs[id(f.cod)], budget)
         if rep["lax"] is not True or not rep["agree"]:
             return f.name
     curated = {}
@@ -692,12 +689,12 @@ def criterion_12(budget):
         expect[tag] = want
     strictness = {}
     for tag, f in curated.items():
-        rep = t_homomorphism_check(f, algs[id(f.dom)], algs[id(f.cod)], budget)
+        rep = t_homomorphism_check(f, spec, algs[id(f.dom)], algs[id(f.cod)], budget)
         strictness[tag] = rep["strict"]["ok"]
         if rep["strict"]["ok"] is not expect[tag]:
             return f"{tag}: strict={rep['strict']['ok']}"
     if strictness["crush"] is False:
-        rep = t_homomorphism_check(curated["crush"], algs[id(lat4)],
+        rep = t_homomorphism_check(curated["crush"], spec, algs[id(lat4)],
                                    algs[id(chain2)], budget)
         if rep["strict"]["witness"] != "[1,1,1,0]":
             return f"crush witness moved: {rep['strict']['witness']}"

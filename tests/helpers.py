@@ -168,3 +168,32 @@ def no_action_by_filter(X, BX):
         if stepwise and is_functor(BX, X, mp):
             return False
     return True
+
+
+def factoring_points(h):
+    """For each object y of the codomain, every z of the domain with
+    Y(hx, y) = Y(hx, hz) ⊗ Y(hz, y) for all x: the pointing condition
+    of `ball.b_embedding_check`."""
+    X, Y = h.dom, h.cod
+    q = Y.quantale
+    return [[z for z in range(len(X.objects))
+             if all(Y.hom[h(x)][y] == q.tensor(Y.hom[h(x)][h(z)], Y.hom[h(z)][y])
+                    for x in range(len(X.objects)))]
+            for y in range(len(Y.objects))]
+
+
+def scalar_identity_by_loop(h, bar):
+    """The first (x, y, r, s) with hom(r, Y(hx,hz) ⊗ (Y(hz,y) ⊗ s)) ≠
+    hom(r, Y(hx,y) ⊗ s) at z = bar[y], or None: the loop that
+    `ball.b_embedding_check` ran before the identity was shown to be the
+    pointing equation tensored with s."""
+    X, Y = h.dom, h.cod
+    q = Y.quantale
+    for x in range(len(X.objects)):
+        for y in range(len(Y.objects)):
+            z = bar[y]
+            for r, s in itertools.product(q.carrier, repeat=2):
+                lhs = q.hom(r, q.tensor(Y.hom[h(x)][h(z)], q.tensor(Y.hom[h(z)][y], s)))
+                if lhs != q.hom(r, q.tensor(Y.hom[h(x)][y], s)):
+                    return (X.objects[x], Y.objects[y], r, s)
+    return None

@@ -1,11 +1,15 @@
 """Ball categories, tensors, algebras, cancellation, and embeddings."""
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from quantcat import selftest
 from quantcat.ball import (
+    _algebra_laws,
+    _pair_index,
     b_embedding_check,
     ball_algebra_check,
     ball_category,
@@ -14,7 +18,7 @@ from quantcat.ball import (
     ball_mult,
     cancellation_report,
     sigma_values,
-    tensor_consequences,
+    tensor_adjunction,
     tensored_check,
 )
 from quantcat.errors import (
@@ -31,14 +35,18 @@ from quantcat.presheaf import presheaf_category
 from quantcat.quantale import builtin, make_finite_quantale
 from quantcat.vcat import (
     VCategory,
+    VFunctor,
+    functors,
     hom_self_category,
+    is_fully_faithful,
     is_separated,
     raw_functor,
     validate_category,
 )
 
-from .helpers import (BOOL, CountedHash, bool_chain2, bool_chain3, bool_discrete,
-                      bool_indiscrete2, no_action_by_filter)
+from .helpers import (BOOL, CountedHash, all_functors, bool_chain2, bool_chain3, bool_discrete,
+                      bool_indiscrete2, factoring_points, luk2_asym, luk2_sym,
+                      no_action_by_filter, scalar_identity_by_loop)
 from .test_presheaf import PROPERTY, finite_categories
 
 GO2 = builtin("goedel_chain", 2)
@@ -182,8 +190,7 @@ def test_hom_self_is_tensored_by_tensor(q):
     alpha = rep["algebra"]
     for j, (i, r) in enumerate(alpha.dom.pairs):
         assert alpha(j) == q.carrier.index(q.tensor(q.carrier[i], r))
-    cons = tensor_consequences(V, alpha)
-    assert all(v["ok"] for v in cons.values())
+    assert tensor_adjunction(V, alpha) == {"ok": True, "witness": None}
     alg = ball_algebra_check(alpha)
     assert alg["algebra"] is True
     assert alg["agree"] is True
@@ -223,14 +230,12 @@ def test_plain_algebra_check_skips_escaped_pairs():
     assert rep["monad_laws"]["ok"] is None
     assert "unavailable" in rep["monad_laws"]["witness"]
     assert rep["agree"] is True
-    cons = tensor_consequences(V, alpha)
-    assert cons["adjunction"]["ok"] is None
+    assert tensor_adjunction(V, alpha)["ok"] is None
 
 
 def test_non_algebra_detected_on_every_route():
     V = hom_self_category(BOOL)
     BV = ball_category(V)
-    from quantcat.vcat import VFunctor
     crushed = VFunctor("to_top", BV, V, (1,) * len(BV.objects))
     rep = ball_algebra_check(crushed)
     assert rep["algebra"] is False
@@ -321,3 +326,54 @@ def test_no_action_search_agrees_with_the_generate_and_test_oracle():
         assert none is no_action_by_filter(X, BX), (X.name, ext)
         outcomes.append(none)
     assert outcomes.count(True) >= 10 and outcomes.count(False) >= 10
+
+
+def test_scalar_identity_loop_never_fails_where_pointing_holds():
+    # C9's four subchain inclusions, then every fully faithful functor
+    # between the helper categories over one quantale
+    V = hom_self_category(LUK4)
+    family = [selftest._full_subchain(V, labels, name)[1]
+              for name, labels in (("upper", ["1/2", "3/4", "1"]),
+                                   ("lower", ["0", "1/4", "1/2"]),
+                                   ("full", list(V.objects)), ("gappy", ["0", "1"]))]
+    for cats in ([bool_chain2(), bool_chain3(), bool_discrete(2), bool_indiscrete2()],
+                 [luk2_asym(), luk2_sym()]):
+        family += [f for f in all_functors(cats) if is_fully_faithful(f)[0]]
+    pointed = 0
+    for h in family:
+        rep = b_embedding_check(h)
+        assert rep["scalar_identity"] == {"ok": True, "witness": None}
+        if rep["fully_faithful"] and rep["pointing"]["ok"]:
+            pointed += 1
+            bar = [zs[0] for zs in factoring_points(h)]
+            assert scalar_identity_by_loop(h, bar) is None, h.name
+    assert (len(family), pointed) == (25, 12)
+    # the loop does fail away from the factoring points
+    gappy = family[3]
+    assert scalar_identity_by_loop(gappy, [0] * len(gappy.cod.objects)) is not None
+
+
+def test_unit_pointing_implies_expansion_for_v_functors():
+    # r ≤ X(x,x) ⊗ r = BX((x,k),(x,r)) ≤ X(α(x,k), α(x,r)) = X(x, α(x,r)),
+    # over every V-functor BX → X of C8's instances that its guard admits
+    functors_seen = pointed = 0
+    for X, ext, _ in selftest._c8_instances():
+        BX = ball_category(X, ext)
+        if len(X.objects) ** len(BX.objects) > 20000:
+            continue
+        idx = _pair_index(BX)
+        for mp in functors(BX, X):
+            functors_seen += 1
+            unit_i, _, _, expand_w = _algebra_laws(X, VFunctor("α", BX, X, mp), idx)
+            if unit_i is None:
+                pointed += 1
+                assert expand_w is None, (X.name, ext, mp)
+    assert (functors_seen, pointed) == (3612, 866)
+    # functoriality is needed: a unit-pointed map that is no functor can fail
+    X = selftest._chain_cat(GO2, 2, "chain2")
+    BX = ball_category(X)
+    idx = _pair_index(BX)
+    maps = [VFunctor("α", BX, X, mp)
+            for mp in itertools.product(range(2), repeat=len(BX.objects))]
+    assert any(_algebra_laws(X, a, idx)[0] is None and _algebra_laws(X, a, idx)[3] is not None
+               for a in maps)

@@ -579,6 +579,24 @@ def test_colimit_success_and_failure(ws_path, tmp_path, capsys):
     assert "nothing in D2 represents" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_b_embedding_over_a_rational_kind_is_not_enumerable(tmp_path, capsys, fmt):
+    # a fully faithful functor passes pointing; the radii are not enumerable
+    doc = {"quantales": [{"name": "R", "kind": "ext_real_plus"}],
+           "categories": [{"name": "R2", "quantale": "R", "objects": ["a", "b"],
+                           "hom": [["0", "1"], ["2", "0"]]}],
+           "functors": [{"name": "id2", "dom": "R2", "cod": "R2",
+                         "mapping": {"a": "a", "b": "b"}}]}
+    code, out, err = run(["check", "b-embedding", "--functor", "id2", "--format", fmt,
+                          "--workspace", write(tmp_path, doc)], capsys)
+    assert code == 2
+    message = "NotEnumerable: cannot enumerate radii over ext_real_plus"
+    if fmt == "json":
+        assert json.loads(out)["error"] == message and err == ""
+    else:
+        assert err == f"error: {message}\n" and out == ""
+
+
 def test_colimit_compares_quantales_by_structure(tmp_path, capsys):
     # Y lives over a second boolean2 record: the same quantale under
     # another name, as functor and relation records already accept
@@ -614,7 +632,7 @@ def _fail(*args):
     ("quantcat.presheaf.is_fully_faithful", lambda f: (False, None),
      ["compute", "presheaf", "--category", "C2"]),
     # the colimit's representative map is checked to be a functor; the
-    # handler turns other errors of weighted_colimit into a fail verdict
+    # handler turns only NoColimit into a fail verdict
     ("quantcat.colimit.is_functor", lambda *a: False,
      ["compute", "colimit", "--weight", "wid", "--diagram", "idc"]),
     # a record build that fails internally is not stored as a bad record

@@ -5,7 +5,6 @@ the V-category family), and no assignment."""
 import pytest
 
 from quantcat.ball import BallCategory, ball_category
-from quantcat.colimit import AlgebraStructure, WeightedDiagram, algebra_extract, weighted_diagram
 from quantcat.dist import identity_distributor
 from quantcat.lawvere import AdjointPair, cauchy_pair
 from quantcat.monadkit import (CommutingSquare, MonadInstance, SubmonadSpec, presheaf_monad,
@@ -13,7 +12,7 @@ from quantcat.monadkit import (CommutingSquare, MonadInstance, SubmonadSpec, pre
 from quantcat.presheaf import PresheafCategory, presheaf_category
 from quantcat.quantale import QElem, QuantaleFlags, builtin
 from quantcat.vcat import (CauchySequenceSpec, VCategory, VFunctor, VRelation, cauchy_sequence,
-                           hom_self_category, identity_functor)
+                           identity_functor)
 
 from .helpers import BOOL, bool_chain2, cat
 
@@ -36,10 +35,6 @@ RECORDS = {
     "CommutingSquare": (square(ONE, ONE, ONE, ONE), ("top", "left", "bottom", "right")),
     "MonadInstance": (presheaf_monad(), ("name", "apply", "map", "unit", "mult")),
     "SubmonadSpec": (submonad_all(), ("name", "member", "dist_member")),
-    "WeightedDiagram": (weighted_diagram(identity_distributor(CHAIN2), ONE),
-                        ("weight", "diagram")),
-    "AlgebraStructure": (algebra_extract(hom_self_category(BOOL), submonad_all())["algebra"],
-                         ("carrier", "spec", "alpha")),
     "AdjointPair": (cauchy_pair(METRIC, cauchy_sequence(("a", "b"), 1))[0],
                     ("phi", "psi", "unit")),
     "CauchySequenceSpec": (cauchy_sequence(("a", "b", "b"), 1), ("points", "stable_from")),
@@ -48,8 +43,8 @@ RECORDS = {
 
 def test_every_record_is_listed():
     classes = {QElem, QuantaleFlags, VCategory, VFunctor, PresheafCategory, BallCategory,
-               VRelation, CommutingSquare, MonadInstance, SubmonadSpec, WeightedDiagram,
-               AlgebraStructure, AdjointPair, CauchySequenceSpec}
+               VRelation, CommutingSquare, MonadInstance, SubmonadSpec, AdjointPair,
+               CauchySequenceSpec}
     assert {type(r) for r, _ in RECORDS.values()} == classes
 
 
