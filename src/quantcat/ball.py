@@ -33,13 +33,8 @@ from .vcat import (
 class BallCategory(VCategory):
     """BX (or the plain variant); the hash is `VCategory`'s, memoised."""
 
-    def __init__(self, name, quantale, objects, hom, base: VCategory,
-                 pairs: tuple, extended: bool):
-        # pairs: (object index, radius), aligned with .objects
-        VCategory.__init__(self, name, quantale, objects, hom)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "extended", extended)
+    # pairs: (object index, radius), aligned with .objects
+    _fields = VCategory._fields + ("base", "pairs", "extended")
 
 
 def ball_label(x_label: str, r: QElem) -> str:

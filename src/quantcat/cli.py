@@ -104,11 +104,6 @@ CONSTRUCTIONS = {"presheaf": ("category",), "ball": ("category",),
 _TARGETS = ("quantale", "category", "functor", "adjoint", "relation",
             "square", "spec", "weight", "diagram", "sequence")
 
-# record kind -> the workspace section that lists it, in the order parsed
-_SECTIONS = {"quantale": "quantales", "category": "categories",
-             "functor": "functors", "relation": "relations", "square": "squares",
-             "spec": "submonad_specs", "sequence": "sequences"}
-
 
 # ------------------------------------------------------------ value parsing
 
@@ -181,10 +176,10 @@ class Workspace:
     """Parsed records by kind and name, plus per-record failures."""
 
     def __init__(self):
-        self.records = {kind: {} for kind in _SECTIONS}
+        self.records = {kind: {} for kind in _KINDS}
         self.failures = {}     # (kind, name) -> message
         self.order = []        # (kind, name) in declaration order
-        self.quantale_alias = {}   # id(Quantale) -> workspace name
+        self.elements = {}     # (type, raw, quantale key) -> element
 
     def get(self, kind, name, what=None):
         """The record `name` of `kind`; `what` names it in errors."""
@@ -202,7 +197,16 @@ class Workspace:
         return self.records[kind][name]
 
     def alias_of(self, q: Quantale) -> str:
-        return self.quantale_alias.get(id(q), q.name)
+        """The workspace name of q, or its own name if no record built it."""
+        return next((name for name, r in self.records["quantale"].items() if r is q), q.name)
+
+    def value(self, raw, q, where):
+        """`raw` as an element of q; each value is read once per workspace."""
+        key = (type(raw), raw, q.key)
+        e = self.elements.get(key)
+        if e is None:
+            e = self.elements[key] = _record_value(raw, q, where)
+        return e
 
 
 def _take(rec, where, required, optional=()):
@@ -226,7 +230,10 @@ def _grid(raw, where, key):
     return raw
 
 
-def _build_quantale(rec, where):
+# Each builder reads one record: its keys first, with `_take`, then the
+# records it names, then its own mathematics.
+
+def _build_quantale(ws, rec, where):
     if "hom" in rec:
         raise ValidationError(
             f"{where}: a quantale record must not carry a hom table; "
@@ -247,7 +254,44 @@ def _build_quantale(rec, where):
     return builtin(kind, n)
 
 
-def _build_spec(rec, where):
+def _build_category(ws, rec, where):
+    alias, objects, hom = _take(rec, where, ("quantale", "objects", "hom"))
+    q = ws.get("quantale", alias)
+    if not isinstance(objects, list) or any(not isinstance(o, str) for o in objects):
+        raise ParseError(f"{where}: objects are strings")
+    rows = [[ws.value(v, q, where) for v in row] for row in _grid(hom, where, "hom")]
+    return validate_category(rec["name"], q, objects, rows)
+
+
+def _build_functor(ws, rec, where):
+    dom, cod, mapping = _take(rec, where, ("dom", "cod", "mapping"))
+    X, Y = ws.get("category", dom), ws.get("category", cod)
+    if not isinstance(mapping, dict) or set(mapping) != set(X.objects):
+        raise ValidationError(
+            f"{where}: mapping keys must be exactly the objects of {X.name}")
+    try:
+        mp = tuple(Y.index(mapping[x]) for x in X.objects)
+    except KeyError as e:
+        raise ValidationError(f"{where}: {e.args[0]}")
+    return validate_functor(rec["name"], X, Y, mp)
+
+
+def _build_relation(ws, rec, where):
+    dom, cod, matrix = _take(rec, where, ("dom", "cod", "matrix"))
+    X, Y = ws.get("category", dom), ws.get("category", cod)
+    rows = [[ws.value(v, X.quantale, where) for v in row]
+            for row in _grid(matrix, where, "matrix")]
+    return relation(X, Y, rows)
+
+
+def _build_square(ws, rec, where):
+    from .monadkit import square
+
+    corners = _take(rec, where, ("top", "left", "bottom", "right"))
+    return square(*(ws.get("functor", f) for f in corners))
+
+
+def _build_spec(ws, rec, where):
     from .monadkit import submonad_all, submonad_right_adjoints, submonad_user_table
 
     (kind,) = _take(rec, where, ("kind",), optional=("members",))
@@ -266,13 +310,37 @@ def _build_spec(rec, where):
     raise ValidationError(f"{where}: unknown spec kind {kind!r}")
 
 
+def _build_sequence(ws, rec, where):
+    alias, points, stable = _take(rec, where, ("category", "points", "stable_from"))
+    X = ws.get("category", alias)
+    if not isinstance(points, list):
+        raise ParseError(f"{where}: points is a list of objects")
+    for p in points:
+        if p not in X.objects:
+            raise ValidationError(f"{where}: {p!r} is not an object of {X.name}")
+    if isinstance(stable, bool) or not isinstance(stable, int):
+        raise ParseError(f"{where}: stable_from is an integer")
+    return (X, cauchy_sequence(points, stable))
+
+
+# record kind -> (the workspace section that lists it, its builder), in the
+# order parsed: a record names only records of the kinds above its own
+_KINDS = {"quantale": ("quantales", _build_quantale),
+          "category": ("categories", _build_category),
+          "functor": ("functors", _build_functor),
+          "relation": ("relations", _build_relation),
+          "square": ("squares", _build_square),
+          "spec": ("submonad_specs", _build_spec),
+          "sequence": ("sequences", _build_sequence)}
+
+
 def parse_workspace(path) -> Workspace:
     """Read and structurally validate a workspace document.
 
     Undeclared names and malformed JSON abort with UnresolvedReference
-    or ParseError; a record that parses but fails its own mathematics is
-    kept as a failure, visible to `validate` and fatal to any command
-    that touches it.
+    or ParseError; a record with an unknown or missing key, or one that
+    parses but fails its own mathematics, is kept as a failure, visible
+    to `validate` and fatal to any command that touches it.
     """
     ws = Workspace()
     try:
@@ -289,120 +357,26 @@ def parse_workspace(path) -> Workspace:
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: the top level is an object")
     for section in doc:
-        if section not in _SECTIONS.values():
+        if section not in {s for s, _ in _KINDS.values()}:
             raise ValidationError(f"{path}: unknown section {section!r}")
         if not isinstance(doc[section], list):
             raise ParseError(f"{path}: section {section!r} is a list")
 
-    def records(kind):
-        for i, rec in enumerate(doc.get(_SECTIONS[kind], ())):
-            where = f"{path}:{_SECTIONS[kind]}[{i}]"
-            if not isinstance(rec, dict) or not isinstance(rec.get("name"), str) \
-                    or not rec["name"]:
+    for kind, (section, build) in _KINDS.items():
+        for i, rec in enumerate(doc.get(section, ())):
+            where = f"{path}:{section}[{i}]"
+            name = rec.get("name") if isinstance(rec, dict) else None
+            if not name or not isinstance(name, str):
                 raise ParseError(f"{where}: records need a nonempty name")
-            name = rec["name"]
             if name in ws.records[kind]:
                 raise ValidationError(f"{where}: duplicate name {name!r}")
             ws.order.append((kind, name))
-            yield rec, name, f"{where} ({name})"
-
-    elements = {}  # (type, raw, quantale key) -> element: a value is read once
-
-    def value(raw, q, where):
-        key = (type(raw), raw, q.key)
-        e = elements.get(key)
-        if e is None:
-            e = elements[key] = _record_value(raw, q, where)
-        return e
-
-    def keep(kind, name, builder):
-        try:
-            ws.records[kind][name] = builder()
-            return ws.records[kind][name]
-        except (ParseError, UnresolvedReference, InternalError):
-            raise
-        except QuantcatError as e:
-            ws.failures[(kind, name)] = str(e)
-            return None
-
-    for rec, name, where in records("quantale"):
-        q = keep("quantale", name, lambda: _build_quantale(rec, where))
-        if q is not None:
-            ws.quantale_alias[id(q)] = name
-
-    for rec, name, where in records("category"):
-        alias, objects, hom = _take(rec, where, ("quantale", "objects", "hom"))
-
-        def build():
-            q = ws.get("quantale", alias)
-            if not isinstance(objects, list) or \
-                    any(not isinstance(o, str) for o in objects):
-                raise ParseError(f"{where}: objects are strings")
-            rows = [[value(v, q, where) for v in row]
-                    for row in _grid(hom, where, "hom")]
-            return validate_category(name, q, objects, rows)
-
-        keep("category", name, build)
-
-    for rec, name, where in records("functor"):
-        dom, cod, mapping = _take(rec, where, ("dom", "cod", "mapping"))
-
-        def build():
-            X, Y = ws.get("category", dom), ws.get("category", cod)
-            if not isinstance(mapping, dict) or \
-                    set(mapping) != set(X.objects):
-                raise ValidationError(
-                    f"{where}: mapping keys must be exactly the objects "
-                    f"of {X.name}")
             try:
-                mp = tuple(Y.index(mapping[x]) for x in X.objects)
-            except KeyError as e:
-                raise ValidationError(f"{where}: {e.args[0]}")
-            return validate_functor(name, X, Y, mp)
-
-        keep("functor", name, build)
-
-    for rec, name, where in records("relation"):
-        dom, cod, matrix = _take(rec, where, ("dom", "cod", "matrix"))
-
-        def build():
-            X, Y = ws.get("category", dom), ws.get("category", cod)
-            rows = [[value(v, X.quantale, where) for v in row]
-                    for row in _grid(matrix, where, "matrix")]
-            return relation(X, Y, rows)
-
-        keep("relation", name, build)
-
-    for rec, name, where in records("square"):
-        from .monadkit import square
-
-        top, left, bottom, right = _take(
-            rec, where, ("top", "left", "bottom", "right"))
-        keep("square", name,
-             lambda: square(ws.get("functor", top), ws.get("functor", left),
-                            ws.get("functor", bottom), ws.get("functor", right)))
-
-    for rec, name, where in records("spec"):
-        keep("spec", name, lambda: _build_spec(rec, where))
-
-    for rec, name, where in records("sequence"):
-        alias, points, stable = _take(
-            rec, where, ("category", "points", "stable_from"))
-
-        def build():
-            X = ws.get("category", alias)
-            if not isinstance(points, list):
-                raise ParseError(f"{where}: points is a list of objects")
-            for p in points:
-                if p not in X.objects:
-                    raise ValidationError(
-                        f"{where}: {p!r} is not an object of {X.name}")
-            if isinstance(stable, bool) or not isinstance(stable, int):
-                raise ParseError(f"{where}: stable_from is an integer")
-            return (X, cauchy_sequence(points, stable))
-
-        keep("sequence", name, build)
-
+                ws.records[kind][name] = build(ws, rec, f"{where} ({name})")
+            except (ParseError, UnresolvedReference, InternalError):
+                raise
+            except QuantcatError as e:
+                ws.failures[(kind, name)] = str(e)
     return ws
 
 
@@ -780,6 +754,8 @@ def _refuse_unread_flags(args):
 
 def run(args, argv):
     """Dispatch one parsed command; returns (report, exit_code)."""
+    if args.budget < 0:
+        raise UsageError(f"--budget is at least 0, not {args.budget}")
     _refuse_unread_flags(args)
     command = " ".join(["quantcat"] + list(argv))
     report = {"command": command, "budget": args.budget}
@@ -827,7 +803,7 @@ def _parser():
         sp.add_argument("--workspace", help="path to the JSON workspace")
         sp.add_argument("--format", choices=("text", "json"), default="text")
         sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="enumeration ceiling (default 10^6)")
+                        help="enumeration ceiling, at least 0 (default 10^6)")
 
     def targets(sp):
         for flag in _TARGETS:

@@ -20,12 +20,9 @@ from .vcat import (DEFAULT_BUDGET, CauchySequenceSpec, VCategory, VRelation, is_
 
 
 class AdjointPair(Record):
-    def __init__(self, phi: VRelation, psi: VRelation, unit):
-        # φ: X ⇸ E, the right adjoint; ψ: E ⇸ X, its certifying left
-        # adjoint; unit: the attained value of ⋁_x ψ(x)⊗φ(x), at least k
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "unit", unit)
+    # φ: X ⇸ E, the right adjoint; ψ: E ⇸ X, its certifying left adjoint;
+    # unit: the attained value of ⋁_x ψ(x)⊗φ(x), at least k
+    _fields = ("phi", "psi", "unit")
 
 
 def _certifies(X, phi, psi):

@@ -62,12 +62,7 @@ from .vcat import (
 # ------------------------------------------------------------------- squares
 
 class CommutingSquare(Record):
-    def __init__(self, top: VFunctor, left: VFunctor, bottom: VFunctor, right: VFunctor):
-        # l: W → Z, g: W → X, f: X → Y, h: Z → Y
-        object.__setattr__(self, "top", top)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "bottom", bottom)
-        object.__setattr__(self, "right", right)
+    _fields = ("top", "left", "bottom", "right")  # l: W → Z, g: W → X, f: X → Y, h: Z → Y
 
 
 def square(top, left, bottom, right) -> CommutingSquare:
@@ -101,12 +96,7 @@ class MonadInstance(Record):
     X to TX, `map` a functor f to Tf, `unit(X)` is X → TX and `mult(X)`
     is TTX → TX."""
 
-    def __init__(self, name: str, apply, map, unit, mult):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "apply", apply)
-        object.__setattr__(self, "map", map)
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "mult", mult)
+    _fields = ("name", "apply", "map", "unit", "mult")
 
 
 def presheaf_monad(budget: int = DEFAULT_BUDGET) -> MonadInstance:
@@ -154,10 +144,8 @@ class SubmonadSpec(Record):
     columnwise and the columnwise condition holds by construction).
     """
 
-    def __init__(self, name: str, member, dist_member=None):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "member", member)
-        object.__setattr__(self, "dist_member", dist_member)
+    _fields = ("name", "member", "dist_member")
+    dist_member = None
 
 
 def is_right_adjoint_distributor(phi: VRelation) -> bool:

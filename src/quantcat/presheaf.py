@@ -27,11 +27,8 @@ class PresheafCategory(VCategory):
     hash is `VCategory`'s, memoised and read off the name, quantale and
     objects."""
 
-    def __init__(self, name, quantale, objects, hom, base: VCategory,
-                 presheaves: tuple):  # value tuples, aligned with .objects
-        VCategory.__init__(self, name, quantale, objects, hom)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "presheaves", presheaves)
+    # presheaves: value tuples, aligned with .objects
+    _fields = VCategory._fields + ("base", "presheaves")
 
 
 def presheaf_label(values) -> str:

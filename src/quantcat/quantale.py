@@ -97,20 +97,33 @@ class Record:
     """An immutable record, as `dataclass(frozen=True)` writes one, without
     importing `dataclasses` at start-up.
 
-    The fields are the parameters of the subclass's `__init__`, which
-    stores each with `object.__setattr__`, as the generated one did: the
-    values then sit in the instance, with no per-instance dict, and read
-    as fast as plain attributes.  Two records are equal when they are of
-    one class and their fields are equal, the hash is that of the field
-    tuple, and assigning or deleting any attribute raises AttributeError.
-    A memo (`VCategory`'s hash) or an override of a class-level default
-    (`QElem.index`) is written with `object.__setattr__` too.
+    Each subclass names its fields once, in `_fields`; a subclass of a
+    record extends its base's tuple.  The one `__init__` takes the fields
+    by position or by keyword and stores them in the instance `__dict__`,
+    so they read as plain attributes.  A field that the class also sets
+    as a class attribute (`QuantaleFlags.witness`) may be left out, and
+    reads that default.  Two records are equal when they are of one class
+    and their fields are equal, the hash is that of the field tuple, and
+    assigning or deleting any attribute raises AttributeError.  A memo
+    (`VCategory`'s hash) or an override of a class-level default
+    (`QElem.index`) is written with `object.__setattr__`.
     """
 
     def __init_subclass__(cls):
-        init = cls.__init__.__code__
-        cls._fields = init.co_varnames[1:init.co_argcount]
         cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if len(args) == len(fields) and not kwargs:  # every field by position
+            self.__dict__.update(zip(fields, args))
+            return
+        values = dict(zip(fields, args), **kwargs)  # zip drops extra args
+        required = {f for f in fields if not hasattr(type(self), f)}
+        if len(values) < len(args) + len(kwargs) or not required <= values.keys() <= {*fields}:
+            raise TypeError(f"{type(self).__qualname__}() takes the fields {', '.join(fields)}, "
+                            f"each once; got {len(args)} by position and "
+                            f"{', '.join(kwargs) or 'none'} by keyword")
+        self.__dict__.update(values)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -146,10 +159,11 @@ class QElem(Record):
     `QElem(key, value)`) has index None; `Quantale.check` swaps a
     hand-built finite element for the carrier element it equals.
 
-    The hot path: eq and hash are written out, not the generic `Record`
-    ones.
+    The hot path: the constructor, eq and hash are written out, not the
+    generic `Record` ones.
     """
 
+    _fields = ("owner", "value")
     index = None  # int on carrier elements of a finite quantale
 
     def __init__(self, owner: str, value):  # value: Fraction | INF | str label
@@ -172,17 +186,17 @@ class QElem(Record):
 
 
 class QuantaleFlags(Record):
-    def __init__(self, integral: bool, cancellative: bool, method: str,
-                 witness: tuple | None = None):
-        # method: "exhaustive" | "analytic"; witness: (r, s) with
-        # r = s⊗r, s ≠ k, r ≠ ⊥
-        object.__setattr__(self, "integral", integral)
-        object.__setattr__(self, "cancellative", cancellative)
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "witness", witness)
+    # method: "exhaustive" | "analytic"; witness: (r, s) with r = s⊗r,
+    # s ≠ k, r ≠ ⊥
+    _fields = ("integral", "cancellative", "method", "witness")
+    witness = None
 
 
 _RATIONAL_KINDS = ("ext_real_plus", "unit_interval_product", "lukasiewicz_rational")
+
+# The largest n of a builtin chain.  Validating a chain's tables takes time
+# of order n³: about 0.05 s at n = 32, and 0.4 s at n = 64.
+MAX_CHAIN_N = 32
 
 
 class Quantale:
@@ -299,6 +313,13 @@ class Quantale:
                         h = join_t[h][v]
                 hom_t[i][w] = h
         self._hom_t = hom_t
+
+        # for `_FiniteCoded.inf_hom`: each ↓v as a bitmask, the elements
+        # above ⊥, and each element h by its ↓h read on those elements
+        self._down = [sum(1 << u for u in range(n) if leq[u][v]) for v in range(n)]
+        self._above_bottom = [c for c in range(n) if c != bot]
+        self._by_passed = {tuple(leq[c][h] for c in self._above_bottom): self.carrier[h]
+                           for h in range(n)}
 
         for i in range(n):
             for v in range(n):
@@ -581,18 +602,16 @@ class _FiniteCoded(Coded):
         a[x][y]⊗c ≤ b[z][y] for every y, and u ≤ v iff ↓u ⊆ ↓v.  So each
         b row is one integer of down-set masks, each pair costs one AND
         per c ≠ ⊥, and ã(x,z) is the h with ↓h the set of c that pass."""
-        q, V = self.q, range(len(self.q.carrier))
-        down = [sum(1 << u for u in V if q._leq[u][v]) for v in V]
-        cs = [c for c in V if c != q.bottom.index]  # a⊗⊥ = ⊥ always passes
-        by_passed = {tuple(q._leq[c][h] for c in cs): e for h, e in enumerate(q.carrier)}
+        q = self.q
 
         def packed(codes):  # the down-sets of a row, |V| bits per entry
-            return sum(map(lshift, map(down.__getitem__, codes), count(0, len(V))))
+            return sum(map(lshift, map(q._down.__getitem__, codes), count(0, len(q.carrier))))
 
         rows_b = [packed(map(_INDEX, rb)) for rb in self.codes[b]]
-        tests = ([packed(map(q._tensor[c].__getitem__, map(_INDEX, ra))) for c in cs]
-                 for ra in self.codes[a])
-        return tuple(tuple(map(by_passed.__getitem__, zip(*(
+        # a⊗⊥ = ⊥ always passes, so only the c above ⊥ are tested
+        tests = ([packed(map(q._tensor[c].__getitem__, map(_INDEX, ra)))
+                  for c in q._above_bottom] for ra in self.codes[a])
+        return tuple(tuple(map(q._by_passed.__getitem__, zip(*(
             map(t.__eq__, map(t.__and__, rows_b)) for t in ts)))) for ts in tests)
 
 
@@ -750,9 +769,9 @@ def builtin(kind: str, param: int | None = None) -> Quantale:
     """Return a named builtin quantale.
 
     Finite kinds: boolean2, goedel_chain(n), lukasiewicz_chain(n) — chains of
-    n+1 equally spaced rationals in [0,1].  Infinite kinds: ext_real_plus
-    (nonnegative rationals plus inf, order reversed, truncated addition),
-    unit_interval_product, lukasiewicz_rational.
+    n+1 equally spaced rationals in [0,1], 1 <= n <= MAX_CHAIN_N.  Infinite
+    kinds: ext_real_plus (nonnegative rationals plus inf, order reversed,
+    truncated addition), unit_interval_product, lukasiewicz_rational.
     """
     if kind == "boolean2":
         if param is not None:
@@ -762,6 +781,8 @@ def builtin(kind: str, param: int | None = None) -> Quantale:
     if kind in ("goedel_chain", "lukasiewicz_chain"):
         if param is None or param < 1:
             raise BadParameter(f"{kind} requires a size parameter n >= 1")
+        if param > MAX_CHAIN_N:
+            raise BadParameter(f"{kind} takes n <= {MAX_CHAIN_N}, not {param}")
         values = [Fraction(i, param) for i in range(param + 1)]
         if kind == "goedel_chain":
             fn = min

@@ -32,12 +32,8 @@ DEFAULT_BUDGET = 10 ** 6
 
 
 class VCategory(Record):
-    def __init__(self, name: str, quantale: Quantale, objects: tuple[str, ...],
-                 hom: tuple[tuple[QElem, ...], ...]):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "quantale", quantale)
-        object.__setattr__(self, "objects", objects)
-        object.__setattr__(self, "hom", hom)
+    # objects: a tuple of labels; hom: a tuple of QElem rows
+    _fields = ("name", "quantale", "objects", "hom")
 
     def index(self, label: str) -> int:
         try:
@@ -66,12 +62,7 @@ class VCategory(Record):
 
 
 class VFunctor(Record):
-    def __init__(self, name: str, dom: VCategory, cod: VCategory,
-                 mapping: tuple[int, ...]):  # dom object index -> cod object index
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "mapping", mapping)
+    _fields = ("name", "dom", "cod", "mapping")  # mapping: dom index -> cod index
 
     def __call__(self, i: int) -> int:
         return self.mapping[i]
@@ -246,11 +237,7 @@ def check_adjunction(f: VFunctor, g: VFunctor):
 # ------------------------------------------- relations and Cauchy sequences
 
 class VRelation(Record):
-    def __init__(self, dom: VCategory, cod: VCategory,
-                 matrix: tuple[tuple[QElem, ...], ...]):  # matrix[i][j], i in dom, j in cod
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "matrix", matrix)
+    _fields = ("dom", "cod", "matrix")  # matrix[i][j], i in dom, j in cod
 
     def at(self, x: str, y: str) -> QElem:
         return self.matrix[self.dom.index(x)][self.cod.index(y)]
@@ -273,11 +260,9 @@ def relation(dom, cod, matrix) -> VRelation:
 
 
 class CauchySequenceSpec(Record):
-    def __init__(self, points: tuple, stable_from: int):
-        # points: object labels; stable_from: the index after which the
-        # sequence stays put
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "stable_from", stable_from)
+    # points: object labels; stable_from: the index after which the
+    # sequence stays put
+    _fields = ("points", "stable_from")
 
 
 def cauchy_sequence(points, stable_from: int) -> CauchySequenceSpec:

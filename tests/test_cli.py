@@ -154,6 +154,43 @@ def test_unknown_key_poisons_the_record(tmp_path, capsys):
     assert "unknown key 'size'" in out
 
 
+# one record of each kind, all sound; a command on C reads only B and C
+_EVERY_KIND = {
+    "quantales": [{"name": "B", "kind": "boolean2"}],
+    "categories": [{"name": "C", "quantale": "B", "objects": ["p", "q"],
+                    "hom": [[1, 1], [0, 1]]}],
+    "functors": [{"name": "f", "dom": "C", "cod": "C", "mapping": {"p": "p", "q": "q"}}],
+    "relations": [{"name": "r", "dom": "C", "cod": "C", "matrix": [[1, 1], [0, 1]]}],
+    "squares": [{"name": "sq", "top": "f", "left": "f", "bottom": "f", "right": "f"}],
+    "submonad_specs": [{"name": "all", "kind": "all"}],
+    "sequences": [{"name": "s", "category": "C", "points": ["p", "q"], "stable_from": 1}],
+}
+# record kind -> (its section, a required key of its record)
+_REQUIRED = {"quantale": ("quantales", "kind"), "category": ("categories", "hom"),
+             "functor": ("functors", "cod"), "relation": ("relations", "matrix"),
+             "square": ("squares", "right"), "spec": ("submonad_specs", "kind"),
+             "sequence": ("sequences", "stable_from")}
+
+
+@pytest.mark.parametrize("broken", ["unknown", "missing"])
+@pytest.mark.parametrize("kind", list(_REQUIRED))
+def test_a_key_error_poisons_its_own_record(tmp_path, capsys, kind, broken):
+    section, key = _REQUIRED[kind]
+    bad = dict(_EVERY_KIND[section][0], name="bad")
+    if broken == "unknown":
+        bad["bogus"], message = 1, "unknown key 'bogus'"
+    else:
+        del bad[key]
+        message = f"missing key {key!r}"
+    path = write(tmp_path, dict(_EVERY_KIND, **{section: _EVERY_KIND[section] + [bad]}))
+    code, out, _ = run(["validate", "--workspace", path], capsys)
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert fails == [f"FAIL      {kind}:bad  witness={path}:{section}[1] (bad): {message}"]
+    code, out, _ = run(["check", "separated", "--category", "C", "--workspace", path], capsys)
+    assert code == 0 and "PASS      separated[C]" in out
+
+
 def test_invalid_category_is_contained(tmp_path, capsys):
     doc = {"quantales": [{"name": "B", "kind": "boolean2"}],
            "categories": [
@@ -1016,12 +1053,23 @@ def test_json_reports_are_deterministic(ws_path, capsys):
      "UsageError: compute presheaf reads no --spec"),
     (["complete", "lawvere", "--category", "C2", "--sequence", "s"],
      "UsageError: compute lawvere-completion reads no --sequence"),
+    # a negative --budget, which used to make every search "exceed the
+    # budget -5"; refused before the workspace is read, as this one is absent
+    (["check", "l-complete", "--category", "X", "--budget", "-5", "--workspace", "absent.json"],
+     "UsageError: --budget is at least 0, not -5"),
+    (["selftest", "--budget", "-1"], "UsageError: --budget is at least 0, not -1"),
 ])
 def test_retired_options_are_usage_errors(argv, refused):
     proc = subprocess.run([sys.executable, "-m", "quantcat.cli", *argv],
                           capture_output=True, text=True)
     assert proc.returncode == 2 and proc.stdout == ""
     assert refused in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_a_zero_budget_is_valid(ws_path, capsys):
+    code, out, _ = run(["check", "separated", "--category", "C2", "--budget", "0",
+                        "--workspace", ws_path], capsys)
+    assert code == 0 and "PASS      separated[C2]" in out
 
 
 # a blown budget leaves a criterion unchecked, with the ceiling as its reason

@@ -14,7 +14,7 @@ from quantcat.errors import (
     TensorNotCommutative,
     UnitIsBottom,
 )
-from quantcat.quantale import INF, Coded, QElem, builtin, make_finite_quantale
+from quantcat.quantale import INF, MAX_CHAIN_N, Coded, QElem, builtin, make_finite_quantale
 
 from .helpers import DIAMOND, NON_INTEGRAL, join_tensor, meet_hom
 
@@ -104,6 +104,14 @@ def test_bad_parameters():
         make_finite_quantale("q", [], [], [], "x")
     with pytest.raises(BadParameter):
         make_finite_quantale("q", ["a", "a"], [], [["a", "a"], ["a", "a"]], "a")
+
+
+@pytest.mark.parametrize("kind", ["goedel_chain", "lukasiewicz_chain"])
+def test_builtin_chains_stop_at_the_bound(kind):
+    # validating a chain takes time of order n³, so n is capped
+    assert len(builtin(kind, MAX_CHAIN_N).carrier) == MAX_CHAIN_N + 1
+    with pytest.raises(BadParameter, match=f"n <= {MAX_CHAIN_N}"):
+        builtin(kind, MAX_CHAIN_N + 1)
 
 
 def test_ext_real_plus_oracles():

@@ -1,8 +1,14 @@
-"""The package's immutable records: equality by class and fields, the
-hash of the field tuple (memoised on the name, quantale and objects for
-the V-category family), and no assignment."""
+"""The package's immutable records: construction by position or keyword,
+equality by class and fields, the hash of the field tuple (memoised on
+the name, quantale and objects for the V-category family), and no
+assignment."""
+
+import importlib
+import pkgutil
 
 import pytest
+
+import quantcat
 
 from quantcat.ball import BallCategory, ball_category
 from quantcat.dist import identity_distributor
@@ -10,7 +16,7 @@ from quantcat.lawvere import AdjointPair, cauchy_pair
 from quantcat.monadkit import (CommutingSquare, MonadInstance, SubmonadSpec, presheaf_monad,
                                square, submonad_all)
 from quantcat.presheaf import PresheafCategory, presheaf_category
-from quantcat.quantale import QElem, QuantaleFlags, builtin
+from quantcat.quantale import QElem, QuantaleFlags, Record, builtin
 from quantcat.vcat import (CauchySequenceSpec, VCategory, VFunctor, VRelation, cauchy_sequence,
                            identity_functor)
 
@@ -46,6 +52,53 @@ def test_every_record_is_listed():
                VRelation, CommutingSquare, MonadInstance, SubmonadSpec, AdjointPair,
                CauchySequenceSpec}
     assert {type(r) for r, _ in RECORDS.values()} == classes
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_construction_by_keyword(name):
+    r, names = RECORDS[name]
+    fields = {f: getattr(r, f) for f in names}
+    assert type(r)(**fields) == r
+    assert type(r)(*list(fields.values())[:2], **dict(list(fields.items())[2:])) == r
+
+
+def test_class_defaults_fill_left_out_fields():
+    flags = QuantaleFlags(True, True, "analytic")
+    assert flags.witness is None and flags == QuantaleFlags(True, True, "analytic", None)
+    member = submonad_all().member
+    spec = SubmonadSpec("s", member)
+    assert spec.dist_member is None and spec == SubmonadSpec("s", member, dist_member=None)
+
+
+# every record built on the one `Record.__init__`
+GENERIC = [name for name in RECORDS if name != "QElem"]
+
+
+@pytest.mark.parametrize("name", GENERIC)
+def test_a_wrong_call_is_a_type_error(name):
+    r, names = RECORDS[name]
+    fields = tuple(getattr(r, f) for f in names)
+    takes = f"{name}\\(\\) takes the fields {', '.join(names)}, each once; got"
+    for args, kwargs, got in [(fields[:1], {}, "1 by position and none"),
+                              (fields + (None,), {}, f"{len(fields) + 1} by position"),
+                              (fields, {"bogus": None}, "and bogus by keyword"),
+                              (fields, {names[0]: fields[0]}, f"and {names[0]} by keyword")]:
+        with pytest.raises(TypeError, match=f"{takes} .*{got}"):
+            type(r)(*args, **kwargs)
+
+
+def test_only_qelem_writes_out_a_constructor():
+    for info in pkgutil.iter_modules(quantcat.__path__):
+        importlib.import_module(f"quantcat.{info.name}")
+    seen, todo = set(), list(Record.__subclasses__())
+    while todo:
+        cls = todo.pop()
+        if cls not in seen:
+            seen.add(cls)
+            todo += cls.__subclasses__()
+    package = {cls for cls in seen if cls.__module__.startswith("quantcat.")}
+    assert {cls.__name__ for cls in package} >= set(RECORDS)
+    assert [cls.__name__ for cls in package if "__init__" in vars(cls)] == ["QElem"]
 
 
 @pytest.mark.parametrize("name", list(RECORDS))
