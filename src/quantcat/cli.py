@@ -368,7 +368,7 @@ def parse_workspace(path) -> Workspace:
             name = rec.get("name") if isinstance(rec, dict) else None
             if not name or not isinstance(name, str):
                 raise ParseError(f"{where}: records need a nonempty name")
-            if name in ws.records[kind]:
+            if name in ws.records[kind] or (kind, name) in ws.failures:
                 raise ValidationError(f"{where}: duplicate name {name!r}")
             ws.order.append((kind, name))
             try:

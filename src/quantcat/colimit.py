@@ -1,10 +1,10 @@
 """Weighted colimits, cocompleteness, and algebra extraction for submonads.
 
 A weight φ: X ⇸ Y and a diagram f: X → Z ask for a functor g: Y → Z
-with g_* = [φ, f_*]; everything else here (cocompleteness, algebra
-structures α: TX → X, the minimum-based characterisation, homomorphism
-and injectivity checks) reduces to searching representatives for such
-right extensions row by row.
+with g_* = [φ, f_*]; everything else here (algebra structures
+α: TX → X, whose failures decide cocompleteness, the minimum-based
+characterisation, homomorphism and injectivity checks) reduces to
+searching representatives for such right extensions row by row.
 """
 
 import itertools
@@ -56,17 +56,6 @@ def weighted_colimit(phi: VRelation, f: VFunctor) -> VFunctor:
     return g
 
 
-def cocompleteness_check(Z: VCategory, spec: SubmonadSpec,
-                         budget: int = DEFAULT_BUDGET) -> dict:
-    """Representability of [φ, (1_Z)_*] for every member φ of TZ."""
-    TZ = submonad_category(spec, Z, budget)
-    failures = tuple(label for label, row in zip(TZ.objects, extension_rows(Z, TZ.presheaves))
-                     if not find_representatives(Z, row))
-    return {"category": Z.name, "spec": spec.name,
-            "weights": len(TZ.presheaves), "failures": failures,
-            "cocomplete": not failures}
-
-
 def algebra_extract(X: VCategory, spec: SubmonadSpec,
                     budget: int = DEFAULT_BUDGET) -> dict:
     """α(φ) := the representative of [φ, (1_X)_*], member by member.
@@ -74,8 +63,10 @@ def algebra_extract(X: VCategory, spec: SubmonadSpec,
     Ties in a non-separated carrier go to the least index: two
     representatives z₁, z₂ of one row have X(z₁,−) = X(z₂,−), so z₁ ≅ z₂
     and, by (T), their columns agree too; no other choice tells them
-    apart.  On success α itself is reported under "algebra", and the
-    section and adjunction laws for the unit are verified and reported.
+    apart.  X is T-cocomplete exactly when no member lands in
+    "failures".  On success α itself is reported under "algebra", and
+    the section and adjunction laws for the unit are verified and
+    reported.
     """
     TX = submonad_category(spec, X, budget)
     n = len(X.objects)
@@ -121,10 +112,9 @@ def min_characterization(X: VCategory, spec: SubmonadSpec,
                          budget: int = DEFAULT_BUDGET) -> dict:
     """Order-theoretic route to the algebra: x_φ = min{x : φ ≤ x^*}.
 
-    Checks the functoriality condition X(x,x_φ) ⊗ TX(φ,ρ) ≤ X(x,x_ρ)
-    and its restatement through the shifted weight
-    ρ₁ = ⋁_φ X(−,x_φ) ⊗ TX(φ,ρ), and compares the assembled map with
-    the representative search of algebra_extract.
+    Checks the functoriality condition X(x,x_φ) ⊗ TX(φ,ρ) ≤ X(x,x_ρ);
+    whether the minima have the rows of algebra_extract's
+    representatives is for the caller to compare.
     """
     TX = submonad_category(spec, X, budget)
     q = X.quantale
@@ -138,7 +128,6 @@ def min_characterization(X: VCategory, spec: SubmonadSpec,
             missing.append(TX.objects[i])
     if missing:
         cond2 = {"ok": None, "witness": missing[0]}
-        cond2p = {"ok": None, "witness": missing[0]}
     else:
         cond2 = {"ok": True, "witness": None}
         for x, i, j in itertools.product(range(len(X.objects)),
@@ -149,38 +138,11 @@ def min_characterization(X: VCategory, spec: SubmonadSpec,
                          "witness": (X.objects[x], TX.objects[i],
                                      TX.objects[j])}
                 break
-        cond2p = {"ok": True, "witness": None}
-        shifted_all = q.coded(tuple(zip(*TX.hom)),
-                              tuple(tuple(row[p] for p in points) for row in X.hom)
-                              ).sup_tensor(0, 1)
-        for j, shifted in enumerate(shifted_all):
-            try:
-                if min_point(X, shifted) != points[j]:
-                    cond2p = {"ok": False, "witness": TX.objects[j]}
-                    break
-            except NoMinimum:
-                cond2p = {"ok": False,
-                          "witness": f"{TX.objects[j]} (shifted weight has "
-                                     f"no minimum)"}
-                break
-    ok = not missing and cond2["ok"] is True
-    extract = algebra_extract(X, spec, budget)
-    if ok and extract["ok"]:
-        alpha = extract["algebra"]
-        # both routes must land on representatives with the same rows
-        if any(tuple(X.hom[alpha(i)]) != tuple(X.hom[points[i]])
-               for i in range(m)):
-            raise InternalError("minima and representatives have different rows")
-        agrees = alpha.mapping == tuple(points)
-    else:
-        agrees = None
     return {"category": X.name, "spec": spec.name,
             "x_phi": tuple(None if p is None else X.objects[p]
                            for p in points),
             "no_minimum": tuple(missing), "condition2": cond2,
-            "condition2_prime": cond2p,
-            "conditions_agree": cond2["ok"] == cond2p["ok"],
-            "algebra_agrees": agrees, "ok": ok}
+            "ok": not missing and cond2["ok"] is True}
 
 
 def t_homomorphism_check(f: VFunctor, spec: SubmonadSpec, alpha: VFunctor,

@@ -78,10 +78,7 @@ def is_L_complete(X: VCategory, budget: int = DEFAULT_BUDGET):
 def lawvere_completion(X: VCategory, budget: int = DEFAULT_BUDGET):
     """(LX, unit x ↦ x^*); the unit is an embedding, LX is complete."""
     LX, _ = enumerate_L(X, budget)
-    unit = member_functor(
-        f"complete_{X.name}", X, LX, representables(X),
-        escape=lambda i, vals: InternalError(
-            "a lower companion column failed membership"))
+    unit = member_functor(f"complete_{X.name}", X, LX, representables(X))
     if not is_fully_faithful(unit)[0]:
         raise InternalError(f"the completion unit of {X.name} is not fully faithful")
     if not is_L_complete(LX, budget)[0]:
@@ -101,8 +98,6 @@ def cauchy_pair(X: VCategory, seq: CauchySequenceSpec):
         raise PreconditionFail(
             f"Cauchy data is exposed over ext_real_plus only, not {q.name}")
     lim = X.index(seq.points[seq.stable_from])
-    for label in seq.points:
-        X.index(label)
     phi_vals = representables(X)[lim]
     psi_vals = tuple(X.hom[lim])
     unit = _certifies(X, phi_vals, psi_vals)

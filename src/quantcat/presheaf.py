@@ -120,13 +120,16 @@ def _member_index(PX: PresheafCategory):
 def member_functor(name: str, dom: VCategory, T: PresheafCategory, images,
                    escape=None) -> VFunctor:
     """dom → T, object i ↦ the member with value tuple images[i].  A
-    non-member raises `escape(i, vals)`, or KeyError without `escape`."""
+    non-member raises `escape(i, vals)`, by default an InternalError
+    naming T."""
     idx = _member_index(T)
     mapping = []
     for i, vals in enumerate(images):
-        if escape is not None and vals not in idx:
-            raise escape(i, vals)
-        mapping.append(idx[vals])
+        j = idx.get(vals)
+        if j is None:
+            raise (escape(i, vals) if escape is not None else InternalError(
+                f"{name}: {presheaf_label(vals)} is not a member of {T.name}"))
+        mapping.append(j)
     return VFunctor(name, dom, T, tuple(mapping))
 
 

@@ -191,6 +191,20 @@ def test_a_key_error_poisons_its_own_record(tmp_path, capsys, kind, broken):
     assert code == 0 and "PASS      separated[C]" in out
 
 
+@pytest.mark.parametrize("first", ["failed", "built"])
+@pytest.mark.parametrize("kind", list(_REQUIRED))
+def test_a_name_is_taken_by_a_failed_record_too(tmp_path, capsys, kind, first):
+    section, _ = _REQUIRED[kind]
+    good = _EVERY_KIND[section][0]
+    bad = dict(good, bogus=1)
+    records = [bad, good] if first == "failed" else [good, bad]
+    path = write(tmp_path, dict(_EVERY_KIND, **{section: records}))
+    for argv in (["validate"], ["check", "separated", "--category", "C"]):
+        code, _, err = run([*argv, "--workspace", path], capsys)
+        assert code == 2
+        assert f"{path}:{section}[1]: duplicate name {good['name']!r}" in err
+
+
 def test_invalid_category_is_contained(tmp_path, capsys):
     doc = {"quantales": [{"name": "B", "kind": "boolean2"}],
            "categories": [
@@ -674,7 +688,13 @@ def _fail(*args):
      ["compute", "colimit", "--weight", "wid", "--diagram", "idc"]),
     # a record build that fails internally is not stored as a bad record
     ("quantcat.cli.validate_category", _fail, ["validate"]),
-], ids=["yoneda", "colimit", "parse"])
+    # the completion's unit is checked to be fully faithful, and LX to be
+    # L-complete; selftest C11 relies on both
+    ("quantcat.lawvere.is_fully_faithful", lambda f: (False, None),
+     ["complete", "lawvere", "--category", "S"]),
+    ("quantcat.lawvere.is_L_complete", lambda X, budget: (False, None),
+     ["complete", "lawvere", "--category", "S"]),
+], ids=["yoneda", "colimit", "parse", "completion-unit", "completion-complete"])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_failed_invariant_exits_4(ws_path, capsys, monkeypatch, target,
                                   replacement, argv, fmt):

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantcat import presheaf
-from quantcat.errors import BudgetExceeded, ForeignElement, NotEnumerable
+from quantcat.errors import BudgetExceeded, ForeignElement, InternalError, NotEnumerable
 from quantcat.monadkit import presheaf_monad
 from quantcat.presheaf import (
     full_subcategory,
     map_values,
+    member_functor,
     mult_values,
     multiplication,
     presheaf_category,
@@ -109,6 +110,14 @@ def test_yoneda_labels_on_the_two_chain():
     y = P.unit(bool_chain2())
     assert y.on_label("x") == "[1,0]"
     assert y.on_label("y") == "[1,1]"
+
+
+def test_a_non_member_image_is_an_internal_error():
+    # no KeyError: the CLI turns an InternalError into exit 4
+    X = bool_chain2()
+    PX = presheaf_category(X)
+    with pytest.raises(InternalError, match=r"m: \[0,1\] is not a member of P\(chain2\)"):
+        member_functor("m", X, PX, [(BOOL.top, BOOL.top), (BOOL.bottom, BOOL.top)])
 
 
 def test_presheaf_map_sends_representables_to_representables():
