@@ -48,11 +48,10 @@ def weighted_colimit(phi: VRelation, f: VFunctor) -> VFunctor:
                 f"of {phi.cod.objects[y]}")
         mapping.append(reps[0])
     g = VFunctor(f"colim({f.name})", phi.cod, Z, tuple(mapping))
-    # row-wise representability already forces both of these
+    # g_* = [φ, f_*] row by row, as Z(g y, −) is the row itself; that g is
+    # a functor rests on φ being a distributor, which is the caller's
     if not is_functor(g.dom, g.cod, g.mapping):
         raise InternalError(f"{g.name} is not a functor")
-    if star_lower(g).matrix != target.matrix:
-        raise InternalError(f"{g.name}_* is not the right extension")
     return g
 
 
@@ -83,9 +82,9 @@ def algebra_extract(X: VCategory, spec: SubmonadSpec,
         return {"category": X.name, "spec": spec.name, "algebra": None,
                 "failures": tuple(failures), "ambiguous": tuple(ambiguous),
                 "unit_section": None, "adjoint_to_unit": None, "ok": False}
+    # a functor: ã(φ,ρ) ⊗ [ρ,a](z) <= [φ,a](z), and at z = αρ this reads
+    # ã(φ,ρ) <= ã(φ,ρ) ⊗ X(αρ,αρ) <= X(αφ,αρ)
     alpha = VFunctor(f"alpha_{TX.name}", TX, X, tuple(mapping))
-    if not is_functor(TX, X, alpha.mapping):
-        raise InternalError(f"{alpha.name} is not a functor")
     unit = submonad_monad(spec, budget).unit(X)
     section = all(alpha(unit(i)) == i for i in range(n))
     adjoint = check_adjunction(alpha, unit)[0]

@@ -48,7 +48,7 @@ from .monadkit import (
     submonad_right_adjoints,
     t_embedding_check,
 )
-from .presheaf import verify_monad_laws
+from .presheaf import representables, verify_monad_laws
 from .quantale import builtin, make_finite_quantale
 from .vcat import (
     DEFAULT_BUDGET,
@@ -617,10 +617,14 @@ def criterion_11(budget):
                 return f"{X.name}: uncertified pair"
     completions = {}
     for X in (chain2, pair, _luk_asym()):
-        # raises InternalError unless its unit is fully faithful and LX
-        # is L-complete
-        LX, _ = lawvere_completion(X, budget)
-        _, unit2 = lawvere_completion(LX, budget)
+        # the unit is fully faithful, and LX is L-complete: every member
+        # of the L(LX) built to complete twice is a representable of LX
+        LX, unit = lawvere_completion(X, budget)
+        if not is_fully_faithful(unit)[0]:
+            return f"{X.name}: completion unit not fully faithful"
+        LLX, unit2 = lawvere_completion(LX, budget)
+        if not set(LLX.presheaves) <= set(representables(LX)):
+            return f"{X.name}: completion not L-complete"
         if sorted(unit2.mapping) != list(range(len(LX.objects))):
             return f"{X.name}: completing twice moved things"
         completions[X.name] = len(LX.objects)

@@ -678,9 +678,15 @@ def _fail(*args):
     raise InternalError("boom")
 
 
+def _too_long(X):
+    """Value tuples one entry longer than X has objects: no member
+    category holds them, so `member_functor`'s default escape fires."""
+    return tuple(row + row[:1] for row in X.hom)
+
+
 @pytest.mark.parametrize("target, replacement, argv", [
-    # the Yoneda embedding is checked to be fully faithful
-    ("quantcat.presheaf.is_fully_faithful", lambda f: (False, None),
+    # the Yoneda embedding looks its images up in PX
+    ("quantcat.presheaf.representables", _too_long,
      ["compute", "presheaf", "--category", "C2"]),
     # the colimit's representative map is checked to be a functor; the
     # handler turns only NoColimit into a fail verdict
@@ -688,13 +694,10 @@ def _fail(*args):
      ["compute", "colimit", "--weight", "wid", "--diagram", "idc"]),
     # a record build that fails internally is not stored as a bad record
     ("quantcat.cli.validate_category", _fail, ["validate"]),
-    # the completion's unit is checked to be fully faithful, and LX to be
-    # L-complete; selftest C11 relies on both
-    ("quantcat.lawvere.is_fully_faithful", lambda f: (False, None),
+    # the completion's unit looks its images up in LX
+    ("quantcat.lawvere.representables", _too_long,
      ["complete", "lawvere", "--category", "S"]),
-    ("quantcat.lawvere.is_L_complete", lambda X, budget: (False, None),
-     ["complete", "lawvere", "--category", "S"]),
-], ids=["yoneda", "colimit", "parse", "completion-unit", "completion-complete"])
+], ids=["yoneda", "colimit", "parse", "completion-unit"])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_failed_invariant_exits_4(ws_path, capsys, monkeypatch, target,
                                   replacement, argv, fmt):
@@ -704,6 +707,40 @@ def test_failed_invariant_exits_4(ws_path, capsys, monkeypatch, target,
     message = json.loads(out)["error"] if fmt == "json" else err
     assert "InternalError: " in message
     assert "Traceback" not in out + err
+
+
+# the docstring's diamond quantale D, and a two-object category over it
+DIAMOND_WS = {
+    "quantales": [{"name": "D", "carrier": ["o", "a", "b", "i"],
+                   "leq": [["o", "a"], ["o", "b"], ["a", "i"], ["b", "i"]],
+                   "tensor": [["o", "o", "o", "o"], ["o", "a", "o", "a"],
+                              ["o", "o", "b", "b"], ["o", "a", "b", "i"]],
+                   "unit": "i"}],
+    "categories": [{"name": "X", "quantale": "D", "objects": ["x", "y"],
+                    "hom": [["i", "a"], ["b", "i"]]}],
+}
+
+
+@pytest.mark.parametrize("argv", [["complete", "lawvere"], ["compute", "lawvere-completion"]],
+                         ids=["complete", "compute"])
+def test_the_completion_spends_its_budget_on_x_alone(tmp_path, capsys, argv):
+    # 16 presheaves on X make 256 (presheaf, left adjoint) pairs, and the
+    # completion enumerates nothing else: L(L(X)) would make 65536
+    path = write(tmp_path, DIAMOND_WS)
+    reports = {}
+    for budget in (1000, 70000):
+        code, out, err = run([*argv, "--category", "X", "--budget", str(budget),
+                              "--format", "json", "--workspace", path], capsys)
+        assert (code, err) == (0, "")
+        reports[budget] = {k: v for k, v in json.loads(out).items()
+                           if k not in ("command", "budget")}
+    assert reports[1000] == reports[70000]
+    assert reports[1000]["checks"] == [
+        {"name": "lawvere-completion[X]", "verdict": "pass", "witness": None,
+         "reason": None, "detail": {"objects": 4}}]
+    assert reports[1000]["outputs"] == {"category": "L(X)", "unit": "complete_X"}
+    lx = next(c for c in reports[1000]["workspace"]["categories"] if c["name"] == "L(X)")
+    assert lx["objects"] == ["[a,b]", "[a,i]", "[i,b]", "[i,i]"]
 
 
 def test_complete_is_an_alias(ws_path, capsys):

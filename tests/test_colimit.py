@@ -1,6 +1,7 @@
 """Weighted colimits, algebra extraction, and the cross-characterisations."""
 
 import pytest
+from hypothesis import given
 
 from quantcat import selftest
 from quantcat.colimit import (
@@ -35,9 +36,12 @@ from quantcat.monadkit import (
 )
 from quantcat.presheaf import extension_rows
 from quantcat.quantale import builtin, show_value
-from quantcat.vcat import VRelation, hom_self_category, identity_functor, raw_functor
+from quantcat.vcat import (VRelation, hom_self_category, identity_functor, is_functor,
+                           raw_functor, unit_category)
 
-from .helpers import BOOL, bool_chain2, bool_chain3, bool_discrete, bool_indiscrete2, cat
+from .helpers import (BOOL, all_functors, bool_chain2, bool_chain3, bool_discrete,
+                      bool_indiscrete2, cat, luk2_asym, luk2_sym)
+from .test_presheaf import PROPERTY, finite_categories
 
 GO3 = builtin("goedel_chain", 3)
 LUK3 = builtin("lukasiewicz_chain", 3)
@@ -96,6 +100,43 @@ def test_pointwise_and_global_representability_agree():
         for y in CHAIN2.objects:
             gy = weighted_colimit(compose(point_column(CHAIN2, y), phi), EMB)
             assert gy.mapping[0] == g.mapping[CHAIN2.index(y)]
+
+
+@pytest.mark.parametrize("cats", [[CHAIN2, DISC2, bool_indiscrete2(), unit_category(BOOL)],
+                                  [luk2_sym(), luk2_asym()]], ids=["boolean2", "luk2"])
+def test_a_colimit_is_the_right_extension_it_represents(cats):
+    # g_* = [φ, f_*], which `weighted_colimit` does not test
+    found = 0
+    for f in all_functors(cats):
+        for Y in cats:
+            for phi in enumerate_distributors(f.dom, Y):
+                try:
+                    g = weighted_colimit(phi, f)
+                except NoColimit:
+                    continue
+                assert star_lower(g).matrix == right_extension(phi, star_lower(f)).matrix
+                found += 1
+    assert found > 100
+
+
+def _check_algebras_are_functors(X):
+    for spec in (ALL, RA):
+        alpha = algebra_extract(X, spec)["algebra"]
+        assert alpha is None or is_functor(alpha.dom, X, alpha.mapping)
+
+
+@pytest.mark.parametrize("X", [CHAIN2, CHAIN3, DISC2, VEE, hom_self_category(BOOL),
+                               hom_self_category(GO3), hom_self_category(LUK3)],
+                         ids=lambda X: X.name)
+def test_extracted_algebras_are_functors(X):
+    # which `algebra_extract` does not test
+    _check_algebras_are_functors(X)
+
+
+@PROPERTY
+@given(finite_categories(max_objects=2, closed=True))
+def test_extracted_algebras_are_functors_at_random(X):
+    _check_algebras_are_functors(X)
 
 
 @pytest.mark.parametrize("q,weights", [(BOOL, 3), (GO3, 15), (LUK3, 20)],

@@ -257,6 +257,16 @@ def test_adjoint_pair_failure_witness():
                            identity_distributor(X))
 
 
+@pytest.mark.parametrize("side", ["domain", "codomain"])
+def test_adjoint_candidates_mismatched_on_one_side(side):
+    # ψ: Y ⇸ X against φ: X ⇸ Y, with one end of ψ on a two-object D instead
+    X, Y, D = bool_chain2(), bool_indiscrete2(), bool_discrete(2)
+    phi = rel(X, Y, [[1, 1], [1, 1]])
+    psi = rel(D, X, [[0, 0], [0, 0]]) if side == "domain" else rel(Y, D, [[0, 0], [0, 0]])
+    with pytest.raises(ShapeMismatch, match="opposite shapes"):
+        check_adjoint_pair(psi, phi)
+
+
 # ------------------------------------------------------------ right extension
 
 def test_right_extension_along_identity_is_identity():
@@ -298,6 +308,16 @@ def test_right_extension_needs_common_domain():
 
 
 # -------------------------------------------------------------------- bookkeeping
+
+@pytest.mark.parametrize("side", ["domain", "codomain"])
+def test_relations_mismatched_on_one_side_are_not_parallel(side):
+    # chain2 and disc2 have two objects each, so the matrices fit
+    X, D = bool_chain2(), bool_discrete(2)
+    r = rel(X, X, [[0, 0], [0, 0]])
+    s = rel(D, X, [[1, 1], [1, 1]]) if side == "domain" else rel(X, D, [[1, 1], [1, 1]])
+    with pytest.raises(ShapeMismatch, match="not parallel"):
+        first_violation(r, s)
+
 
 def test_first_violation_scan_order():
     X = bool_chain2()

@@ -1,11 +1,14 @@
 """Right-adjoint presheaves, Lawvere completion, and Cauchy data."""
 
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
+from quantcat import selftest
 from quantcat.dist import check_adjoint_pair, point_row
 from quantcat.errors import (
     NotEnumerable,
@@ -19,9 +22,12 @@ from quantcat.lawvere import (
     lawvere_completion,
 )
 from quantcat.monadkit import submonad_category, submonad_right_adjoints
-from quantcat.quantale import builtin, make_finite_quantale
+from quantcat.presheaf import (extension_rows, find_representatives, full_subcategory,
+                               member_functor, representables)
+from quantcat.quantale import INF, builtin, make_finite_quantale
 from quantcat.vcat import (
     VCategory,
+    VFunctor,
     cauchy_sequence,
     hom_self_category,
     is_fully_faithful,
@@ -48,6 +54,8 @@ DIAMOND = make_finite_quantale(
      ["o", "o", "b", "b"], ["o", "a", "b", "i"]],
     "i")
 PAIR = cat("pair", DIAMOND, ["u", "v"], [["i", "o"], ["o", "i"]])
+_C11_BATTERY = [CHAIN2, LSYM, luk2_asym(), hom_self_category(BOOL),
+                hom_self_category(builtin("goedel_chain", 2)), PAIR]
 
 
 def metric(name, rows):
@@ -132,6 +140,53 @@ def test_completion_unit_embeds_and_is_iso_iff_complete():
     assert sorted(again.mapping) == list(range(len(LX.objects)))
 
 
+def _check_completion(X):
+    # which `lawvere_completion` does not test
+    LX, unit = lawvere_completion(X)
+    assert is_fully_faithful(unit) == (True, None)
+    assert is_L_complete(LX) == (True, None)
+
+
+@pytest.mark.parametrize("X", _C11_BATTERY, ids=lambda X: X.name)
+def test_the_completion_unit_embeds_and_the_completion_is_complete(X):
+    _check_completion(X)
+
+
+@PROPERTY
+@given(finite_categories(max_objects=2, closed=True))
+def test_the_completion_unit_embeds_and_the_completion_is_complete_at_random(X):
+    _check_completion(X)
+
+
+def _incomplete(real, X, budget):
+    """The completion of pair cut down to its representables."""
+    LX, unit = real(X, budget)
+    if X.name != "pair":
+        return LX, unit
+    small = full_subcategory(LX.name, X, representables(X))
+    return small, member_functor(unit.name, X, small, representables(X))
+
+
+def _unfaithful(real, X, budget):
+    """The completion of chain2 with a constant unit."""
+    LX, unit = real(X, budget)
+    if X.name != "chain2":
+        return LX, unit
+    return LX, VFunctor(unit.name, X, LX, (unit(0),) * len(X.objects))
+
+
+@pytest.mark.parametrize("wrong, witness", [
+    (_incomplete, "pair: completion not L-complete"),
+    (_unfaithful, "chain2: completion unit not fully faithful"),
+], ids=["incomplete", "unfaithful"])
+def test_c11_decides_the_completion_itself(monkeypatch, wrong, witness):
+    real = selftest.lawvere_completion
+    monkeypatch.setattr(selftest, "lawvere_completion",
+                        lambda X, budget: wrong(real, X, budget))
+    rep = selftest.criterion_11()
+    assert (rep["verdict"], rep["witness"]) == ("fail", witness)
+
+
 def test_enumeration_needs_a_finite_carrier():
     with pytest.raises(NotEnumerable):
         enumerate_L(metric("pt", [[0]]))
@@ -153,6 +208,33 @@ def test_cauchy_pair_lands_on_the_stable_point():
 
     pair, rep = cauchy_pair(X, cauchy_sequence(("a",), 0))
     assert rep == "a"
+
+
+@st.composite
+def ext_metrics(draw, max_objects=3):
+    """A category over ext_real_plus: distances drawn from 0–3 and ∞, then
+    closed under the triangle inequality by shortest paths."""
+    n = draw(st.integers(1, max_objects))
+    d = [[0 if i == j else draw(st.sampled_from([0, 1, 2, 3, math.inf]))
+          for j in range(n)] for i in range(n)]
+    for k, i, j in itertools.product(range(n), repeat=3):
+        d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    return validate_category(f"m{n}", ERP, [chr(ord("a") + i) for i in range(n)],
+                             [[ERP.elem(INF if v == math.inf else F(v)) for v in row]
+                              for row in d])
+
+
+@PROPERTY
+@given(ext_metrics())
+def test_a_point_certifies_its_pair_and_represents_its_weight(X):
+    # x^* ⊣ x_*, and x represents [x^*, 1_X]: `cauchy_pair` tests neither
+    q = X.quantale
+    for x, label in enumerate(X.objects):
+        pair, rep = cauchy_pair(X, cauchy_sequence((label,), 0))
+        assert rep == label
+        assert check_adjoint_pair(pair.psi, pair.phi)[0]
+        assert q.leq(q.unit, pair.unit)
+        assert x in find_representatives(X, extension_rows(X, (representables(X)[x],))[0])
 
 
 def test_cauchy_sequence_guards():
@@ -183,10 +265,6 @@ def _per_phi_search(X):
                 found.append((phi, psi, u))
                 break
     return found
-
-
-_C11_BATTERY = [CHAIN2, LSYM, luk2_asym(), hom_self_category(BOOL),
-                hom_self_category(builtin("goedel_chain", 2)), PAIR]
 
 
 @pytest.mark.parametrize("X", _C11_BATTERY, ids=lambda X: X.name)

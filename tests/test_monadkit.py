@@ -9,8 +9,10 @@ from quantcat import monadkit
 from quantcat.dist import (
     compose,
     enumerate_distributors,
+    first_violation,
     identity_distributor,
     point_column,
+    star_lower,
     star_upper,
 )
 from quantcat.errors import (
@@ -62,6 +64,7 @@ from quantcat.vcat import (
 
 from .helpers import (
     BOOL,
+    LUK2,
     all_functors,
     bool_chain2,
     bool_chain3,
@@ -189,6 +192,45 @@ def test_presheaf_image_of_squares():
     j = identity_functor(DISC2)
     image = square(P.map(j), P.map(j), P.map(COLLAPSE), P.map(COLLAPSE))
     assert bc_star_square_check(image) == (False, ("[0,1]", "[1,0]"))
+
+
+def _bc_by_composition(sq):
+    """`bc_star_square_check` with h^*·f_* composed too: the reference for
+    its gather Y(fx,hz)."""
+    base = compose(star_upper(sq.right), star_lower(sq.bottom))
+    w = first_violation(base, compose(star_lower(sq.top), star_upper(sq.left)))
+    return w is None, w
+
+
+def _squares_and_images(cats):
+    """Every commuting square of functors between `cats`, each followed by
+    its image under P."""
+    funs = all_functors(cats)
+    images = {id(f): P.map(f) for f in funs}
+    for sq in all_squares(funs):
+        yield sq
+        yield square(*(images[id(f)] for f in (sq.top, sq.left, sq.bottom, sq.right)))
+
+
+_SQUARE_CATS = {"boolean2": [CHAIN2, DISC2, E],
+                "lukasiewicz_chain(2)": [luk2_sym(), luk2_asym(), unit_category(LUK2)]}
+
+
+@pytest.mark.parametrize("tag", list(_SQUARE_CATS))
+def test_square_check_matches_the_composed_square(tag):
+    pairs = [(bc_star_square_check(sq), _bc_by_composition(sq))
+             for sq in _squares_and_images(_SQUARE_CATS[tag])]
+    assert all(gathered == composed for gathered, composed in pairs)
+    assert len(pairs) > 1000 and {ok for (ok, _), _ in pairs} == {True, False}
+
+
+@pytest.mark.parametrize("tag", list(_SQUARE_CATS))
+def test_the_reverse_inequality_holds_on_every_square(tag):
+    # l_*·g^* <= h^*·f_*, which `bc_star_square_check` does not test
+    for sq in _squares_and_images(_SQUARE_CATS[tag]):
+        corner = compose(star_lower(sq.top), star_upper(sq.left))
+        base = compose(star_upper(sq.right), star_lower(sq.bottom))
+        assert first_violation(corner, base) is None
 
 
 @pytest.mark.parametrize("X", [CHAIN2, DISC2], ids=lambda X: X.name)
@@ -346,9 +388,21 @@ def test_broken_class_fails_columnwise_only():
     assert rep["admissible"] is False
 
 
+def _membership_by_composition(spec, phi):
+    """`phi_membership` with each column composed as y^*·φ: the reference
+    for its reading of the column φ(−,y)."""
+    if spec.dist_member is not None:
+        return bool(spec.dist_member(phi))
+    return all(spec.member(phi.dom, tuple(
+        row[0] for row in compose(point_column(phi.cod, y), phi).matrix))
+        for y in phi.cod.objects)
+
+
 def _nested_admissible_class_check(spec, categories, functors, budget):
     """The nested-loop search `admissible_class_check` replaced, kept as
-    the oracle for its reports, witnesses and exceptions."""
+    the oracle for its reports, witnesses and exceptions.  It composes
+    every composite and column that the check reads off a hom."""
+    phi_membership = _membership_by_composition
     report = {"spec": spec.name}
 
     w = None
@@ -428,6 +482,36 @@ def _nested_admissible_class_check(spec, categories, functors, budget):
                                ("conjoints", "composites", "columnwise",
                                 "multiplication"))
     return report
+
+
+@pytest.mark.parametrize("universe", ["bool2", "bool3", "luk"])
+def test_conjoint_composites_and_columns_are_lookups(universe):
+    # f^*·φ(a,x) = φ(a,fx) and y^*·φ = φ(−,y) on every distributor φ
+    cats, budget = _UNIVERSES[universe]
+    for f in all_functors(cats):
+        for Z in cats:
+            for phi in enumerate_distributors(Z, f.cod, budget):
+                assert compose(star_upper(f), phi).matrix == tuple(
+                    tuple(row[fx] for fx in f.mapping) for row in phi.matrix)
+    for X in cats:
+        for Y in cats:
+            for phi in enumerate_distributors(X, Y, budget):
+                for j, y in enumerate(Y.objects):
+                    assert compose(point_column(Y, y), phi).matrix == \
+                        tuple((row[j],) for row in phi.matrix)
+
+
+@pytest.mark.parametrize("universe", ["bool2", "bool3", "luk"])
+@pytest.mark.parametrize("spec_name", ["representables", "has_bottom", "table"])
+def test_membership_matches_the_composed_columns(universe, spec_name):
+    cats, budget = _UNIVERSES[universe]
+    spec = _SPECS[spec_name](cats)
+    funs = all_functors(cats)
+    relations = [r for X in cats for Y in cats for r in enumerate_distributors(X, Y, budget)]
+    relations += [star_upper(f) for f in funs] + [star_lower(f) for f in funs]
+    for r in relations:
+        assert phi_membership(spec, r) == _membership_by_composition(spec, r)
+    assert {phi_membership(spec, r) for r in relations} == {True, False}
 
 
 def _table_spec(categories, with_member_tables=True):

@@ -30,6 +30,7 @@ from quantcat.vcat import (
     VFunctor,
     hom_self_category,
     identity_functor,
+    is_fully_faithful,
     is_separated,
     unit_category,
     validate_category,
@@ -228,6 +229,13 @@ def finite_categories(draw, q=None, max_objects=4, closed=None):
         hom[i][j] = QElem(q.key, hom[i][j].value)
     return VCategory(f"X{n}", q, tuple(f"o{i}" for i in range(n)),
                      tuple(map(tuple, hom)))
+
+
+@PROPERTY
+@given(finite_categories(max_objects=3, closed=True))
+def test_the_yoneda_embedding_is_fully_faithful(X):
+    # ã(x^*, x'^*) = a(x,x'), which `yoneda` does not test
+    assert is_fully_faithful(yoneda(X, presheaf_category(X))) == (True, None)
 
 
 @PROPERTY

@@ -194,9 +194,13 @@ FINITE_BUILTINS = [
 ]
 
 
-@pytest.mark.parametrize("q", FINITE_BUILTINS, ids=lambda q: q.name)
+@pytest.mark.parametrize("q", [*FINITE_BUILTINS, DIAMOND, NON_INTEGRAL, make_bool_like("1"),
+                               *(builtin("goedel_chain", n) for n in (1, 4, 5)),
+                               *(builtin("lukasiewicz_chain", n) for n in (1, 5))],
+                         ids=lambda q: q.name)
 def test_residuation_adjunction_exhaustive(q):
-    # u⊗v <= w  <=>  v <= hom(u,w)
+    # u⊗v <= w  <=>  v <= hom(u,w); a finite build derives hom as
+    # ⋁{v : u⊗v ≤ w} and does not test this
     for u in q.carrier:
         for v in q.carrier:
             for w in q.carrier:
@@ -485,14 +489,22 @@ def test_coded_escape_is_the_first_per_element_escape(q, rows, cols, data):
 
 
 def _closure(q, a):
-    """The least transitive matrix above a (Floyd–Warshall over V)."""
+    """The least reflexive and transitive matrix above a: Floyd–Warshall
+    passes over V until none changes an entry.  One pass is not enough on
+    a non-integral V, where a pass can raise a(k,k) above the unit after
+    the entries that route through k were computed."""
     a = [row[:] for row in a]
     for i in range(len(a)):
         a[i][i] = q.join2(a[i][i], q.unit)
-    for k in range(len(a)):
-        for i in range(len(a)):
-            for j in range(len(a)):
-                a[i][j] = q.join2(a[i][j], q.tensor(a[i][k], a[k][j]))
+    changed = True
+    while changed:
+        changed = False
+        for k in range(len(a)):
+            for i in range(len(a)):
+                for j in range(len(a)):
+                    v = q.join2(a[i][j], q.tensor(a[i][k], a[k][j]))
+                    changed |= v != a[i][j]
+                    a[i][j] = v
     return a
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from quantcat.vcat import (
     identity_functor,
     is_fully_dense,
     is_fully_faithful,
+    is_functor,
     is_separated,
     VCategory,
     raw_functor,
@@ -37,6 +40,7 @@ from .helpers import (
     functors_by_filter,
     luk2_asym,
 )
+from .test_presheaf import PROPERTY, finite_categories
 from .test_quantale import CODED, DIAMOND, _closure, _coded_elements, _matrix
 
 
@@ -134,6 +138,36 @@ def test_check_adjunction_ext_real_example():
     g = raw_functor("minus1", X, X, (0, 0, 1))
     ok, _ = check_adjunction(f, g)
     assert ok
+
+
+def _adjoint_raw_maps(X, Y):
+    """Every pair of object maps f: X → Y, g: Y → X with X(x, g y) = Y(f x, y),
+    functors or not."""
+    for fm in itertools.product(range(len(Y.objects)), repeat=len(X.objects)):
+        for gm in itertools.product(range(len(X.objects)), repeat=len(Y.objects)):
+            f, g = raw_functor("f", X, Y, fm), raw_functor("g", Y, X, gm)
+            if check_adjunction(f, g)[0]:
+                yield f, g
+
+
+def test_adjoint_raw_maps_are_functors():
+    # which `check_adjunction` no longer tests
+    found = 0
+    for X, Y in itertools.product(_FUNCTOR_CATS, repeat=2):
+        if X.quantale == Y.quantale:
+            for f, g in _adjoint_raw_maps(X, Y):
+                assert is_functor(X, Y, f.mapping) and is_functor(Y, X, g.mapping)
+                found += 1
+    assert found > 50
+
+
+@PROPERTY
+@given(st.data())
+def test_adjoint_raw_maps_are_functors_at_random(data):
+    X = data.draw(finite_categories(max_objects=2, closed=True))
+    Y = data.draw(finite_categories(q=X.quantale, max_objects=2, closed=True))
+    for f, g in _adjoint_raw_maps(X, Y):
+        assert is_functor(X, Y, f.mapping) and is_functor(Y, X, g.mapping)
 
 
 def test_check_adjunction_failure_witness():
