@@ -644,8 +644,8 @@ def _run_compute(ws, args, cname):
         from .colimit import weighted_colimit
         from .dist import validate_distributor
 
-        w = ws.get("relation", args.weight)
-        f = ws.get("functor", args.diagram)
+        w = ws.get("relation", args.weight, "weight")
+        f = ws.get("functor", args.diagram, "diagram")
         try:
             validate_distributor(w)
         except QuantcatError as e:

@@ -20,8 +20,7 @@ from .errors import (
 )
 from .monadkit import SubmonadSpec, submonad_category, submonad_monad
 from .presheaf import extension_rows, find_representatives, presheaf_label
-from .vcat import (DEFAULT_BUDGET, VCategory, VFunctor, VRelation, check_adjunction, functors,
-                   is_functor)
+from .vcat import DEFAULT_BUDGET, VCategory, VFunctor, VRelation, functors, is_functor
 
 
 def weighted_colimit(phi: VRelation, f: VFunctor) -> VFunctor:
@@ -63,9 +62,9 @@ def algebra_extract(X: VCategory, spec: SubmonadSpec,
     representatives z₁, z₂ of one row have X(z₁,−) = X(z₂,−), so z₁ ≅ z₂
     and, by (T), their columns agree too; no other choice tells them
     apart.  X is T-cocomplete exactly when no member lands in
-    "failures".  On success α itself is reported under "algebra", and
-    the section and adjunction laws for the unit are verified and
-    reported.
+    "failures".  On success α itself is reported under "algebra", with
+    the section law for the unit, which is verified; α ⊣ η holds by
+    construction and always reads true.
     """
     TX = submonad_category(spec, X, budget)
     n = len(X.objects)
@@ -87,11 +86,12 @@ def algebra_extract(X: VCategory, spec: SubmonadSpec,
     alpha = VFunctor(f"alpha_{TX.name}", TX, X, tuple(mapping))
     unit = submonad_monad(spec, budget).unit(X)
     section = all(alpha(unit(i)) == i for i in range(n))
-    adjoint = check_adjunction(alpha, unit)[0]
+    # α ⊣ η: TX(φ, x^*) = ⋀_z hom(φ z, a(z,x)) = [φ, 1_X](x) = X(αφ, x),
+    # as αφ was chosen to represent that row; the test suite decides it once
     return {"category": X.name, "spec": spec.name,
             "algebra": alpha, "failures": (),
             "ambiguous": tuple(ambiguous), "unit_section": section,
-            "adjoint_to_unit": adjoint, "ok": section and adjoint}
+            "adjoint_to_unit": True, "ok": section}
 
 
 def min_point(X: VCategory, vals) -> int:

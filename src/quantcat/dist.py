@@ -17,7 +17,6 @@ import itertools
 
 from .errors import (BudgetExceeded, LeftActionFail, NotEnumerable,
                      QuantaleMismatch, RightActionFail, ShapeMismatch)
-from .presheaf import presheaves
 from .vcat import DEFAULT_BUDGET, VCategory, VFunctor, VRelation, unit_category
 
 
@@ -66,14 +65,6 @@ def validate_distributor(r: VRelation) -> VRelation:
         raise LeftActionFail(
             f"codomain action escapes at {w}: (b·φ){w} = {br.at(*w)} ≰ φ{w} = {r.at(*w)}")
     return r
-
-
-def is_distributor(r: VRelation) -> bool:
-    try:
-        validate_distributor(r)
-        return True
-    except (LeftActionFail, RightActionFail):
-        return False
 
 
 def star_lower(f: VFunctor) -> VRelation:
@@ -150,6 +141,8 @@ def enumerate_distributors(X: VCategory, Y: VCategory,
     count = len(q.carrier) ** cells
     if count > budget:
         raise BudgetExceeded(f"{count} candidate matrices over budget {budget}")
+    from .presheaf import presheaves
+
     n, m = len(X.objects), len(Y.objects)
     pairs = tuple(itertools.product(range(n), range(m)))
     XY = VCategory(f"{X.name}⊗{Y.name}^op", q, tuple(map(str, pairs)),

@@ -13,13 +13,11 @@ from __future__ import annotations
 from functools import cache
 
 from .dist import (
-    check_adjoint_pair,
     column,
     compose,
     enumerate_distributors,
     first_violation,
     identity_distributor,
-    is_distributor,
     right_extension,
     star_lower,
     star_upper,
@@ -35,7 +33,6 @@ from .errors import (
 from .presheaf import (
     PresheafCategory,
     full_subcategory,
-    is_presheaf,
     map_values,
     member_functor,
     mult_values,
@@ -144,6 +141,8 @@ class SubmonadSpec(Record):
     optional `dist_member` decides membership of a whole distributor
     independently of its columns (without it, membership is derived
     columnwise and the columnwise condition holds by construction).
+    Both are given only presheaves and distributors, so a spec need not
+    test the presheaf or distributor laws: `submonad_all` answers True.
     """
 
     _fields = ("name", "member", "dist_member")
@@ -151,16 +150,24 @@ class SubmonadSpec(Record):
 
 
 def is_right_adjoint_distributor(phi: VRelation) -> bool:
-    """Largest candidate ψ = [φ, 1] satisfies the counit by construction;
-    φ is a right adjoint iff ψ also passes the unit."""
+    """φ: X ⇸ Y is a right adjoint iff its largest candidate ψ = [φ, 1_X]
+    passes the unit 1_Y <= φ·ψ."""
     psi = right_extension(phi, identity_distributor(phi.dom))
-    return check_adjoint_pair(psi, phi)[0]
+    # the counit ψ·φ <= 1_X holds by residuation: ψ(y,x') <= hom(φ(x,y),
+    # a(x,x')), and v ⊗ hom(v, w) <= w; the test suite decides it once
+    return first_violation(identity_distributor(phi.cod), compose(phi, psi)) is None
 
 
 def submonad_all() -> SubmonadSpec:
-    return SubmonadSpec("all",
-                        member=lambda X, values: is_presheaf(X, values),
-                        dist_member=is_distributor)
+    # every value tuple and relation a membership test is given is a
+    # presheaf or a distributor: enumerated, a composite with a conjoint, a
+    # column, f^* or h_* of a V-functor, a presheaf on PX restricted to TX,
+    # or the image of a multiplication; so each is a member by definition.
+    # The test suite checks all of them against the presheaf and
+    # distributor laws.  `dist_member` keeps the columnwise condition
+    # independent
+    return SubmonadSpec("all", member=lambda X, values: True,
+                        dist_member=lambda phi: True)
 
 
 def submonad_right_adjoints() -> SubmonadSpec:

@@ -35,13 +35,6 @@ def presheaf_label(values) -> str:
     return "[" + ",".join(show_value(e.value) for e in values) + "]"
 
 
-def is_presheaf(X: VCategory, values) -> bool:
-    q = X.quantale
-    n = len(X.objects)
-    return all(q.leq(q.tensor(X.hom[i][j], values[j]), values[i])
-               for i in range(n) for j in range(n))
-
-
 def candidate_count(X: VCategory, budget: int = DEFAULT_BUDGET) -> int:
     """|V|^n, the number of candidate maps on X: the budget gate of every
     enumeration over X, checked before any candidate is built."""

@@ -598,8 +598,9 @@ def criterion_10(budget):
 @_criterion("C11", "adjoint enumeration, completion, and stabilization")
 def criterion_11(budget):
     """`enumerate_L`, which certifies the closed-form left adjoint [φ, 1_X]
-    of each presheaf entry by entry, matches the membership route through
-    the distributor calculus; completion is complete, fully faithful, and
+    of each presheaf by its unit, matches the membership route through
+    the distributor calculus, and each pair it gives is an adjoint pair,
+    counit included; completion is complete, fully faithful, and
     idempotent; eventually constant sequences land on their stabilization
     point."""
     chain2 = _chain_cat(BOOL, 2, "chain2")

@@ -4,8 +4,8 @@ import itertools
 from fractions import Fraction
 
 from quantcat.ball import _pair_index
-from quantcat.dist import is_distributor
-from quantcat.presheaf import is_presheaf
+from quantcat.dist import validate_distributor
+from quantcat.errors import LeftActionFail, RightActionFail
 from quantcat.quantale import builtin, make_finite_quantale
 from quantcat.vcat import (
     VFunctor,
@@ -85,10 +85,29 @@ def point(X, label):
     return VFunctor(f"pt_{label}", unit_category(X.quantale), X, (X.index(label),))
 
 
+def is_presheaf(X, values) -> bool:
+    """The presheaf law a(x,x') ⊗ φ(x') <= φ(x), pair by pair: the oracle
+    for every value tuple `presheaf.presheaves` yields."""
+    q = X.quantale
+    n = len(X.objects)
+    return all(q.leq(q.tensor(X.hom[i][j], values[j]), values[i])
+               for i in range(n) for j in range(n))
+
+
+def is_distributor(r) -> bool:
+    """Both hom actions absorbed, by `dist.validate_distributor`: the
+    oracle for every relation `dist.enumerate_distributors` yields."""
+    try:
+        validate_distributor(r)
+        return True
+    except (LeftActionFail, RightActionFail):
+        return False
+
+
 def functor_criterion(r) -> bool:
     """Distributor test in functor form: a(x',x) ⊗ b(y,y') <= hom(r(x,y), r(x',y'))
     for all pairs — r as a map X^op ⊗ Y -> (V, hom).  An oracle for
-    `dist.is_distributor`, which checks the two actions instead."""
+    `is_distributor`, which checks the two actions instead."""
     q = r.dom.quantale
     a, b, m = r.dom.hom, r.cod.hom, r.matrix
     for i in range(len(r.dom.objects)):

@@ -630,6 +630,19 @@ def test_colimit_success_and_failure(ws_path, tmp_path, capsys):
     assert "nothing in D2 represents" in out
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--diagram", "idc"], "UsageError: this command needs --weight"),
+    (["--weight", "wid"], "UsageError: this command needs --diagram"),
+    (["--weight", "nope", "--diagram", "idc"],
+     "UnresolvedReference: weight 'nope' is not declared"),
+    (["--weight", "wid", "--diagram", "nope"],
+     "UnresolvedReference: diagram 'nope' is not declared"),
+], ids=["no-weight", "no-diagram", "undeclared-weight", "undeclared-diagram"])
+def test_colimit_errors_name_its_own_flags(ws_path, capsys, flags, message):
+    code, out, err = run(["compute", "colimit", *flags, "--workspace", ws_path], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_b_embedding_over_a_rational_kind_is_not_enumerable(tmp_path, capsys, fmt):
     # a fully faithful functor passes pointing; the radii are not enumerable
@@ -1225,6 +1238,14 @@ def test_compute_ball_loads_no_colimit_or_lawvere(tmp_path):
     modules, _ = loaded_after(CLI_MAIN, "compute", "ball", "--category", "C2",
                               "--workspace", write(tmp_path, doc))
     assert modules == {"cli", "errors", "quantale", "vcat", "presheaf", "ball"}
+
+
+@pytest.mark.parametrize("relation", ["wid", "bad"])
+def test_check_distributor_loads_only_dist(tmp_path, relation):
+    # `enumerate_distributors` imports presheaf when it runs, not before
+    doc = {k: v for k, v in BASIC.items() if k not in ("squares", "submonad_specs")}
+    assert loaded_after(CLI_MAIN, "check", "distributor", "--relation", relation,
+                        "--workspace", write(tmp_path, doc)) == (PARSE_LAYERS | {"dist"}, set())
 
 
 def test_module_entry_point(ws_path):

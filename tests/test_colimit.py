@@ -36,8 +36,8 @@ from quantcat.monadkit import (
 )
 from quantcat.presheaf import extension_rows
 from quantcat.quantale import builtin, show_value
-from quantcat.vcat import (VRelation, hom_self_category, identity_functor, is_functor,
-                           raw_functor, unit_category)
+from quantcat.vcat import (VRelation, check_adjunction, hom_self_category, identity_functor,
+                           is_functor, raw_functor, unit_category)
 
 from .helpers import (BOOL, all_functors, bool_chain2, bool_chain3, bool_discrete,
                       bool_indiscrete2, cat, luk2_asym, luk2_sym)
@@ -121,15 +121,21 @@ def test_a_colimit_is_the_right_extension_it_represents(cats):
 
 def _check_algebras_are_functors(X):
     for spec in (ALL, RA):
-        alpha = algebra_extract(X, spec)["algebra"]
-        assert alpha is None or is_functor(alpha.dom, X, alpha.mapping)
+        rep = algebra_extract(X, spec)
+        alpha = rep["algebra"]
+        if alpha is None:
+            continue
+        assert is_functor(alpha.dom, X, alpha.mapping)
+        assert check_adjunction(alpha, submonad_monad(spec).unit(X)) == (True, None)
+        assert rep["adjoint_to_unit"] is True
 
 
-@pytest.mark.parametrize("X", [CHAIN2, CHAIN3, DISC2, VEE, hom_self_category(BOOL),
-                               hom_self_category(GO3), hom_self_category(LUK3)],
+@pytest.mark.parametrize("X", [CHAIN2, CHAIN3, DISC2, VEE, bool_indiscrete2(),
+                               hom_self_category(BOOL), hom_self_category(GO3),
+                               hom_self_category(LUK3)],
                          ids=lambda X: X.name)
 def test_extracted_algebras_are_functors(X):
-    # which `algebra_extract` does not test
+    # and left adjoint to the unit, which `algebra_extract` does not test
     _check_algebras_are_functors(X)
 
 
@@ -303,6 +309,10 @@ def test_injectivity_extension_search():
     assert injectivity_check(V, INTO_VEE)["ok"] is True
     with pytest.raises(BudgetExceeded, match="2\\^3 extension candidates"):
         injectivity_check(V, INTO_VEE, budget=3)
+    # the gate admits exactly its 2^3 candidates
+    assert injectivity_check(V, INTO_VEE, budget=8)["ok"] is True
+    with pytest.raises(BudgetExceeded, match="^2\\^3 extension candidates over budget 7$"):
+        injectivity_check(V, INTO_VEE, budget=7)
 
 
 @pytest.mark.parametrize("h, X, expected", [

@@ -12,7 +12,6 @@ from quantcat.dist import (
     enumerate_distributors,
     first_violation,
     identity_distributor,
-    is_distributor,
     point_column,
     point_row,
     right_extension,
@@ -48,6 +47,7 @@ from .helpers import (
     cat,
     distributors_by_filter,
     functor_criterion,
+    is_distributor,
     luk2_asym,
     luk2_sym,
     point,

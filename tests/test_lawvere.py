@@ -9,8 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quantcat import selftest
-from quantcat.dist import check_adjoint_pair, point_row
+from quantcat.dist import (check_adjoint_pair, compose, first_violation, identity_distributor,
+                           point_row)
 from quantcat.errors import (
+    BudgetExceeded,
     NotEnumerable,
     NotEventuallyConstant,
     PreconditionFail,
@@ -23,11 +25,12 @@ from quantcat.lawvere import (
 )
 from quantcat.monadkit import submonad_category, submonad_right_adjoints
 from quantcat.presheaf import (extension_rows, find_representatives, full_subcategory,
-                               member_functor, representables)
+                               member_functor, presheaves, representables)
 from quantcat.quantale import INF, builtin, make_finite_quantale
 from quantcat.vcat import (
     VCategory,
     VFunctor,
+    VRelation,
     cauchy_sequence,
     hom_self_category,
     is_fully_faithful,
@@ -187,6 +190,14 @@ def test_c11_decides_the_completion_itself(monkeypatch, wrong, witness):
     assert (rep["verdict"], rep["witness"]) == ("fail", witness)
 
 
+def test_the_pair_gate_admits_exactly_its_count():
+    # 2^2 presheaves on chain2, so 16 (presheaf, left adjoint) pairs
+    assert enumerate_L(CHAIN2, budget=16)[0].objects == ("[1,0]", "[1,1]")
+    with pytest.raises(BudgetExceeded, match=r"^16 candidate \(presheaf, left adjoint\) "
+                                             r"pairs on chain2 exceed the budget 15$"):
+        enumerate_L(CHAIN2, budget=15)
+
+
 def test_enumeration_needs_a_finite_carrier():
     with pytest.raises(NotEnumerable):
         enumerate_L(metric("pt", [[0]]))
@@ -227,13 +238,17 @@ def ext_metrics(draw, max_objects=3):
 @PROPERTY
 @given(ext_metrics())
 def test_a_point_certifies_its_pair_and_represents_its_weight(X):
-    # x^* ⊣ x_*, and x represents [x^*, 1_X]: `cauchy_pair` tests neither
+    # x^* ⊣ x_*, its unit is a(x,x), and x represents [x^*, 1_X]:
+    # `cauchy_pair` tests none of them
     q = X.quantale
     for x, label in enumerate(X.objects):
         pair, rep = cauchy_pair(X, cauchy_sequence((label,), 0))
         assert rep == label
         assert check_adjoint_pair(pair.psi, pair.phi)[0]
         assert q.leq(q.unit, pair.unit)
+        phi = [e for (e,) in pair.phi.matrix]
+        assert pair.unit == X.hom[x][x] == \
+            q.coded(pair.psi.matrix, (phi,)).sup_tensor(0, 1)[0][0]
         assert x in find_representatives(X, extension_rows(X, (representables(X)[x],))[0])
 
 
@@ -276,6 +291,27 @@ def test_enumerate_L_matches_the_per_phi_search(X):
 @given(finite_categories(max_objects=2, closed=True))
 def test_enumerate_L_matches_the_per_phi_search_at_random(X):
     _check_enumerate_L(X)
+
+
+def _check_counit_of_the_candidate(X):
+    # ψ = [φ, 1_X] satisfies the counit ψ·φ <= 1_X for every presheaf φ,
+    # which `enumerate_L` does not test
+    E = unit_category(X.quantale)
+    phis = tuple(presheaves(X))
+    for phi, psi in zip(phis, extension_rows(X, phis)):
+        composite = compose(VRelation(E, X, (psi,)), VRelation(X, E, tuple((v,) for v in phi)))
+        assert first_violation(composite, identity_distributor(X)) is None
+
+
+@pytest.mark.parametrize("X", _C11_BATTERY, ids=lambda X: X.name)
+def test_the_candidate_left_adjoint_satisfies_the_counit(X):
+    _check_counit_of_the_candidate(X)
+
+
+@PROPERTY
+@given(finite_categories(max_objects=3, closed=True))
+def test_the_candidate_left_adjoint_satisfies_the_counit_at_random(X):
+    _check_counit_of_the_candidate(X)
 
 
 def _check_enumerate_L(X):

@@ -7,11 +7,13 @@ import pytest
 
 from quantcat import monadkit
 from quantcat.dist import (
+    check_adjoint_pair,
     compose,
     enumerate_distributors,
     first_violation,
     identity_distributor,
     point_column,
+    right_extension,
     star_lower,
     star_upper,
 )
@@ -32,6 +34,7 @@ from quantcat.monadkit import (
     admissible_class_check,
     bc_star_square_check,
     canonical_comparison,
+    is_right_adjoint_distributor,
     lax_idempotency_report,
     monad_morphism_check,
     phi_membership,
@@ -71,6 +74,8 @@ from .helpers import (
     bool_discrete,
     bool_indiscrete2,
     cat,
+    is_distributor,
+    is_presheaf,
     luk2_asym,
     luk2_sym,
 )
@@ -263,7 +268,9 @@ def test_enumerate_distributors_counts():
     assert len(found) == 6
     cols = enumerate_distributors(CHAIN2, E)
     assert len(cols) == len(presheaf_category(CHAIN2).presheaves)
-    with pytest.raises(BudgetExceeded):
+    # the gate admits exactly its 2^4 candidate matrices
+    assert len(enumerate_distributors(CHAIN2, CHAIN2, budget=16)) == 6
+    with pytest.raises(BudgetExceeded, match="^16 candidate matrices over budget 15$"):
         enumerate_distributors(CHAIN2, CHAIN2, budget=15)
     LUK2 = builtin("lukasiewicz_chain", 2)
     other = cat("pt_luk", LUK2, ["*"], [[1]])
@@ -595,6 +602,44 @@ def test_admissibility_enumerates_and_decides_once(monkeypatch, spec_name):
     assert set(enumerated) == {(X, Y) for X in cats for Y in cats}
     assert max(enumerated.values()) == 1
     assert max(decided.values()) == 1
+
+
+@pytest.mark.parametrize("universe", ["bool2", "bool3", "luk"])
+def test_the_largest_candidate_satisfies_the_counit(universe):
+    # ψ = [φ, 1_X] has ψ·φ <= 1_X for every distributor φ: X ⇸ Y, so
+    # `is_right_adjoint_distributor` decides the unit alone
+    cats, budget = _UNIVERSES[universe]
+    verdicts = set()
+    for X in cats:
+        for Y in cats + [unit_category(X.quantale)]:
+            for phi in enumerate_distributors(X, Y, budget):
+                psi = right_extension(phi, identity_distributor(X))
+                ok, _, counit_w = check_adjoint_pair(psi, phi)
+                assert counit_w is None
+                assert is_right_adjoint_distributor(phi) == ok
+                verdicts.add(ok)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("universe", ["bool2", "bool3", "luk"])
+def test_all_is_only_asked_of_presheaves_and_distributors(universe):
+    # every value tuple and relation that a check asks `all` about passes
+    # the presheaf or distributor law, so `submonad_all` answers True
+    cats, budget = _UNIVERSES[universe]
+    funs = all_functors(cats)
+    tuples, relations = [], []
+    spy = SubmonadSpec("all", member=lambda X, vals: tuples.append((X, vals)) or True,
+                       dist_member=lambda phi: relations.append(phi) or True)
+    assert admissible_class_check(spy, cats, funs, budget) == \
+        admissible_class_check(submonad_all(), cats, funs, budget)
+    T = submonad_monad(spy, budget)
+    for X in cats:
+        T.unit(X), T.mult(X)
+    for f in funs:
+        T.map(f), t_embedding_check(spy, f)
+    assert all(is_presheaf(X, vals) for X, vals in tuples)
+    assert all(is_distributor(phi) for phi in relations)
+    assert tuples and relations
 
 
 def test_a_table_that_lists_no_tx_leaves_the_multiplication_unchecked():
