@@ -57,48 +57,13 @@ from fractions import Fraction
 # it compiles it too.  These three modules hold every record a workspace
 # parses but squares and specs; the other layers (presheaf, dist,
 # monadkit, ball, colimit, lawvere, selftest) are imported inside the
-# branch that calls them.
-from .errors import (
-    BudgetExceeded,
-    ForeignElement,
-    InternalError,
-    NoColimit,
-    ParseError,
-    PreconditionFail,
-    QuantcatError,
-    UnresolvedReference,
-    UsageError,
-    ValidationError,
-)
+# handler that calls them.
+from .errors import (BudgetExceeded, ForeignElement, InternalError, NoColimit, ParseError,
+                     PreconditionFail, QuantcatError, UnresolvedReference, UsageError,
+                     ValidationError)
 from .quantale import INF, Quantale, builtin, make_finite_quantale, show_value
-from .vcat import (
-    DEFAULT_BUDGET,
-    VFunctor,
-    cauchy_sequence,
-    check_adjunction,
-    is_fully_dense,
-    is_fully_faithful,
-    is_separated,
-    relation,
-    validate_category,
-    validate_functor,
-)
-
-# each property and construction, with the target flags it reads; any
-# other target flag (or --monad) given to it is a usage error
-PROPERTIES = {"separated": ("category",), "fully-faithful": ("functor",),
-              "fully-dense": ("functor",), "adjunction": ("functor", "adjoint"),
-              "distributor": ("relation",), "bc-square": ("square",),
-              "lax-idempotent": ("category", "monad"), "admissible": ("spec", "quantale"),
-              "t-embedding": ("spec", "functor"), "b-embedding": ("functor",),
-              "tensored": ("category",), "ball-algebra": ("functor", "category"),
-              "algebra": ("category", "spec"), "homomorphism": ("functor", "spec"),
-              "l-complete": ("category",), "cancellative": ("quantale", "category")}
-
-CONSTRUCTIONS = {"presheaf": ("category",), "ball": ("category",),
-                 "submonad": ("category", "spec"), "colimit": ("weight", "diagram"),
-                 "algebra": ("category", "spec"), "lawvere-completion": ("category",),
-                 "cauchy-pair": ("sequence",)}
+from .vcat import (DEFAULT_BUDGET, VFunctor, cauchy_sequence, check_adjunction, is_fully_dense,
+                   is_fully_faithful, is_separated, relation, validate_category, validate_functor)
 
 # the record flags of check/compute, in the order a check name lists them
 _TARGETS = ("quantale", "category", "functor", "adjoint", "relation",
@@ -286,14 +251,12 @@ def _build_relation(ws, rec, where):
 
 def _build_square(ws, rec, where):
     from .monadkit import square
-
     corners = _take(rec, where, ("top", "left", "bottom", "right"))
     return square(*(ws.get("functor", f) for f in corners))
 
 
 def _build_spec(ws, rec, where):
     from .monadkit import submonad_all, submonad_right_adjoints, submonad_user_table
-
     (kind,) = _take(rec, where, ("kind",), optional=("members",))
     if kind == "all":
         return submonad_all()
@@ -452,128 +415,135 @@ def _unchecked(name, reason):
             "reason": reason, "detail": None}
 
 
-# ----------------------------------------------------------- check handlers
+# ----------------------------------------------------------------- handlers
 
-def _run_check(ws, args, cname):
-    prop = args.property
-    budget = args.budget
-    if prop == "separated":
-        return _check(cname, *is_separated(ws.get("category", args.category)))
-    if prop == "fully-faithful":
-        return _check(cname, *is_fully_faithful(ws.get("functor", args.functor)))
-    if prop == "fully-dense":
-        return _check(cname, *is_fully_dense(ws.get("functor", args.functor)))
-    if prop == "adjunction":
-        f = ws.get("functor", args.functor)
-        g = ws.get("functor", args.adjoint, "adjoint")
-        return _check(cname, *check_adjunction(f, g))
-    if prop == "distributor":
-        from .dist import validate_distributor
+# verb -> (its help, the argument naming an entry, its table: name -> (the
+# target flags it reads, whether it reads --plain, its handler)).  A check
+# handler returns one check dict, a compute handler (check, outputs,
+# fragment); each imports the layer it runs.
+_VERBS = {"check": ("decide one property", "property", {}),
+          "compute": ("emit one construction", "construction", {})}
 
-        r = ws.get("relation", args.relation)
-        try:
-            validate_distributor(r)
-            return _check(cname, True)
-        except QuantcatError as e:
-            return _check(cname, False, str(e))
-    if prop == "bc-square":
-        from .monadkit import bc_star_square_check
 
-        return _check(cname, *bc_star_square_check(ws.get("square", args.square)))
-    if prop == "lax-idempotent":
-        from .monadkit import lax_idempotency_report, presheaf_monad
+def _handles(verb, name, reads, plain=False):
+    """Enter the decorated function as the handler of `verb name`."""
+    def enter(handler):
+        _VERBS[verb][2][name] = (reads, plain, handler)
+        return handler
+    return enter
 
-        X = ws.get("category", args.category)
-        if args.monad == "ball":
-            from .ball import ball_monad
 
-            T = ball_monad(not args.plain)
-        else:
-            T = presheaf_monad(budget)
-        rep = lax_idempotency_report(T, X)
-        ok = rep["lax_idempotent"] and rep["routes_agree"]
-        return _check(cname, ok, detail=rep)
-    if prop == "admissible":
-        from .monadkit import admissible_class_check
+@_handles("check", "separated", ("category",))
+def _check_separated(ws, args, cname):
+    return _check(cname, *is_separated(ws.get("category", args.category)))
 
-        spec = ws.get("spec", args.spec)
-        cats = list(ws.records["category"].values())
-        funs = list(ws.records["functor"].values())
-        if args.quantale:
-            q = ws.get("quantale", args.quantale)
-            cats = [X for X in cats if X.quantale == q]
-            funs = [f for f in funs if f.dom.quantale == q]
-        elif len({X.quantale for X in cats}) > 1:
-            raise ValidationError(
-                "the workspace spans several quantales; pick the test "
-                "universe with --quantale")
-        rep = admissible_class_check(spec, cats, funs, budget)
-        if not rep["admissible"]:
-            w = next((rep[k]["witness"] for k in
-                      ("conjoints", "composites", "columnwise", "multiplication")
-                      if not rep[k]["ok"]), None)
-            return _check(cname, False, w, detail=rep)
-        skipped, unlisted = rep["multiplication"]["unchecked"], rep["multiplication"]["unlisted"]
-        reasons = ["budget left categories unchecked: " + ", ".join(skipped)] if skipped else []
-        if unlisted:
-            reasons.append("the multiplication condition needs membership tables for "
-                           + ", ".join(unlisted))
-        if reasons:
-            return _unchecked(cname, "; ".join(reasons))
-        return _check(cname, True, detail=rep)
-    if prop == "t-embedding":
-        from .monadkit import t_embedding_check
 
-        rep = t_embedding_check(ws.get("spec", args.spec), ws.get("functor", args.functor))
-        return _check(cname, rep["t_embedding"], rep["witness"], detail=rep)
-    if prop == "b-embedding":
-        from .ball import b_embedding_check
+@_handles("check", "fully-faithful", ("functor",))
+def _check_fully_faithful(ws, args, cname):
+    return _check(cname, *is_fully_faithful(ws.get("functor", args.functor)))
 
-        rep = b_embedding_check(ws.get("functor", args.functor))
-        w = rep["ff_witness"] or rep["pointing"]["witness"]
-        return _check(cname, rep["b_embedding"],
-                      None if rep["b_embedding"] else w, detail=rep)
-    if prop == "tensored":
-        from .ball import tensored_check
 
-        rep = tensored_check(ws.get("category", args.category), not args.plain)
-        detail = dict(rep, algebra=None if rep["algebra"] is None
-                      else _functor_record(rep["algebra"]))
-        return _check(cname, rep["tensored"], rep["witness"], detail=detail)
-    if prop == "ball-algebra":
-        return _check_ball_algebra(ws, args, cname)
-    if prop == "algebra":
-        from .colimit import algebra_extract
+@_handles("check", "fully-dense", ("functor",))
+def _check_fully_dense(ws, args, cname):
+    return _check(cname, *is_fully_dense(ws.get("functor", args.functor)))
 
-        rep = algebra_extract(ws.get("category", args.category),
-                              ws.get("spec", args.spec), budget)
-        w = ", ".join(rep["failures"]) or None
-        detail = dict(rep, algebra=None if rep["algebra"] is None
-                      else _functor_record(rep["algebra"]))
-        return _check(cname, rep["ok"], w, detail=detail)
-    if prop == "homomorphism":
-        return _check_homomorphism(ws, args, cname)
-    if prop == "l-complete":
-        from .lawvere import is_L_complete
 
-        return _check(cname, *is_L_complete(ws.get("category", args.category), budget))
-    if prop == "cancellative":
-        from .ball import cancellation_report
+@_handles("check", "adjunction", ("functor", "adjoint"))
+def _check_adjunction(ws, args, cname):
+    f = ws.get("functor", args.functor)
+    g = ws.get("functor", args.adjoint, "adjoint")
+    return _check(cname, *check_adjunction(f, g))
 
+
+@_handles("check", "distributor", ("relation",))
+def _check_distributor(ws, args, cname):
+    from .dist import validate_distributor
+    r = ws.get("relation", args.relation)
+    try:
+        validate_distributor(r)
+        return _check(cname, True)
+    except QuantcatError as e:
+        return _check(cname, False, str(e))
+
+
+@_handles("check", "bc-square", ("square",))
+def _check_bc_square(ws, args, cname):
+    from .monadkit import bc_star_square_check
+    return _check(cname, *bc_star_square_check(ws.get("square", args.square)))
+
+
+@_handles("check", "lax-idempotent", ("category", "monad"))
+def _check_lax_idempotent(ws, args, cname):
+    from .monadkit import lax_idempotency_report, presheaf_monad
+    X = ws.get("category", args.category)
+    if args.monad == "ball":
+        from .ball import ball_monad
+        T = ball_monad(not args.plain)
+    else:
+        T = presheaf_monad(args.budget)
+    rep = lax_idempotency_report(T, X)
+    ok = rep["lax_idempotent"] and rep["routes_agree"]
+    return _check(cname, ok, detail=rep)
+
+
+@_handles("check", "admissible", ("spec", "quantale"))
+def _check_admissible(ws, args, cname):
+    from .monadkit import admissible_class_check
+    spec = ws.get("spec", args.spec)
+    cats = list(ws.records["category"].values())
+    funs = list(ws.records["functor"].values())
+    if args.quantale:
         q = ws.get("quantale", args.quantale)
-        cats = (ws.get("category", args.category),) if args.category else ()
-        if any(X.quantale != q for X in cats):
-            raise ValidationError(
-                f"{cats[0].name} is not enriched in {ws.alias_of(q)}")
-        rep = cancellation_report(q, cats)
-        return _check(cname, rep["cancellative"]["ok"],
-                      rep["cancellative"]["witness"], detail=rep)
-    raise UsageError(f"unknown property {prop!r}")
+        cats = [X for X in cats if X.quantale == q]
+        funs = [f for f in funs if f.dom.quantale == q]
+    elif len({X.quantale for X in cats}) > 1:
+        raise ValidationError(
+            "the workspace spans several quantales; pick the test "
+            "universe with --quantale")
+    rep = admissible_class_check(spec, cats, funs, args.budget)
+    if not rep["admissible"]:
+        w = next((rep[k]["witness"] for k in
+                  ("conjoints", "composites", "columnwise", "multiplication")
+                  if not rep[k]["ok"]), None)
+        return _check(cname, False, w, detail=rep)
+    skipped, unlisted = rep["multiplication"]["unchecked"], rep["multiplication"]["unlisted"]
+    reasons = ["budget left categories unchecked: " + ", ".join(skipped)] if skipped else []
+    if unlisted:
+        reasons.append("the multiplication condition needs membership tables for "
+                       + ", ".join(unlisted))
+    if reasons:
+        return _unchecked(cname, "; ".join(reasons))
+    return _check(cname, True, detail=rep)
 
 
+@_handles("check", "t-embedding", ("spec", "functor"))
+def _check_t_embedding(ws, args, cname):
+    from .monadkit import t_embedding_check
+    rep = t_embedding_check(ws.get("spec", args.spec), ws.get("functor", args.functor))
+    return _check(cname, rep["t_embedding"], rep["witness"], detail=rep)
+
+
+@_handles("check", "b-embedding", ("functor",))
+def _check_b_embedding(ws, args, cname):
+    from .ball import b_embedding_check
+    rep = b_embedding_check(ws.get("functor", args.functor))
+    w = rep["ff_witness"] or rep["pointing"]["witness"]
+    return _check(cname, rep["b_embedding"],
+                  None if rep["b_embedding"] else w, detail=rep)
+
+
+@_handles("check", "tensored", ("category",), plain=True)
+def _check_tensored(ws, args, cname):
+    from .ball import tensored_check
+    rep = tensored_check(ws.get("category", args.category), not args.plain)
+    detail = dict(rep, algebra=None if rep["algebra"] is None
+                  else _functor_record(rep["algebra"]))
+    return _check(cname, rep["tensored"], rep["witness"], detail=detail)
+
+
+@_handles("check", "ball-algebra", ("functor", "category"), plain=True)
 def _check_ball_algebra(ws, args, cname):
     from .ball import ball_algebra_check, ball_category
-
     f = ws.get("functor", args.functor)
     X = ws.get("category", args.category)
     BX = ball_category(X, not args.plain)
@@ -592,9 +562,20 @@ def _check_ball_algebra(ws, args, cname):
     return _check(cname, ok, None if ok else w, detail=rep)
 
 
+@_handles("check", "algebra", ("category", "spec"))
+def _check_algebra(ws, args, cname):
+    from .colimit import algebra_extract
+    rep = algebra_extract(ws.get("category", args.category),
+                          ws.get("spec", args.spec), args.budget)
+    w = ", ".join(rep["failures"]) or None
+    detail = dict(rep, algebra=None if rep["algebra"] is None
+                  else _functor_record(rep["algebra"]))
+    return _check(cname, rep["ok"], w, detail=detail)
+
+
+@_handles("check", "homomorphism", ("functor", "spec"))
 def _check_homomorphism(ws, args, cname):
     from .colimit import algebra_extract, t_homomorphism_check
-
     f = ws.get("functor", args.functor)
     spec = ws.get("spec", args.spec)
     algebras = []
@@ -608,7 +589,24 @@ def _check_homomorphism(ws, args, cname):
     return _check(cname, rep["homomorphism"], rep["strict"]["witness"], detail=rep)
 
 
-# --------------------------------------------------------- compute handlers
+@_handles("check", "l-complete", ("category",))
+def _check_l_complete(ws, args, cname):
+    from .lawvere import is_L_complete
+    return _check(cname, *is_L_complete(ws.get("category", args.category), args.budget))
+
+
+@_handles("check", "cancellative", ("quantale", "category"))
+def _check_cancellative(ws, args, cname):
+    from .ball import cancellation_report
+    q = ws.get("quantale", args.quantale)
+    cats = (ws.get("category", args.category),) if args.category else ()
+    if any(X.quantale != q for X in cats):
+        raise ValidationError(
+            f"{cats[0].name} is not enriched in {ws.alias_of(q)}")
+    rep = cancellation_report(q, cats)
+    return _check(cname, rep["cancellative"]["ok"],
+                  rep["cancellative"]["witness"], detail=rep)
+
 
 def _built(ws, cname, X, TX, unit):
     """(check, outputs, fragment) of a category TX built on X, with its
@@ -618,74 +616,82 @@ def _built(ws, cname, X, TX, unit):
             _fragment(ws, [X, TX], [unit]))
 
 
-def _run_compute(ws, args, cname):
-    con = args.construction
-    budget = args.budget
-    if con == "presheaf":
-        from .presheaf import presheaf_category, yoneda
+@_handles("compute", "presheaf", ("category",))
+def _compute_presheaf(ws, args, cname):
+    from .presheaf import presheaf_category, yoneda
+    X = ws.get("category", args.category)
+    PX = presheaf_category(X, args.budget)
+    return _built(ws, cname, X, PX, yoneda(X, PX))
 
-        X = ws.get("category", args.category)
-        PX = presheaf_category(X, budget)
-        return _built(ws, cname, X, PX, yoneda(X, PX))
-    if con == "ball":
-        from .ball import ball_category, ball_unit
 
-        X = ws.get("category", args.category)
-        BX = ball_category(X, not args.plain)
-        return _built(ws, cname, X, BX, ball_unit(X, BX))
-    if con == "submonad":
-        from .monadkit import submonad_category, submonad_monad
+@_handles("compute", "ball", ("category",), plain=True)
+def _compute_ball(ws, args, cname):
+    from .ball import ball_category, ball_unit
+    X = ws.get("category", args.category)
+    BX = ball_category(X, not args.plain)
+    return _built(ws, cname, X, BX, ball_unit(X, BX))
 
-        X = ws.get("category", args.category)
-        spec = ws.get("spec", args.spec)
-        TX = submonad_category(spec, X, budget)
-        return _built(ws, cname, X, TX, submonad_monad(spec, budget).unit(X))
-    if con == "colimit":
-        from .colimit import weighted_colimit
-        from .dist import validate_distributor
 
-        w = ws.get("relation", args.weight, "weight")
-        f = ws.get("functor", args.diagram, "diagram")
-        try:
-            validate_distributor(w)
-        except QuantcatError as e:
-            raise PreconditionFail(
-                f"weight {args.weight!r} is not a distributor: {e}")
-        try:
-            g = weighted_colimit(w, f)
-        except NoColimit as e:
-            return _check(cname, False, str(e)), {}, None
-        return _check(cname, True), {"functor": g.name}, _fragment(ws, [g.dom, g.cod], [g])
-    if con == "algebra":
-        from .colimit import algebra_extract
+@_handles("compute", "submonad", ("category", "spec"))
+def _compute_submonad(ws, args, cname):
+    from .monadkit import submonad_category, submonad_monad
+    X = ws.get("category", args.category)
+    spec = ws.get("spec", args.spec)
+    TX = submonad_category(spec, X, args.budget)
+    return _built(ws, cname, X, TX, submonad_monad(spec, args.budget).unit(X))
 
-        X = ws.get("category", args.category)
-        spec = ws.get("spec", args.spec)
-        rep = algebra_extract(X, spec, budget)
-        if not rep["ok"]:
-            w = ", ".join(rep["failures"]) or "unit laws failed"
-            return _check(cname, False, w, detail=dict(rep, algebra=None)), {}, None
-        alpha = rep["algebra"]
-        return (_check(cname, True, detail={"ambiguous": rep["ambiguous"]}),
-                {"functor": alpha.name},
-                _fragment(ws, [alpha.dom, X], [alpha]))
-    if con == "lawvere-completion":
-        from .lawvere import lawvere_completion
 
-        X = ws.get("category", args.category)
-        return _built(ws, cname, X, *lawvere_completion(X, budget))
-    if con == "cauchy-pair":
-        from .lawvere import cauchy_pair
+@_handles("compute", "colimit", ("weight", "diagram"))
+def _compute_colimit(ws, args, cname):
+    from .colimit import weighted_colimit
+    from .dist import validate_distributor
+    w = ws.get("relation", args.weight, "weight")
+    f = ws.get("functor", args.diagram, "diagram")
+    try:
+        validate_distributor(w)
+    except QuantcatError as e:
+        raise PreconditionFail(
+            f"weight {args.weight!r} is not a distributor: {e}")
+    try:
+        g = weighted_colimit(w, f)
+    except NoColimit as e:
+        return _check(cname, False, str(e)), {}, None
+    return _check(cname, True), {"functor": g.name}, _fragment(ws, [g.dom, g.cod], [g])
 
-        X, seq = ws.get("sequence", args.sequence)
-        pair, label = cauchy_pair(X, seq)
-        return (_check(cname, True, detail={"representative": label}),
-                {"representative": label,
-                 "unit": str(pair.unit),
-                 "phi": [str(row[0]) for row in pair.phi.matrix],
-                 "psi": [str(v) for v in pair.psi.matrix[0]]},
-                None)
-    raise UsageError(f"unknown construction {con!r}")
+
+@_handles("compute", "algebra", ("category", "spec"))
+def _compute_algebra(ws, args, cname):
+    from .colimit import algebra_extract
+    X = ws.get("category", args.category)
+    spec = ws.get("spec", args.spec)
+    rep = algebra_extract(X, spec, args.budget)
+    if not rep["ok"]:
+        w = ", ".join(rep["failures"]) or "unit laws failed"
+        return _check(cname, False, w, detail=dict(rep, algebra=None)), {}, None
+    alpha = rep["algebra"]
+    return (_check(cname, True, detail={"ambiguous": rep["ambiguous"]}),
+            {"functor": alpha.name},
+            _fragment(ws, [alpha.dom, X], [alpha]))
+
+
+@_handles("compute", "lawvere-completion", ("category",))
+def _compute_lawvere_completion(ws, args, cname):
+    from .lawvere import lawvere_completion
+    X = ws.get("category", args.category)
+    return _built(ws, cname, X, *lawvere_completion(X, args.budget))
+
+
+@_handles("compute", "cauchy-pair", ("sequence",))
+def _compute_cauchy_pair(ws, args, cname):
+    from .lawvere import cauchy_pair
+    X, seq = ws.get("sequence", args.sequence)
+    pair, label = cauchy_pair(X, seq)
+    return (_check(cname, True, detail={"representative": label}),
+            {"representative": label,
+             "unit": str(pair.unit),
+             "phi": [str(row[0]) for row in pair.phi.matrix],
+             "psi": [str(v) for v in pair.psi.matrix[0]]},
+            None)
 
 
 def _run_validate(ws):
@@ -724,45 +730,35 @@ def _exit_code(checks):
 
 
 def _target_tokens(args):
-    parts = [getattr(args, a) for a in _TARGETS if getattr(args, a, None)]
-    if getattr(args, "plain", False):
-        parts.append("plain")
-    return ",".join(parts)
+    parts = [getattr(args, a) for a in _TARGETS if getattr(args, a)]
+    return ",".join(parts + ["plain"] if args.plain else parts)
 
 
-def _reads_plain(args):
-    """Whether a check or compute runs a ball variant, which --plain picks."""
-    if args.command == "compute":
-        return args.construction == "ball"
-    return args.property in ("tensored", "ball-algebra") or (
-        args.property == "lax-idempotent" and args.monad == "ball")
-
-
-def _refuse_unread_flags(args):
-    """UsageError for a flag the command would ignore: --plain where it
-    runs no ball variant, or a target flag (or --monad) it does not read."""
-    if getattr(args, "plain", False) and not _reads_plain(args):
+def _refuse_unread_flags(args, what, reads, plain):
+    """UsageError for a flag that check or compute `what` would ignore:
+    --plain where it runs no ball variant (a command that reads --monad
+    runs one with --monad ball), or a target flag (or --monad) not in
+    `reads`."""
+    if args.plain and not (plain or ("monad" in reads and args.monad == "ball")):
         raise UsageError("--plain picks a ball variant, and this command runs none")
-    if args.command in ("check", "compute"):
-        checking = args.command == "check"
-        what = args.property if checking else args.construction
-        reads = (PROPERTIES if checking else CONSTRUCTIONS)[what]
-        for flag in _TARGETS + ("monad",):
-            if getattr(args, flag) is not None and flag not in reads:
-                raise UsageError(f"{args.command} {what} reads no --{flag}")
+    for flag in _TARGETS + ("monad",):
+        if getattr(args, flag) is not None and flag not in reads:
+            raise UsageError(f"{args.command} {what} reads no --{flag}")
 
 
 def run(args, argv):
     """Dispatch one parsed command; returns (report, exit_code)."""
     if args.budget < 0:
         raise UsageError(f"--budget is at least 0, not {args.budget}")
-    _refuse_unread_flags(args)
-    command = " ".join(["quantcat"] + list(argv))
-    report = {"command": command, "budget": args.budget}
+    if args.command in _VERBS:
+        _, dest, table = _VERBS[args.command]
+        what = getattr(args, dest)
+        reads, plain, handle = table[what]
+        _refuse_unread_flags(args, what, reads, plain)
+    report = {"command": " ".join(["quantcat"] + list(argv)), "budget": args.budget}
     outputs, fragment = {}, None
     if args.command == "selftest":
         from .selftest import run_selftest
-
         checks = _jsonable(run_selftest(args.budget))
     else:
         if args.workspace is None:
@@ -771,14 +767,11 @@ def run(args, argv):
         if args.command == "validate":
             checks = _run_validate(ws)
         else:
-            checking = args.command == "check"
-            cname = (f"{args.property if checking else args.construction}"
-                     f"[{_target_tokens(args)}]")
+            cname = f"{what}[{_target_tokens(args)}]"
             try:
-                if checking:
-                    check = _run_check(ws, args, cname)
-                else:
-                    check, outputs, fragment = _run_compute(ws, args, cname)
+                check = handle(ws, args, cname)
+                if args.command == "compute":
+                    check, outputs, fragment = check
             except BudgetExceeded as e:
                 check = _unchecked(cname, str(e))
             checks = [check]
@@ -813,14 +806,11 @@ def _parser():
         sp.add_argument("--monad", choices=("presheaf", "ball"))
 
     common(sub.add_parser("validate", help="build and check every record"))
-    sp = sub.add_parser("check", help="decide one property")
-    sp.add_argument("property", choices=PROPERTIES)
-    common(sp)
-    targets(sp)
-    sp = sub.add_parser("compute", help="emit one construction")
-    sp.add_argument("construction", choices=CONSTRUCTIONS)
-    common(sp)
-    targets(sp)
+    for verb, (about, dest, table) in _VERBS.items():
+        sp = sub.add_parser(verb, help=about)
+        sp.add_argument(dest, choices=table)
+        common(sp)
+        targets(sp)
     sp = sub.add_parser("complete", help="alias for compute lawvere-completion")
     sp.add_argument("what", choices=("lawvere",))
     common(sp)

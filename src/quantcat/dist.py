@@ -8,7 +8,8 @@ Companions f_* and f^* of a functor, adjoint pairs, and the right
 extension [φ,ψ](y,z) = ⋀_x hom(φ(x,y), ψ(x,z)) live here too.  A
 composite, a right extension and the order test `first_violation` are
 each one call of the matrix kernel `Quantale.coded` (`sup_tensor`,
-`inf_hom`, `escape`).
+`inf_hom`, `escape`); `validate_distributor` composes nothing, as it
+tests each term a(x,z) ⊗ φ(z,y) ≤ φ(x,y) alone (`escapes`).
 """
 
 from __future__ import annotations
@@ -22,14 +23,10 @@ from .vcat import DEFAULT_BUDGET, VCategory, VFunctor, VRelation, unit_category
 
 def first_violation(r: VRelation, s: VRelation):
     """First (x,y) where r(x,y) ≰ s(x,y), or None."""
-    _same_shape(r, s)
-    w = r.dom.quantale.coded(r.matrix, s.matrix).escape(0, 1)
-    return None if w is None else (r.dom.objects[w[0]], r.cod.objects[w[1]])
-
-
-def _same_shape(r, s):
     if not (r.dom.same_shape(s.dom) and r.cod.same_shape(s.cod)):
         raise ShapeMismatch("relations are not parallel")
+    w = r.dom.quantale.coded(r.matrix, s.matrix).escape(0, 1)
+    return None if w is None else (r.dom.objects[w[0]], r.cod.objects[w[1]])
 
 
 def compose(s: VRelation, r: VRelation) -> VRelation:
@@ -52,18 +49,24 @@ def identity_distributor(X: VCategory) -> VRelation:
 
 
 def validate_distributor(r: VRelation) -> VRelation:
-    """Accept iff r absorbs both hom actions; witnesses the first escape."""
+    """Accept iff r absorbs both hom actions, φ·a ≤ φ and b·φ ≤ φ, each
+    tested term by term on the one coded family (a, φ, b); witnesses the
+    first escape, row-major, with the one composite entry it prints."""
     X, Y = r.dom, r.cod
-    ra = compose(r, identity_distributor(X))  # r·a
-    w = first_violation(ra, r)
-    if w is not None:
-        raise RightActionFail(
-            f"domain action escapes at {w}: (φ·a){w} = {ra.at(*w)} ≰ φ{w} = {r.at(*w)}")
-    br = compose(identity_distributor(Y), r)  # b·r
-    w = first_violation(br, r)
-    if w is not None:
-        raise LeftActionFail(
-            f"codomain action escapes at {w}: (b·φ){w} = {br.at(*w)} ≰ φ{w} = {r.at(*w)}")
+    family = (X.hom, r.matrix, Y.hom)
+    coded = X.quantale.coded(*family)
+    for p, q, fail, side, name in ((0, 1, RightActionFail, "domain", "φ·a"),
+                                   (1, 2, LeftActionFail, "codomain", "b·φ")):
+        escapes = coded.escapes(p, q, 1)
+        first = next(escapes, None)
+        if first is not None:
+            x = first[0]  # a later z of row x may escape at an earlier y
+            y = min(e[2] for e in itertools.takewhile(lambda e: e[0] == x,
+                                                      itertools.chain((first,), escapes)))
+            entry = X.quantale.coded((family[p][x],), (tuple(row[y] for row in family[q]),))
+            w = (X.objects[x], Y.objects[y])
+            raise fail(f"{side} action escapes at {w}: ({name}){w} = "
+                       f"{entry.sup_tensor(0, 1)[0][0]} ≰ φ{w} = {r.at(*w)}")
     return r
 
 

@@ -13,8 +13,6 @@ suite, which also keeps the search over every distributor as an oracle.
 
 from .dist import column, point_column, point_row
 from .errors import BudgetExceeded, PreconditionFail
-from .presheaf import (candidate_count, extension_rows, full_subcategory, member_functor,
-                       presheaves, representables)
 from .quantale import Record
 from .vcat import DEFAULT_BUDGET, CauchySequenceSpec, VCategory, VRelation, unit_category
 
@@ -35,6 +33,7 @@ def enumerate_L(X: VCategory, budget: int = DEFAULT_BUDGET):
     adjoint) pairs, the candidates of a search over every distributor,
     are checked before any presheaf is built.
     """
+    from .presheaf import candidate_count, extension_rows, full_subcategory, presheaves
     count = candidate_count(X, budget)
     if not X.objects:
         # no ψ certifies the empty presheaf: k ≰ ⋁∅ = ⊥, over any V
@@ -60,6 +59,7 @@ def enumerate_L(X: VCategory, budget: int = DEFAULT_BUDGET):
 
 def is_L_complete(X: VCategory, budget: int = DEFAULT_BUDGET):
     """Every right-adjoint presheaf equals x^* for some x; else a witness."""
+    from .presheaf import representables
     LX, _ = enumerate_L(X, budget)
     columns = set(representables(X))
     for i, vals in enumerate(LX.presheaves):
@@ -70,6 +70,7 @@ def is_L_complete(X: VCategory, budget: int = DEFAULT_BUDGET):
 
 def lawvere_completion(X: VCategory, budget: int = DEFAULT_BUDGET):
     """(LX, unit x ↦ x^*); the unit is an embedding, LX is complete."""
+    from .presheaf import member_functor, representables
     LX, _ = enumerate_L(X, budget)
     # fully faithful by Yoneda, as LX's hom is ã; L-complete because the
     # Cauchy completion is idempotent, L(LX) = LX (Lawvere 1973).

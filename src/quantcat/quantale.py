@@ -505,8 +505,9 @@ class Coded:
     chosen so that the order and the tensor are integer arithmetic or
     table lookups.  Each kind gives two row tests, `_rows_leq` (every
     entry of one row below the paired entry of another) and
-    `_row_transitive` (p ⊗ qₘ ≤ rₘ for every m), and the join of a row of
-    tensors, `_join_tensor`, or meet of homs, `_meet_hom`, read by `_decode`.
+    `_row_transitive` (p ⊗ qₘ ≤ rₘ for every m, so empty rows pass: the
+    row of a relation into ∅), and the join of a row of tensors,
+    `_join_tensor`, or meet of homs, `_meet_hom`, read by `_decode`.
     Each runs at C speed, as `map` over `operator` functions.  Only a row
     known to fail is then scanned entry by entry, with the same test on
     one-entry slices, so every witness is the first one in scan order.
@@ -531,16 +532,19 @@ class Coded:
                                if not self._rows_leq(ra[y:y + 1], rb[y:y + 1]))
         return None
 
-    def transitivity_escape(self, a):
-        """The first (i, j, m) in index order with a[i][j] ⊗ a[j][m] ≰
-        a[i][m], the (T) law of a hom matrix; else None."""
-        A = self.codes[a]
-        for i, row_i in enumerate(A):
-            for j, p in enumerate(row_i):
-                if not self._row_transitive(p, A[j], row_i):
-                    return i, j, next(m for m in range(len(row_i)) if not
-                                      self._row_transitive(p, A[j][m:m + 1], row_i[m:m + 1]))
-        return None
+    def escapes(self, p, q, r):
+        """Each (x, z, y) in index order, y the first for its (x, z), with
+        p[x][z] ⊗ q[z][y] ≰ r[x][y].  A join is below r[x][y] iff each of
+        its terms is, so none escapes exactly when the composite
+        ⋁_z p[x][z] ⊗ q[z][y] ≤ r[x][y] everywhere: the test needs no
+        composite.  With p = q = r = a it is the (T) law of a hom matrix a.
+        Each (x, z) is one row test."""
+        P, Q, R = self.codes[p], self.codes[q], self.codes[r]
+        for x, (row_p, row_r) in enumerate(zip(P, R)):
+            for z, c in enumerate(row_p):
+                if not self._row_transitive(c, Q[z], row_r):
+                    yield x, z, next(y for y in range(len(row_r)) if not
+                                     self._row_transitive(c, Q[z][y:y + 1], row_r[y:y + 1]))
 
     def sup_tensor(self, a, b):
         """The matrix of ⋁ᵧ a[x][y] ⊗ b[z][y] over the rows x of a and z of
@@ -643,7 +647,7 @@ class _ExtRealCoded(_RationalCoded):
         return not any(map(lt, ra, rb))
 
     def _row_transitive(self, p, row_q, row_r):
-        return max(map(sub, row_r, row_q)) <= p
+        return max(map(sub, row_r, row_q), default=0) <= p
 
     def _join_tensor(self, ra, rb):
         return min(map(add, ra, rb), default=self.S)
@@ -680,7 +684,7 @@ class _LukasiewiczCoded(_RationalCoded):
     """[0,1] under max(p + q − 1, 0): p ⊗ q ≤ r is p + q − D ≤ r."""
 
     def _row_transitive(self, p, row_q, row_r):
-        return max(map(sub, row_q, row_r)) <= self.D - p
+        return max(map(sub, row_q, row_r), default=0) <= self.D - p
 
     def _join_tensor(self, ra, rb):
         return max(max(map(add, ra, rb), default=0) - self.D, 0)

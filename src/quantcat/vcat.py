@@ -87,7 +87,7 @@ def validate_category(name, quantale, objects, hom) -> VCategory:
         if not quantale.leq(k, matrix[i][i]):
             raise ReflexivityFail(
                 f"k ≰ a({objects[i]},{objects[i]}) = {matrix[i][i]} in {name}")
-    w = quantale.coded(matrix).transitivity_escape(0)
+    w = next(quantale.coded(matrix).escapes(0, 0, 0), None)
     if w is not None:
         i, j, m = w
         raise TransitivityFail(

@@ -10,10 +10,10 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quantcat import cli
+from quantcat import cli, monadkit
 from quantcat.errors import InternalError, ParseError, UnresolvedReference
 from quantcat.presheaf import presheaf_category
 from quantcat.vcat import validate_category
@@ -248,6 +248,14 @@ WRONG_TYPES = {
     "n-bool": {"quantales": [{"name": "G", "kind": "goedel_chain", "n": True}]},
     "reference-not-a-name": {"quantales": [_B],
                              "categories": [dict(_CAT, quantale=["B"])]},
+    "hom-entry-bool": {"quantales": [_B], "categories": [dict(_CAT, hom=[[True, 1], [0, 1]])]},
+    "objects-string": {"quantales": [_B], "categories": [dict(_CAT, objects="pq")]},
+    "stable-from-string": {"quantales": [_B], "categories": [_CAT], "sequences": [
+        {"name": "s", "category": "C", "points": ["p", "q"], "stable_from": "1"}]},
+    "stable-from-bool": {"quantales": [_B], "categories": [_CAT], "sequences": [
+        {"name": "s", "category": "C", "points": ["p", "q"], "stable_from": True}]},
+    "name-not-a-string": {"quantales": [dict(_B, name=5)]},
+    "name-empty": {"quantales": [dict(_B, name="")]},
 }
 
 
@@ -317,10 +325,11 @@ _KINDS = [{"kind": "boolean2"}, {"kind": "goedel_chain", "n": 2},
 @given(st.sampled_from(_KINDS), st.integers(1, 3).flatmap(
     lambda n: st.lists(st.lists(_VALUE, min_size=n, max_size=n),
                        min_size=n, max_size=n)))
+@example(_KINDS[0], [[1, 1]])  # one row for two objects
 def test_record_values_never_escape_the_exit_codes(kind, hom):
     doc = {"quantales": [dict(kind, name="Q")],
            "categories": [{"name": "M", "quantale": "Q",
-                           "objects": ["a", "b", "c"][:len(hom)], "hom": hom}]}
+                           "objects": ["a", "b", "c"][:len(hom[0])], "hom": hom}]}
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "doc.json")
         Path(path).write_text(json.dumps(doc))
@@ -404,6 +413,29 @@ def test_check_needs_its_target(ws_path, capsys):
         ["check", "separated", "--workspace", ws_path], capsys)
     assert code == 2
     assert "--category" in err
+
+
+@pytest.mark.parametrize("kind, hom", [("boolean2", [[1, 1], [0, 1]]),
+                                       ("ext_real_plus", [[0, 1], [2, 0]])])
+def test_distributors_to_and_from_the_empty_category(tmp_path, capsys, kind, hom):
+    doc = {"quantales": [{"name": "Q", "kind": kind}],
+           "categories": [{"name": "X", "quantale": "Q", "objects": ["a", "b"], "hom": hom},
+                          {"name": "E0", "quantale": "Q", "objects": [], "hom": []}],
+           "relations": [{"name": "to", "dom": "X", "cod": "E0", "matrix": [[], []]},
+                         {"name": "from", "dom": "E0", "cod": "X", "matrix": []}]}
+    path = write(tmp_path, doc)
+    for relation in ("to", "from"):
+        code, out, err = run(["check", "distributor", "--relation", relation,
+                              "--workspace", path], capsys)
+        assert (code, err) == (0, "") and f"PASS      distributor[{relation}]" in out
+
+
+def test_a_functor_maps_exactly_the_objects(tmp_path, capsys):
+    extra = {"name": "f", "dom": "C", "cod": "C", "mapping": {"p": "p", "q": "q", "r": "q"}}
+    doc = {"quantales": [_B], "categories": [_CAT], "functors": [extra]}
+    code, out, _ = run(["validate", "--workspace", write(tmp_path, doc)], capsys)
+    assert code == 1
+    assert "mapping keys must be exactly the objects of C" in out
 
 
 def test_distributor_fail_carries_witness(ws_path, capsys):
@@ -597,12 +629,34 @@ def test_ball_algebra_over_emitted_category(ws_path, tmp_path, capsys):
     assert code == 1 and "witness=q" in out
 
 
-def test_ball_algebra_rejects_foreign_domain(ws_path, capsys):
+def test_ball_algebra_rejects_foreign_domain(ws_path, tmp_path, capsys):
     code, _, err = run(
         ["check", "ball-algebra", "--functor", "idc", "--category", "C2",
          "--workspace", ws_path], capsys)
     assert code == 2
     assert "ball category" in err
+    # the objects of Bb(C2) under another hom are not Bb(C2) either
+    objects = ["(p,0)", "(p,1)", "(q,0)", "(q,1)"]
+    flat = {"name": "Flat", "quantale": "B", "objects": objects,
+            "hom": [[int(i == j) for j in range(4)] for i in range(4)]}
+    act = {"name": "act", "dom": "Flat", "cod": "C2", "mapping": {o: o[1] for o in objects}}
+    doc = dict(BASIC, categories=BASIC["categories"] + [flat],
+               functors=BASIC["functors"] + [act])
+    code, _, err = run(
+        ["check", "ball-algebra", "--functor", "act", "--category", "C2",
+         "--workspace", write(tmp_path, doc)], capsys)
+    assert code == 2
+    assert "Flat is not the extended ball category of C2" in err
+
+
+@pytest.mark.parametrize("lax, agree", [(True, False), (False, True)])
+def test_lax_idempotent_needs_both_routes(ws_path, capsys, monkeypatch, lax, agree):
+    real = monadkit.lax_idempotency_report
+    monkeypatch.setattr(monadkit, "lax_idempotency_report", lambda *a: dict(
+        real(*a), lax_idempotent=lax, routes_agree=agree))
+    code, out, _ = run(["check", "lax-idempotent", "--category", "C2",
+                        "--workspace", ws_path], capsys)
+    assert code == 1 and "FAIL      lax-idempotent[C2]" in out
 
 
 def test_colimit_success_and_failure(ws_path, tmp_path, capsys):
@@ -708,7 +762,7 @@ def _too_long(X):
     # a record build that fails internally is not stored as a bad record
     ("quantcat.cli.validate_category", _fail, ["validate"]),
     # the completion's unit looks its images up in LX
-    ("quantcat.lawvere.representables", _too_long,
+    ("quantcat.presheaf.representables", _too_long,
      ["complete", "lawvere", "--category", "S"]),
 ], ids=["yoneda", "colimit", "parse", "completion-unit"])
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -1246,6 +1300,12 @@ def test_check_distributor_loads_only_dist(tmp_path, relation):
     doc = {k: v for k, v in BASIC.items() if k not in ("squares", "submonad_specs")}
     assert loaded_after(CLI_MAIN, "check", "distributor", "--relation", relation,
                         "--workspace", write(tmp_path, doc)) == (PARSE_LAYERS | {"dist"}, set())
+
+
+def test_compute_cauchy_pair_loads_no_presheaf(tmp_path):
+    doc = {k: v for k, v in BASIC.items() if k not in ("squares", "submonad_specs")}
+    assert loaded_after(CLI_MAIN, "compute", "cauchy-pair", "--sequence", "s", "--workspace",
+                        write(tmp_path, doc)) == (PARSE_LAYERS | {"dist", "lawvere"}, set())
 
 
 def test_module_entry_point(ws_path):

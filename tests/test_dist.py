@@ -33,6 +33,7 @@ from quantcat.vcat import (
     is_fully_faithful,
     relation,
     unit_category,
+    validate_category,
     validate_functor,
 )
 
@@ -53,6 +54,7 @@ from .helpers import (
     point,
 )
 from .test_presheaf import FINITE, PROPERTY, finite_categories
+from .test_quantale import CODED, CODED_QUANTALES, _below, _closure, _matrix
 
 EXT = builtin("ext_real_plus")
 GO3 = builtin("goedel_chain", 3)
@@ -154,6 +156,13 @@ def test_domain_action_escape_witness():
     with pytest.raises(RightActionFail) as ei:
         validate_distributor(phi)
     assert "('x', '*')" in str(ei.value)
+    # in row w, the term through u escapes at column 1 and the later term
+    # through v at column 0: the witness is the first column
+    V = cat("V", BOOL, ["u", "v", "w"], [[1, 0, 0], [0, 1, 0], [1, 1, 1]])
+    phi = rel(V, bool_discrete(2), [[0, 1], [1, 0], [0, 0]])
+    with pytest.raises(RightActionFail) as ei:
+        validate_distributor(phi)
+    assert str(ei.value).startswith("domain action escapes at ('w', 'd0'): (φ·a)('w', 'd0') = 1")
 
 
 def test_codomain_action_escape_witness():
@@ -162,6 +171,47 @@ def test_codomain_action_escape_witness():
     with pytest.raises(LeftActionFail) as ei:
         validate_distributor(psi)
     assert "('*', 'y')" in str(ei.value)
+
+
+def _action_escape_by_composites(r):
+    """(error type, message) of the first escape of φ·a or b·φ from φ,
+    read off the composites; else None."""
+    for side, name, fail, composite in (
+            ("domain", "φ·a", RightActionFail, compose(r, identity_distributor(r.dom))),
+            ("codomain", "b·φ", LeftActionFail, compose(identity_distributor(r.cod), r))):
+        w = first_violation(composite, r)
+        if w is not None:
+            return fail, (f"{side} action escapes at {w}: ({name}){w} = "
+                          f"{composite.at(*w)} ≰ φ{w} = {r.at(*w)}")
+    return None
+
+
+@CODED
+@given(st.sampled_from(CODED_QUANTALES), st.integers(0, 3), st.integers(0, 3), st.data())
+def test_action_escapes_are_those_of_the_composites(q, n, m, data):
+    # every kind, empty categories on either side included
+    X = validate_category("X", q, [f"x{i}" for i in range(n)],
+                          _closure(q, data.draw(_matrix(q, n, n))))
+    Y = validate_category("Y", q, [f"y{j}" for j in range(m)],
+                          _closure(q, data.draw(_matrix(q, m, m))))
+    phi = relation(X, Y, data.draw(_matrix(q, n, m)))
+    if data.draw(st.booleans()):
+        # b·φ·a is a distributor; lowering entries plants escapes
+        phi = compose(identity_distributor(Y), compose(phi, identity_distributor(X)))
+        rows = [list(row) for row in phi.matrix]
+        for x, y in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)),
+                                       max_size=2) if n and m else st.just([])):
+            low = _below(q, data, rows[x][y])
+            if low is not None:
+                rows[x][y] = low
+        phi = relation(X, Y, rows)
+    want = _action_escape_by_composites(phi)
+    if want is None:
+        assert validate_distributor(phi) is phi
+    else:
+        with pytest.raises(want[0]) as ei:
+            validate_distributor(phi)
+        assert str(ei.value) == want[1]
 
 
 def test_functor_criterion_agrees_with_action_validation():

@@ -512,9 +512,9 @@ def _closure(q, a):
 @given(st.sampled_from(CODED_QUANTALES), st.integers(0, 5), st.data())
 def test_coded_transitivity_is_the_first_per_element_failure(q, n, data):
     a = data.draw(_matrix(q, n, n))
-    assert q.coded(a).transitivity_escape(0) == _first_intransitive(q, a)
+    assert next(q.coded(a).escapes(0, 0, 0), None) == _first_intransitive(q, a)
     hom = _closure(q, a)
-    assert q.coded(hom).transitivity_escape(0) is None
+    assert next(q.coded(hom).escapes(0, 0, 0), None) is None
     assert _first_intransitive(q, hom) is None
     # lower planted entries of a transitive matrix: the witness is the
     # first failing triple in (i, j, m) order
@@ -523,7 +523,7 @@ def test_coded_transitivity_is_the_first_per_element_failure(q, n, data):
         low = _below(q, data, hom[i][m])
         if low is not None:
             hom[i][m] = low
-    assert q.coded(hom).transitivity_escape(0) == _first_intransitive(q, hom)
+    assert next(q.coded(hom).escapes(0, 0, 0), None) == _first_intransitive(q, hom)
 
 
 @CODED
@@ -580,7 +580,7 @@ def test_a_sum_of_finite_codes_never_reaches_inf():
     big, zero, inf = q.elem(F(7, 3)), q.elem(F(0)), q.elem(INF)
     # (big + big) < inf: the sentinel must sit above twice the largest code
     hom = [[zero, big, inf], [inf, zero, big], [inf, inf, zero]]
-    assert q.coded(hom).transitivity_escape(0) == (0, 1, 2)
+    assert next(q.coded(hom).escapes(0, 0, 0), None) == (0, 1, 2)
     assert q.coded([[big]], [[big]]).sup_tensor(0, 1) == ((q.elem(F(14, 3)),),)
     assert q.coded([[inf, big]], [[zero, inf]]).sup_tensor(0, 1) == ((inf,),)
 
@@ -589,7 +589,7 @@ def test_a_sum_of_finite_codes_never_reaches_inf():
 def test_coded_accepts_hand_built_and_rejects_foreign_elements(q):
     bare = QElem(q.key, q.unit.value)
     assert q.coded([[bare]], [[q.unit]]).escape(0, 1) is None
-    assert q.coded([[bare]]).transitivity_escape(0) is None
+    assert next(q.coded([[bare]]).escapes(0, 0, 0), None) is None
     assert q.coded([[bare]], [[bare]]).sup_tensor(0, 1) == ((q.unit,),)
     for m in ([[FOREIGN]], [[q.unit, FOREIGN]]):
         with pytest.raises(ForeignElement):
