@@ -562,12 +562,24 @@ def _check_ball_algebra(ws, args, cname):
     return _check(cname, ok, None if ok else w, detail=rep)
 
 
+def _algebra(ws, args):
+    """X, `algebra_extract`'s report on X for the spec's monad, and the
+    witness of a fail: the members nothing represents, else the first x
+    with α(η x) ≠ x."""
+    from .colimit import algebra_extract
+    from .monadkit import submonad_monad
+    X = ws.get("category", args.category)
+    T = submonad_monad(ws.get("spec", args.spec), args.budget)
+    rep = algebra_extract(X, T)
+    if rep["ok"] or rep["failures"]:
+        return X, rep, ", ".join(rep["failures"]) or None
+    alpha, eta = rep["algebra"], T.unit(X)
+    return X, rep, next(x for i, x in enumerate(X.objects) if alpha(eta(i)) != i)
+
+
 @_handles("check", "algebra", ("category", "spec"))
 def _check_algebra(ws, args, cname):
-    from .colimit import algebra_extract
-    rep = algebra_extract(ws.get("category", args.category),
-                          ws.get("spec", args.spec), args.budget)
-    w = ", ".join(rep["failures"]) or None
+    _, rep, w = _algebra(ws, args)
     detail = dict(rep, algebra=None if rep["algebra"] is None
                   else _functor_record(rep["algebra"]))
     return _check(cname, rep["ok"], w, detail=detail)
@@ -576,16 +588,17 @@ def _check_algebra(ws, args, cname):
 @_handles("check", "homomorphism", ("functor", "spec"))
 def _check_homomorphism(ws, args, cname):
     from .colimit import algebra_extract, t_homomorphism_check
+    from .monadkit import submonad_monad
     f = ws.get("functor", args.functor)
-    spec = ws.get("spec", args.spec)
+    T = submonad_monad(ws.get("spec", args.spec), args.budget)
     algebras = []
     for X in (f.dom, f.cod):
-        rep = algebra_extract(X, spec, args.budget)
+        rep = algebra_extract(X, T)
         if not rep["ok"]:
             raise PreconditionFail(
-                f"{X.name} does not carry a {spec.name} algebra")
+                f"{X.name} does not carry a {T.name} algebra")
         algebras.append(rep["algebra"])
-    rep = t_homomorphism_check(f, spec, *algebras, budget=args.budget)
+    rep = t_homomorphism_check(f, T, *algebras)
     return _check(cname, rep["homomorphism"], rep["strict"]["witness"], detail=rep)
 
 
@@ -634,11 +647,10 @@ def _compute_ball(ws, args, cname):
 
 @_handles("compute", "submonad", ("category", "spec"))
 def _compute_submonad(ws, args, cname):
-    from .monadkit import submonad_category, submonad_monad
+    from .monadkit import submonad_monad
     X = ws.get("category", args.category)
-    spec = ws.get("spec", args.spec)
-    TX = submonad_category(spec, X, args.budget)
-    return _built(ws, cname, X, TX, submonad_monad(spec, args.budget).unit(X))
+    T = submonad_monad(ws.get("spec", args.spec), args.budget)
+    return _built(ws, cname, X, T.apply(X), T.unit(X))
 
 
 @_handles("compute", "colimit", ("weight", "diagram"))
@@ -661,12 +673,8 @@ def _compute_colimit(ws, args, cname):
 
 @_handles("compute", "algebra", ("category", "spec"))
 def _compute_algebra(ws, args, cname):
-    from .colimit import algebra_extract
-    X = ws.get("category", args.category)
-    spec = ws.get("spec", args.spec)
-    rep = algebra_extract(X, spec, args.budget)
+    X, rep, w = _algebra(ws, args)
     if not rep["ok"]:
-        w = ", ".join(rep["failures"]) or "unit laws failed"
         return _check(cname, False, w, detail=dict(rep, algebra=None)), {}, None
     alpha = rep["algebra"]
     return (_check(cname, True, detail={"ambiguous": rep["ambiguous"]}),

@@ -36,12 +36,9 @@ from .presheaf import (
     map_values,
     member_functor,
     mult_values,
-    multiplication,
     presheaf_category,
     presheaf_label,
-    presheaf_map,
     representables,
-    yoneda,
 )
 from .quantale import Record, show_value
 from .vcat import (
@@ -96,19 +93,6 @@ class MonadInstance(Record):
     is TTX → TX."""
 
     _fields = ("name", "apply", "map", "unit", "mult")
-
-
-def presheaf_monad(budget: int = DEFAULT_BUDGET) -> MonadInstance:
-    def apply(X):
-        return presheaf_category(X, budget)
-
-    return MonadInstance(
-        name="presheaf",
-        apply=apply,
-        map=lambda f: presheaf_map(f, apply(f.dom), apply(f.cod)),
-        unit=lambda X: yoneda(X, apply(X)),
-        mult=lambda X: multiplication(X, budget=budget),
-    )
 
 
 def lax_idempotency_report(T: MonadInstance, X: VCategory) -> dict:
@@ -210,6 +194,11 @@ def submonad_category(spec: SubmonadSpec, X: VCategory,
 
 
 def submonad_monad(spec: SubmonadSpec, budget: int = DEFAULT_BUDGET) -> MonadInstance:
+    """T for the class of `spec`.  Each TX is built once per instance, on
+    first use, and shared by the unit, map and multiplication and by
+    every caller that holds the monad; the memo goes with the instance."""
+
+    @cache
     def apply(X):
         return submonad_category(spec, X, budget)
 
@@ -239,6 +228,13 @@ def submonad_monad(spec: SubmonadSpec, budget: int = DEFAULT_BUDGET) -> MonadIns
                 f"lands at {presheaf_label(out)}, outside {TX.name}"))
 
     return MonadInstance(spec.name, apply, map_, unit, mult)
+
+
+def presheaf_monad(budget: int = DEFAULT_BUDGET) -> MonadInstance:
+    """P, the submonad of every presheaf: its categories are P(X), its
+    unit is the Yoneda embedding and its multiplication m_X."""
+    P = submonad_monad(SubmonadSpec("P", member=lambda X, values: True), budget)
+    return MonadInstance("presheaf", P.apply, P.map, P.unit, P.mult)
 
 
 # --------------------------------------------------------------- admissibility
@@ -345,12 +341,13 @@ def admissible_class_check(spec: SubmonadSpec, categories, functors,
 
 
 def t_embedding_check(spec: SubmonadSpec, h: VFunctor) -> dict:
-    """Fully faithful and the companion h_* belongs to the class."""
+    """Fully faithful and the companion h_* belongs to the class.  The
+    witness is the first pair full faithfulness fails at, else `h_*`."""
     ff, ff_w = is_fully_faithful(h)
     member = phi_membership(spec, star_lower(h))
     return {"functor": h.name, "fully_faithful": ff,
             "companion_member": member, "t_embedding": ff and member,
-            "witness": None if ff else str(ff_w)}
+            "witness": str(ff_w) if not ff else None if member else f"{h.name}_*"}
 
 
 # ------------------------------------------------------------ monad morphisms
@@ -375,9 +372,10 @@ def monad_morphism_check(T: MonadInstance, X: VCategory, f: VFunctor = None,
     q = X.quantale
     TX = T.apply(X)
     TTX = T.apply(TX)
-    PX = presheaf_category(X, budget)
+    P = presheaf_monad(budget)
+    PX = P.apply(X)
     sigma = canonical_comparison(T, X, budget)
-    y = yoneda(X, PX)
+    y = P.unit(X)
     eta = T.unit(X)
     mu = T.mult(X)
     n, nt = len(X.objects), len(TX.objects)
@@ -399,8 +397,7 @@ def monad_morphism_check(T: MonadInstance, X: VCategory, f: VFunctor = None,
 
     nat_report = None
     if f is not None:
-        pf = presheaf_map(f, presheaf_category(f.dom, budget),
-                          presheaf_category(f.cod, budget))
+        pf = P.map(f)
         tf = T.map(f)
         sigma_y = canonical_comparison(T, f.cod, budget)
         sig_dom = canonical_comparison(T, f.dom, budget)

@@ -133,11 +133,6 @@ def yoneda(X: VCategory, PX: PresheafCategory) -> VFunctor:
     return member_functor(f"y_{X.name}", X, PX, representables(X))
 
 
-def presheaf_map(f: VFunctor, PX: PresheafCategory, PY: PresheafCategory) -> VFunctor:
-    """Pf: PX → PY, φ ↦ φ·f^*, i.e. y ↦ ⋁_x Y(y, f x) ⊗ φ(x)."""
-    return member_functor(f"P({f.name})", PX, PY, map_values(f, PX.presheaves))
-
-
 def map_values(f: VFunctor, phis) -> tuple:
     """(Pf φ)(y) = ⋁_x φ(x) ⊗ Y(y, f x), one value tuple over f.cod for
     each φ of the family `phis` (value tuples over f.dom)."""

@@ -45,6 +45,7 @@ from .monadkit import (
     square,
     submonad_all,
     submonad_category,
+    submonad_monad,
     submonad_right_adjoints,
     t_embedding_check,
 )
@@ -558,9 +559,10 @@ def criterion_10(budget):
     agreements = 0
     algebra_names = {spec.name: set() for spec in specs}
     for spec in specs:
+        T = submonad_monad(spec, budget)
         for X in bool_cats + luk_cats:
-            a = algebra_extract(X, spec, budget)
-            m = min_characterization(X, spec, budget)
+            a = algebra_extract(X, T)
+            m = min_characterization(X, T)
             # cocomplete (every weight represented) iff α is an algebra
             if not (a["ok"] == (not a["failures"]) == m["ok"]):
                 return f"{spec.name} on {X.name}: verdicts split"
@@ -662,13 +664,13 @@ def criterion_11(budget):
 def criterion_12(budget):
     """Between extracted algebras the lax inequality never fails and the
     two strictness routes agree; curated maps classify correctly."""
-    spec = submonad_all()
+    T = submonad_monad(submonad_all(), budget)
     chain2 = _chain_cat(BOOL, 2, "chain2")
     chain3 = _chain_cat(BOOL, 3, "chain3")
     lat4 = _lat4()
     homv = hom_self_category(BOOL)
     carriers = [chain2, chain3, lat4, homv]
-    algs = {id(X): algebra_extract(X, spec, budget)["algebra"]
+    algs = {id(X): algebra_extract(X, T)["algebra"]
             for X in carriers}
     if any(a is None for a in algs.values()):
         return "carrier failed to extract"
@@ -677,7 +679,7 @@ def criterion_12(budget):
         return f"only {len(fam)} functors"
     for f in fam:
         # a lax failure raises InternalError
-        if not t_homomorphism_check(f, spec, algs[id(f.dom)], algs[id(f.cod)], budget)["agree"]:
+        if not t_homomorphism_check(f, T, algs[id(f.dom)], algs[id(f.cod)])["agree"]:
             return f.name
     curated = {}
     expect = {}
@@ -692,13 +694,13 @@ def criterion_12(budget):
         expect[tag] = want
     strictness = {}
     for tag, f in curated.items():
-        rep = t_homomorphism_check(f, spec, algs[id(f.dom)], algs[id(f.cod)], budget)
+        rep = t_homomorphism_check(f, T, algs[id(f.dom)], algs[id(f.cod)])
         strictness[tag] = rep["strict"]["ok"]
         if rep["strict"]["ok"] is not expect[tag]:
             return f"{tag}: strict={rep['strict']['ok']}"
     if strictness["crush"] is False:
-        rep = t_homomorphism_check(curated["crush"], spec, algs[id(lat4)],
-                                   algs[id(chain2)], budget)
+        rep = t_homomorphism_check(curated["crush"], T, algs[id(lat4)],
+                                   algs[id(chain2)])
         if rep["strict"]["witness"] != "[1,1,1,0]":
             return f"crush witness moved: {rep['strict']['witness']}"
     return dict(functors=len(fam), strictness=strictness)

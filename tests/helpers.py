@@ -132,6 +132,19 @@ def meet_hom(q, us, vs):
     return q.meet(map(q.hom, us, vs))
 
 
+def condition2_by_loop(X, TX, points):
+    """The first (x, φ, ρ) in product order with X(x,x_φ) ⊗ TX(φ,ρ) ≰
+    X(x,x_ρ), as labels, or None; `points` holds the index of x_φ per
+    member φ of TX.  An oracle for condition (2) of
+    `colimit.min_characterization`, which reads it off `Coded.escapes`."""
+    q = X.quantale
+    m = len(TX.presheaves)
+    for x, i, j in itertools.product(range(len(X.objects)), range(m), range(m)):
+        if not q.leq(q.tensor(X.hom[x][points[i]], TX.hom[i][j]), X.hom[x][points[j]]):
+            return (X.objects[x], TX.objects[i], TX.objects[j])
+    return None
+
+
 def presheaves_by_filter(X):
     """Every presheaf on X by testing each candidate of the carrier
     product in order: an oracle for the depth-first `presheaf.presheaves`."""

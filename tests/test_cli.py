@@ -408,6 +408,28 @@ def test_check_pass_and_fail_exit_codes(ws_path, capsys):
     assert "FAIL" in out and "witness=" in out
 
 
+_WITNESSES = {"quantales": [_B],
+              "categories": [{"name": "I", "quantale": "B", "objects": ["p", "q"],
+                              "hom": [[1, 1], [1, 1]]},
+                             {"name": "X", "quantale": "B", "objects": ["x"], "hom": [[1]]}],
+              "functors": [{"name": "h", "dom": "X", "cod": "X", "mapping": {"x": "x"}}],
+              "submonad_specs": [{"name": "all", "kind": "all"},
+                                 {"name": "tbl", "kind": "table", "members": {"X": []}}]}
+
+
+@pytest.mark.parametrize("argv, line", [
+    # p ≅ q, so α takes both weights η p and η q to p: the section law fails at q
+    (["check", "algebra", "--category", "I", "--spec", "all"], "FAIL      algebra[I,all]  witness=q"),
+    (["compute", "algebra", "--category", "I", "--spec", "all"], "FAIL      algebra[I,all]  witness=q"),
+    # h is fully faithful, but its companion is not in the empty table
+    (["check", "t-embedding", "--functor", "h", "--spec", "tbl"],
+     "FAIL      t-embedding[h,tbl]  witness=h_*"),
+], ids=["check-algebra", "compute-algebra", "t-embedding"])
+def test_a_fail_names_its_witness(tmp_path, capsys, argv, line):
+    code, out, _ = run(argv + ["--workspace", write(tmp_path, _WITNESSES)], capsys)
+    assert (code, out.splitlines()[1]) == (1, line)
+
+
 def test_check_needs_its_target(ws_path, capsys):
     code, _, err = run(
         ["check", "separated", "--workspace", ws_path], capsys)

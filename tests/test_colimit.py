@@ -1,9 +1,12 @@
 """Weighted colimits, algebra extraction, and the cross-characterisations."""
 
+import json
+from collections import Counter
+
 import pytest
 from hypothesis import given
 
-from quantcat import selftest
+from quantcat import cli, monadkit, selftest
 from quantcat.colimit import (
     algebra_extract,
     injectivity_check,
@@ -40,7 +43,7 @@ from quantcat.vcat import (VRelation, check_adjunction, hom_self_category, ident
                            is_functor, raw_functor, unit_category)
 
 from .helpers import (BOOL, all_functors, bool_chain2, bool_chain3, bool_discrete,
-                      bool_indiscrete2, cat, luk2_asym, luk2_sym)
+                      bool_indiscrete2, cat, condition2_by_loop, luk2_asym, luk2_sym)
 from .test_presheaf import PROPERTY, finite_categories
 
 GO3 = builtin("goedel_chain", 3)
@@ -52,8 +55,9 @@ DISC2 = bool_discrete(2)
 EMB = raw_functor("emb", CHAIN2, CHAIN3, {"x": "x", "y": "y"})
 VEE = cat("vee", BOOL, ["d0", "d1", "t"], [[1, 0, 1], [0, 1, 1], [0, 0, 1]])
 INTO_VEE = raw_functor("into_vee", DISC2, VEE, {"d0": "d0", "d1": "d1"})
-ALL = submonad_all()
-RA = submonad_right_adjoints()
+# the two monads of the distinguished classes; each builds a TX once
+ALL = submonad_monad(submonad_all())
+RA = submonad_monad(submonad_right_adjoints())
 
 
 def top_weight(X):
@@ -120,13 +124,23 @@ def test_a_colimit_is_the_right_extension_it_represents(cats):
 
 
 def _check_algebras_are_functors(X):
-    for spec in (ALL, RA):
-        rep = algebra_extract(X, spec)
+    """Per monad: the extracted algebra is a functor left adjoint to the
+    unit, and, on the same draws, condition (2) of the minimum route is
+    the first escape of the per-element loop."""
+    for spec in (submonad_all(), submonad_right_adjoints()):
+        T = submonad_monad(spec)
+        m = min_characterization(X, T)
+        if not m["no_minimum"]:
+            points = [X.objects.index(label) for label in m["x_phi"]]
+            w = condition2_by_loop(X, T.apply(X), points)
+            # some draws have every minimum and fail condition (2) alone
+            assert (m["ok"], m["condition2"]) == (w is None, {"ok": w is None, "witness": w})
+        rep = algebra_extract(X, T)
         alpha = rep["algebra"]
         if alpha is None:
             continue
         assert is_functor(alpha.dom, X, alpha.mapping)
-        assert check_adjunction(alpha, submonad_monad(spec).unit(X)) == (True, None)
+        assert check_adjunction(alpha, T.unit(X)) == (True, None)
         assert rep["adjoint_to_unit"] is True
 
 
@@ -187,14 +201,14 @@ def test_extraction_failures_are_reported():
     assert algebra_extract(DISC2, RA)["ok"] is True
 
 
-@pytest.mark.parametrize("spec, ambiguous, mapping", [
+@pytest.mark.parametrize("T, ambiguous, mapping", [
     (ALL, ("[0,0]", "[1,1]"), (0, 0)),
     (RA, ("[1,1]",), (0,)),
 ], ids=["all", "right_adjoints"])
 def test_ties_between_isomorphic_representatives_go_to_the_least_index(
-        spec, ambiguous, mapping):
+        T, ambiguous, mapping):
     # p ≅ q, so every member that has a representative has both
-    rep = algebra_extract(bool_indiscrete2(), spec)
+    rep = algebra_extract(bool_indiscrete2(), T)
     assert rep["ambiguous"] == ambiguous
     assert rep["algebra"].mapping == mapping
     # not separated, so no section of the unit exists
@@ -203,7 +217,7 @@ def test_ties_between_isomorphic_representatives_go_to_the_least_index(
 
 def test_representable_members_extract_to_identity():
     spec = submonad_user_table("reps", {"chain2": ("[1,0]", "[1,1]")})
-    rep = algebra_extract(CHAIN2, spec)
+    rep = algebra_extract(CHAIN2, submonad_monad(spec))
     assert rep["ok"] is True
     assert rep["algebra"].mapping == (0, 1)
 
@@ -214,7 +228,7 @@ def test_hom_into_representative_row_identity(X):
     # the extension row is both TX(φ, x^*) and X(α(φ), −)
     alpha = algebra_extract(X, ALL)["algebra"]
     TX = alpha.dom
-    unit = submonad_monad(ALL).unit(X)
+    unit = ALL.unit(X)
     for i, row in enumerate(extension_rows(X, TX.presheaves)):
         for x in range(len(X.objects)):
             assert row[x] == TX.hom[i][unit(x)] == X.hom[alpha(i)][x]
@@ -351,3 +365,50 @@ def test_c10_compares_minima_with_extraction(monkeypatch, alter, witness):
     monkeypatch.setattr(selftest, "min_characterization", lambda *a: alter(real(*a)))
     rep = selftest.criterion_10()
     assert (rep["verdict"], rep["witness"]) == ("fail", witness)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """How often `monadkit.submonad_category` builds each T-category, by
+    (spec, category) name."""
+    seen = Counter()
+    real = monadkit.submonad_category
+
+    def spy(spec, X, *budget):
+        seen[spec.name, X.name] += 1
+        return real(spec, X, *budget)
+
+    monkeypatch.setattr(monadkit, "submonad_category", spy)
+    return seen
+
+
+def test_extraction_builds_tx_once(builds):
+    # the unit reads TX off the monad too
+    assert algebra_extract(CHAIN3, submonad_monad(submonad_all()))["ok"] is True
+    assert builds == {("all", "chain3"): 1}
+
+
+def test_check_homomorphism_builds_each_t_category_once(builds, tmp_path, capsys):
+    doc = {"quantales": [{"name": "B", "kind": "boolean2"}],
+           "categories": [{"name": "C2", "quantale": "B", "objects": ["x", "y"],
+                           "hom": [[1, 1], [0, 1]]},
+                          {"name": "C3", "quantale": "B", "objects": ["x", "y", "z"],
+                           "hom": [[1, 1, 1], [0, 1, 1], [0, 0, 1]]}],
+           "functors": [{"name": "emb", "dom": "C2", "cod": "C3",
+                         "mapping": {"x": "x", "y": "y"}}],
+           "submonad_specs": [{"name": "all", "kind": "all"}]}
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check", "homomorphism", "--functor", "emb", "--spec", "all",
+                     "--workspace", str(path)]) == 0
+    assert "PASS      homomorphism[emb,all]" in capsys.readouterr().out
+    assert builds == {("all", "C2"): 1, ("all", "C3"): 1}
+
+
+@pytest.mark.parametrize("criterion, count", [(selftest.criterion_10, 16),
+                                              (selftest.criterion_12, 4)],
+                         ids=["C10", "C12"])
+def test_a_criterion_builds_each_t_category_once(builds, criterion, count):
+    # one monad per spec holds every TX the criterion reads
+    assert criterion()["verdict"] == "pass"
+    assert (sum(builds.values()), max(builds.values())) == (count, 1)

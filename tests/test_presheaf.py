@@ -18,7 +18,6 @@ from quantcat.presheaf import (
     multiplication,
     presheaf_category,
     presheaf_label,
-    presheaf_map,
     presheaves,
     representables,
     verify_monad_laws,
@@ -149,7 +148,7 @@ def test_multiplication_unit_triangles_as_functors():
     PPX = presheaf_category(PX)
     m = multiplication(X)
     ident = identity_functor(PX).mapping
-    assert tuple(m(i) for i in presheaf_map(yoneda(X, PX), PX, PPX).mapping) == ident
+    assert tuple(m(i) for i in P.map(yoneda(X, PX)).mapping) == ident
     assert tuple(m(i) for i in yoneda(PX, PPX).mapping) == ident
 
 
@@ -308,7 +307,7 @@ def test_the_monad_structure_makes_no_per_element_op_calls(monkeypatch, mk):
     PX = presheaf_category(X)
     PPX = presheaf_category(PX)
     assert multiplication(X).dom == PPX
-    assert presheaf_map(yoneda(X, PX), PX, PPX).cod == PPX
+    assert presheaf_monad().map(yoneda(X, PX)).cod == PPX
     assert verify_monad_laws(X)["associativity"]["ok"]
     assert not calls
 

@@ -104,6 +104,9 @@ def test_bad_parameters():
         make_finite_quantale("q", [], [], [], "x")
     with pytest.raises(BadParameter):
         make_finite_quantale("q", ["a", "a"], [], [["a", "a"], ["a", "a"]], "a")
+    # as many rows as elements, but a short row
+    with pytest.raises(BadParameter, match="tensor table must be square"):
+        make_finite_quantale("q", ["o", "i"], [("o", "i")], [["o", "o"], ["o"]], "i")
 
 
 @pytest.mark.parametrize("kind", ["goedel_chain", "lukasiewicz_chain"])

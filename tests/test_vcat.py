@@ -176,6 +176,11 @@ def test_check_adjunction_failure_witness():
     idX = identity_functor(X)
     ok, witness = check_adjunction(top, idX)
     assert not ok and witness == ("x", "x")
+    # g starts at X but lands in chain3, not back in X: the shape guard,
+    # before any hom entry X(x, g y) is read at an index X lacks
+    g = raw_functor("g", X, bool_chain3(), (1, 2))
+    with pytest.raises(NotAFunctor, match="^g does not go back from chain2 to chain2$"):
+        check_adjunction(idX, g)
 
 
 def _above_k():
